@@ -26,9 +26,12 @@ test:
 # under the race detector and must pass before merging. It also runs the
 # oracle-checked short workload sweeps (exper.TestCheckedWorkloadSweeps
 # and the sim/oracle differential tests), so every merge re-validates the
-# architectural contract under -race.
+# architectural contract under -race. Last, the trace-replay benchmark's
+# smoke test (bench/ is a module of its own, so ./... above skips it)
+# replays all four workloads at reduced size with oracle and digest checks.
 race: vet faults obs adversary merkle telemetry bench-smoke
 	$(GO) test -race ./...
+	cd bench && $(GO) test ./...
 
 # Robustness gate, folded into tier-1 `race`: the fault-injection and
 # crash-anywhere packages under the race detector, then the deterministic

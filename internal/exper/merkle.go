@@ -143,6 +143,11 @@ func merkleRun(o Options, w oracle.Workload, engine integrity.EngineKind, ringCa
 			}
 		}
 	}
+	// No adversary touches this run, so every counter fetch is authentic:
+	// a failed verification is an engine bug, not a figure.
+	if n := m.MC.IntegrityFailures(); n > 0 {
+		return MerkleRow{}, fmt.Errorf("exper: merkle sweep (%s): %d authentic counter fetches failed verification", engine, n)
+	}
 	eng := m.MC.IntegrityEngine()
 	row.HashOps = eng.HashOps()
 	root := eng.Root()

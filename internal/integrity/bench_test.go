@@ -8,12 +8,17 @@ import (
 	"silentshredder/internal/ctr"
 )
 
+// Every timed unit below ends with an observation (Root or Verify), so
+// the eager engine's deferred host rehash is timed with the updates that
+// caused it. BenchmarkUpdate is one uncoalesced update: the leaf hash
+// plus its settle.
 func BenchmarkUpdate(b *testing.B) {
 	t := NewTree(DefaultConfig())
 	var blk [ctr.CounterBlockSize]byte
 	for i := 0; i < b.N; i++ {
 		blk[0] = byte(i)
 		t.Update(addr.PageNum(i%4096), blk)
+		t.Root()
 	}
 }
 
@@ -50,9 +55,11 @@ func BenchmarkEngineUpdateBurst(b *testing.B) {
 			e.Update(addr.PageNum(i%64), blk)
 			if i%1024 == 1023 {
 				e.PersistBarrier()
+				e.Root()
 			}
 		}
 		e.PersistBarrier()
+		e.Root()
 	})
 }
 
@@ -72,8 +79,8 @@ func BenchmarkEngineVerifyHit(b *testing.B) {
 }
 
 // The persist-barrier path itself: dirty a spread of leaves, then drain
-// them in one coalesced batch (the cached engine's deferred work; the
-// eager engine's barrier is free by construction).
+// them in one coalesced batch (the cached engine's deferred work, and
+// the eager engine's deferred host rehash).
 func BenchmarkEngineCoalescedFlush(b *testing.B) {
 	for _, leaves := range []int{16, 256} {
 		b.Run(fmt.Sprintf("leaves%d", leaves), func(b *testing.B) {
@@ -85,8 +92,29 @@ func BenchmarkEngineCoalescedFlush(b *testing.B) {
 						e.Update(addr.PageNum(l*37), blk)
 					}
 					e.PersistBarrier()
+					e.Root()
 				}
 			})
 		})
 	}
+}
+
+// The end-of-run write-back burst of a graph workload: every dirty line
+// of about 300 pages is written back, 60 counter updates per page with
+// the pages interleaved, and then one barrier persists the counters.
+func BenchmarkEngineWritebackFlush(b *testing.B) {
+	const pages, perPage = 300, 60
+	benchEngines(b, func(b *testing.B, e Engine) {
+		var blk [ctr.CounterBlockSize]byte
+		for i := 0; i < b.N; i++ {
+			for u := 0; u < perPage; u++ {
+				blk[0] = byte(i + u)
+				for p := 0; p < pages; p++ {
+					e.Update(addr.PageNum(4096+p*5), blk)
+				}
+			}
+			e.PersistBarrier()
+			e.Root()
+		}
+	})
 }

@@ -2,7 +2,6 @@ package integrity
 
 import (
 	"crypto/sha256"
-	"sort"
 
 	"silentshredder/internal/addr"
 	"silentshredder/internal/clock"
@@ -97,7 +96,7 @@ func (t *CachedTree) Verify(p addr.PageNum, block [ctr.CounterBlockSize]byte) (b
 	path := t.cfg.verifyPath()
 	t.bus.Emit(obs.EvMerkleVerify, uint64(p.Addr()), uint64(path))
 	levels := path - 1
-	h = t.walkUp(idx, h, levels, false)
+	h = t.walkUp(idx, h, levels)
 	t.hashOps.Add(uint64(path))
 	return h == t.node(levels, idx>>uint(levels)), t.cfg.verifyCost()
 }
@@ -112,7 +111,7 @@ func (t *CachedTree) ConsistentWith(p addr.PageNum, block [ctr.CounterBlockSize]
 	if want, ok := t.dirty[idx]; ok {
 		return h == want
 	}
-	return t.walkUp(idx, h, t.cfg.Depth, false) == t.root
+	return t.walkUp(idx, h, t.cfg.Depth) == t.Root()
 }
 
 // Authenticate is ConsistentWith with a typed *ReplayError on mismatch.
@@ -125,10 +124,11 @@ func (t *CachedTree) Authenticate(p addr.PageNum, block [ctr.CounterBlockSize]by
 // must cover it before the write is considered durable.
 func (t *CachedTree) Persisted(p addr.PageNum) {
 	idx := uint64(p)
-	if _, ok := t.dirty[idx]; !ok {
-		return
+	if h, ok := t.dirty[idx]; ok {
+		delete(t.dirty, idx)
+		t.install(idx, h)
+		t.propagate()
 	}
-	t.propagate([]uint64{idx})
 }
 
 // PersistBarrier propagates every pending update as one coalesced batch.
@@ -139,44 +139,22 @@ func (t *CachedTree) PersistBarrier() {
 	if len(t.dirty) == 0 {
 		return
 	}
-	leaves := make([]uint64, 0, len(t.dirty))
-	for idx := range t.dirty {
-		leaves = append(leaves, idx)
+	for idx, h := range t.dirty {
+		t.install(idx, h)
 	}
-	sort.Slice(leaves, func(i, j int) bool { return leaves[i] < leaves[j] })
-	t.propagate(leaves)
+	clear(t.dirty)
+	t.propagate()
 }
 
-// propagate installs the pending leaf hashes for `leaves` (sorted
-// ascending) and rehashes their ancestor closure level by level. Shared
-// parents are computed once: the frontier of touched indices is deduped
-// as it climbs, which is where batching beats per-update eagerness.
-func (t *CachedTree) propagate(leaves []uint64) {
+// propagate settles the leaves just installed from the dirty cache as one
+// batch (shared parents hashed once), charging the nodes per level.
+func (t *CachedTree) propagate() {
 	t.barriers.Inc()
-	for _, idx := range leaves {
-		t.nodes[0][idx] = t.dirty[idx]
-		delete(t.dirty, idx)
-	}
-	frontier := leaves
-	for l := 0; l < t.cfg.Depth; l++ {
-		next := frontier[:0]
-		var last uint64
-		for i, idx := range frontier {
-			parent := idx >> 1
-			if i > 0 && parent == last {
-				continue
-			}
-			last = parent
-			t.nodes[l+1][parent] = hashPair(t.node(l, parent<<1), t.node(l, parent<<1|1))
-			next = append(next, parent)
-		}
-		frontier = next
-		ops := uint64(len(frontier))
-		t.hashOps.Add(ops)
-		t.flushHashes.Add(ops)
-		t.bus.Emit(obs.EvMerkleFlush, uint64(l+1), ops)
-	}
-	t.root = t.nodes[t.cfg.Depth][0]
+	t.settle(func(level int, nodes uint64) {
+		t.hashOps.Add(nodes)
+		t.flushHashes.Add(nodes)
+		t.bus.Emit(obs.EvMerkleFlush, uint64(level), nodes)
+	})
 }
 
 // VerifyCost returns the modeled latency of one (non-short-circuited)

@@ -14,8 +14,8 @@ import (
 type EngineKind int
 
 const (
-	// EngineEager is the classic Bonsai tree: every counter update
-	// rehashes the full leaf-to-root path synchronously (Tree).
+	// EngineEager is the classic Bonsai tree: every counter update is
+	// charged a synchronous full leaf-to-root rehash (Tree).
 	EngineEager EngineKind = iota
 	// EngineCached coalesces updates in an on-chip dirty-subtree cache
 	// and batch-propagates them at persist barriers (CachedTree).
@@ -47,7 +47,10 @@ func ParseEngineKind(s string) (EngineKind, error) {
 // Engine is a pluggable integrity engine protecting the counter region.
 // The controller drives it through four paths:
 //
-//   - Update on every counter-block mutation (the hot write path);
+//   - Update on every counter-block mutation (the hot write path). The
+//     eager engine charges its full-path rehash here but runs it on the
+//     host only at the next Root, Verify, ConsistentWith, Authenticate
+//     or PersistBarrier, where it changes no statistic and no event;
 //   - Verify on counter-cache misses (the hot read path);
 //   - Persisted/PersistBarrier for crash-persist ordering: Persisted
 //     fires when one page's counters reach the persistence domain (a

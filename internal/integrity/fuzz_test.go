@@ -12,9 +12,12 @@ import (
 // fuzzer-chosen operation script — updates, per-page persists, barriers,
 // interleaved verifications — and requires that they never disagree: on
 // every verification verdict, on replay detection, and on the root
-// register once the cached engine's pending work is drained. The script
-// is one byte per step; the seed derives page numbers and block values
-// deterministically so any corpus entry replays exactly.
+// register once the cached engine's pending work is drained. A step
+// whose top bit is set also checks the eager root against the
+// from-scratch reference, so the eager engine's deferred host rehash is
+// observed at arbitrary points. The script is one byte per step; the
+// seed derives page numbers and block values deterministically so any
+// corpus entry replays exactly.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3})
 	f.Add(int64(42), []byte{0, 0, 0, 0, 2, 1, 1, 3, 2, 0})
@@ -48,6 +51,9 @@ func FuzzEngineEquivalence(f *testing.F) {
 				if eager.Root() != cached.Root() {
 					t.Fatalf("step %d: roots diverge after barrier", i)
 				}
+			}
+			if b&0x80 != 0 && eager.Root() != referenceRoot(cfg.Depth, current) {
+				t.Fatalf("step %d: eager root differs from the reference", i)
 			}
 			if vp, ok := current[p]; ok && rng.Intn(4) == 0 {
 				okE, _ := eager.Verify(p, vp)

@@ -14,7 +14,7 @@
 // touched page set.
 //
 // Two engines implement the Engine interface (engine.go): the eager Tree
-// below, which rehashes the full leaf-to-root path on every counter
+// below, which models a full leaf-to-root rehash on every counter
 // update, and the lazy CachedTree (cached.go), which coalesces pending
 // leaf updates in an on-chip dirty-subtree cache and batch-propagates
 // them at persist barriers.
@@ -22,6 +22,7 @@ package integrity
 
 import (
 	"crypto/sha256"
+	"slices"
 
 	"silentshredder/internal/addr"
 	"silentshredder/internal/clock"
@@ -79,6 +80,9 @@ type store struct {
 	defaults []Hash            // defaults[l] = hash of an empty subtree of height l
 	nodes    []map[uint64]Hash // nodes[l][i]: level l (0 = leaves), index i
 	root     Hash
+
+	stale  map[uint64]struct{} // installed leaves whose ancestors and root are out of date
+	leaves []uint64            // settle's sort buffer, reused across calls
 }
 
 // newStore validates cfg and builds an empty node store.
@@ -89,7 +93,7 @@ func newStore(cfg Config) store {
 	if cfg.CachedLevels < 0 || cfg.CachedLevels > cfg.Depth {
 		cfg.CachedLevels = cfg.Depth
 	}
-	s := store{cfg: cfg}
+	s := store{cfg: cfg, stale: make(map[uint64]struct{})}
 	s.defaults = make([]Hash, cfg.Depth+1)
 	var zero [ctr.CounterBlockSize]byte
 	s.defaults[0] = sha256.Sum256(zero[:])
@@ -118,13 +122,55 @@ func (s *store) node(level int, idx uint64) Hash {
 	return s.defaults[level]
 }
 
+// install writes leaf idx's hash and defers its ancestor rehash to the
+// next settle.
+func (s *store) install(idx uint64, h Hash) {
+	s.nodes[0][idx] = h
+	s.stale[idx] = struct{}{}
+}
+
+// settle rehashes the ancestors of every stale leaf and refreshes the
+// root: the one rehash loop both engines share. Sorted leaves keep the
+// climbing frontier deduplicated, so a shared ancestor is hashed once.
+// charge, if non-nil, gets each level's rehashed-node count; settle
+// itself touches no statistic and emits no event.
+func (s *store) settle(charge func(level int, nodes uint64)) {
+	if len(s.stale) == 0 {
+		return
+	}
+	s.leaves = s.leaves[:0]
+	for idx := range s.stale {
+		s.leaves = append(s.leaves, idx)
+	}
+	clear(s.stale)
+	slices.Sort(s.leaves)
+	frontier := s.leaves
+	for l := 0; l < s.cfg.Depth; l++ {
+		next := frontier[:0]
+		var last uint64
+		for i, idx := range frontier {
+			parent := idx >> 1
+			if i > 0 && parent == last {
+				continue
+			}
+			last = parent
+			s.nodes[l+1][parent] = hashPair(s.node(l, parent<<1), s.node(l, parent<<1|1))
+			next = append(next, parent)
+		}
+		frontier = next
+		if charge != nil {
+			charge(l+1, uint64(len(frontier)))
+		}
+	}
+	s.root = s.nodes[s.cfg.Depth][0]
+}
+
 // walkUp hashes from the level-0 leaf hash h at index idx up `levels`
-// levels, combining with the stored sibling at each step. With write set,
-// the recomputed parents are stored (an update); without, the walk is a
-// pure recomputation (a verification). Returns the hash reached at the
-// final level. This is the one leaf-to-root walk every engine entry point
-// shares.
-func (s *store) walkUp(idx uint64, h Hash, levels int, write bool) Hash {
+// levels, combining with the stored sibling at each step, and returns
+// the hash reached at the final level. It settles first, so the siblings
+// it reads are current: the one walk every verification and audit shares.
+func (s *store) walkUp(idx uint64, h Hash, levels int) Hash {
+	s.settle(nil)
 	for l := 0; l < levels; l++ {
 		sib := s.node(l, idx^1)
 		if idx&1 == 0 {
@@ -133,19 +179,18 @@ func (s *store) walkUp(idx uint64, h Hash, levels int, write bool) Hash {
 			h = hashPair(sib, h)
 		}
 		idx >>= 1
-		if write {
-			s.nodes[l+1][idx] = h
-		}
 	}
 	return h
 }
 
 // Root returns the current root hash (held in a tamper-proof on-chip
-// register in the real design).
-func (s *store) Root() Hash { return s.root }
+// register in the real design), settling any stale leaves first.
+func (s *store) Root() Hash { s.settle(nil); return s.root }
 
 // Tree is the eager engine: a sparse Merkle tree over counter blocks
-// whose full leaf-to-root path is rehashed on every update.
+// whose every update is charged a full leaf-to-root rehash. The host
+// defers that rehash until the next Root, Verify, ConsistentWith,
+// Authenticate or PersistBarrier settles all stale leaves at once.
 type Tree struct {
 	store
 
@@ -163,17 +208,14 @@ func NewTree(cfg Config) *Tree {
 	return &Tree{store: newStore(cfg)}
 }
 
-// Update recomputes the path for page p after its counter block changed,
-// returning the modeled latency. Updates hash the full path to the root
-// (cached levels still need their cached copies refreshed, which the
-// model folds into the same hash cost).
+// Update absorbs page p's changed counter block, returning the modeled
+// latency of hashing the full path to the root (cached levels still need
+// their cached copies refreshed, which the model folds into the same
+// hash cost). The host hashes only the leaf; see settle.
 func (t *Tree) Update(p addr.PageNum, block [ctr.CounterBlockSize]byte) clock.Cycles {
 	t.updates.Inc()
 	t.bus.Emit(obs.EvMerkleUpdate, uint64(p.Addr()), uint64(t.cfg.Depth+1))
-	idx := uint64(p)
-	h := sha256.Sum256(block[:])
-	t.nodes[0][idx] = h
-	t.root = t.walkUp(idx, h, t.cfg.Depth, true)
+	t.install(uint64(p), sha256.Sum256(block[:]))
 	t.hashOps.Add(uint64(t.cfg.Depth + 1))
 	return clock.Cycles(t.cfg.Depth+1) * t.cfg.HashLatency
 }
@@ -191,7 +233,7 @@ func (t *Tree) Verify(p addr.PageNum, block [ctr.CounterBlockSize]byte) (bool, c
 	idx := uint64(p)
 	h := sha256.Sum256(block[:])
 	levels := path - 1
-	h = t.walkUp(idx, h, levels, false)
+	h = t.walkUp(idx, h, levels)
 	t.hashOps.Add(uint64(path))
 	return h == t.node(levels, idx>>uint(levels)), t.cfg.verifyCost()
 }
@@ -203,15 +245,16 @@ func (t *Tree) Verify(p addr.PageNum, block [ctr.CounterBlockSize]byte) (bool, c
 // perturb the measured verification counts.
 func (t *Tree) ConsistentWith(p addr.PageNum, block [ctr.CounterBlockSize]byte) bool {
 	h := sha256.Sum256(block[:])
-	return t.walkUp(uint64(p), h, t.cfg.Depth, false) == t.root
+	return t.walkUp(uint64(p), h, t.cfg.Depth) == t.Root()
 }
 
 // Persisted is the eager engine's persist-ordering hook: a no-op, since
-// every update already reached the root synchronously.
+// the model charged every update's path to the root synchronously.
 func (t *Tree) Persisted(addr.PageNum) {}
 
-// PersistBarrier is a no-op for the eager engine (nothing is pending).
-func (t *Tree) PersistBarrier() {}
+// PersistBarrier settles the host-side deferred rehash, so a flushed or
+// crashed machine holds a current root; nothing is pending in the model.
+func (t *Tree) PersistBarrier() { t.settle(nil) }
 
 // VerifyCost returns the modeled latency of one verification.
 func (t *Tree) VerifyCost() clock.Cycles { return t.cfg.verifyCost() }
