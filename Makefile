@@ -29,8 +29,12 @@ test:
 # architectural contract under -race. Last, the trace-replay benchmark's
 # smoke test (bench/ is a module of its own, so ./... above skips it)
 # replays all four workloads at reduced size with oracle and digest checks.
+# The purego line checks crypto/aes's generic Go code, which hosts without
+# AES instructions run, against the FIPS vectors, EncryptRef and the pad
+# differential tests.
 race: vet faults obs adversary merkle telemetry bench-smoke
 	$(GO) test -race ./...
+	$(GO) test -tags purego ./internal/aes ./internal/ctr
 	cd bench && $(GO) test ./...
 
 # Robustness gate, folded into tier-1 `race`: the fault-injection and

@@ -1,20 +1,23 @@
-// Package aes implements the AES block cipher (FIPS-197) from scratch.
+// Package aes provides the AES block cipher (FIPS-197) that the secure
+// memory controller uses in counter mode: the controller encrypts an
+// initialization vector to produce a one-time pad and XORs the pad with
+// the data (paper §2.2, Figure 2). Counter mode only ever invokes the
+// forward (encryption) direction, so that is all the package offers.
 //
-// The secure memory controller uses AES in counter mode: the controller
-// encrypts an initialization vector to produce a one-time pad and XORs the
-// pad with the data (paper §2.2, Figure 2). Counter mode only ever invokes
-// the forward (encryption) direction of the block cipher, but the inverse
-// cipher is implemented as well so the package is complete and testable
-// against published vectors in both directions.
-//
-// The implementation is a straightforward byte-oriented rendering of the
-// specification (SubBytes / ShiftRows / MixColumns / AddRoundKey). It is
-// deliberately simple rather than table-optimized: the simulator's hot
-// paths cache pads at the block level, and correctness is cross-checked
-// against FIPS-197 vectors and crypto/aes in the tests.
+// Encrypt runs through the standard library's crypto/aes, which uses the
+// CPU's AES instructions where it has them and portable Go code
+// elsewhere. The simulator charges pad latency in modeled cycles, so on
+// the host the cipher only has to produce the pad's bits, as fast as it
+// can. EncryptRef is a from-scratch, byte-oriented rendering of the
+// specification (SubBytes / ShiftRows / MixColumns / AddRoundKey) over
+// the package's own key schedule; the tests check Encrypt against it and
+// against the FIPS-197 vectors.
 package aes
 
-import "fmt"
+import (
+	stdaes "crypto/aes"
+	"crypto/cipher"
+)
 
 // BlockSize is the AES block size in bytes.
 const BlockSize = 16
@@ -39,15 +42,6 @@ var sbox = [256]byte{
 	0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 }
 
-// invSbox is the inverse substitution box, derived from sbox at init time.
-var invSbox [256]byte
-
-func init() {
-	for i, v := range sbox {
-		invSbox[v] = byte(i)
-	}
-}
-
 // xtime multiplies by x (i.e. {02}) in GF(2^8) with the AES polynomial.
 func xtime(b byte) byte {
 	if b&0x80 != 0 {
@@ -56,35 +50,23 @@ func xtime(b byte) byte {
 	return b << 1
 }
 
-// mul multiplies two elements of GF(2^8).
-func mul(a, b byte) byte {
-	var p byte
-	for b != 0 {
-		if b&1 != 0 {
-			p ^= a
-		}
-		a = xtime(a)
-		b >>= 1
-	}
-	return p
-}
-
 // Cipher is an expanded-key AES instance. It is safe for concurrent use:
 // all methods are read-only with respect to the receiver.
 type Cipher struct {
-	rounds int        // 10, 12 or 14
-	rk     [60]uint32 // round keys, 4*(rounds+1) words
+	block  cipher.Block // crypto/aes forward cipher behind Encrypt
+	rounds int          // 10, 12 or 14
+	rk     [60]uint32   // EncryptRef's round keys, 4*(rounds+1) words
 }
 
-// New creates a Cipher from a 16-, 24- or 32-byte key.
+// New creates a Cipher from a 16-, 24- or 32-byte key. Any other length
+// returns crypto/aes's KeySizeError.
 func New(key []byte) (*Cipher, error) {
-	switch len(key) {
-	case 16, 24, 32:
-	default:
-		return nil, fmt.Errorf("aes: invalid key size %d (want 16, 24 or 32)", len(key))
+	block, err := stdaes.NewCipher(key)
+	if err != nil {
+		return nil, err
 	}
 	nk := len(key) / 4
-	c := &Cipher{rounds: nk + 6}
+	c := &Cipher{block: block, rounds: nk + 6}
 	n := 4 * (c.rounds + 1)
 	for i := 0; i < nk; i++ {
 		c.rk[i] = uint32(key[4*i])<<24 | uint32(key[4*i+1])<<16 |
@@ -126,6 +108,25 @@ func subWord(w uint32) uint32 {
 // 14 for AES-256).
 func (c *Cipher) Rounds() int { return c.rounds }
 
+// Encrypt encrypts one 16-byte block from src into dst. Both must be at
+// least BlockSize bytes, and they may overlap only exactly (dst == src);
+// a partial overlap panics.
+func (c *Cipher) Encrypt(dst, src []byte) { c.block.Encrypt(dst, src) }
+
+// EncryptBlocks encrypts len(src)/BlockSize consecutive 16-byte blocks
+// from src into dst. Counter-mode pad generation uses it to produce all
+// four chunks of a 64-byte block pad in one call. Partial trailing bytes
+// are ignored; dst must hold at least as many whole blocks as src.
+func (c *Cipher) EncryptBlocks(dst, src []byte) {
+	n := len(src) / BlockSize * BlockSize
+	if len(dst) < n {
+		panic("aes: dst shorter than src blocks")
+	}
+	for off := 0; off < n; off += BlockSize {
+		c.block.Encrypt(dst[off:off+BlockSize], src[off:off+BlockSize])
+	}
+}
+
 // state is the AES state laid out column-major: state[r+4*c] in FIPS
 // terms is held here as s[4*col+row].
 type state [16]byte
@@ -146,23 +147,11 @@ func subBytes(s *state) {
 	}
 }
 
-func invSubBytes(s *state) {
-	for i := range s {
-		s[i] = invSbox[s[i]]
-	}
-}
-
 // shiftRows rotates row r left by r positions.
 func shiftRows(s *state) {
 	s[1], s[5], s[9], s[13] = s[5], s[9], s[13], s[1]
 	s[2], s[6], s[10], s[14] = s[10], s[14], s[2], s[6]
 	s[3], s[7], s[11], s[15] = s[15], s[3], s[7], s[11]
-}
-
-func invShiftRows(s *state) {
-	s[5], s[9], s[13], s[1] = s[1], s[5], s[9], s[13]
-	s[10], s[14], s[2], s[6] = s[2], s[6], s[10], s[14]
-	s[15], s[3], s[7], s[11] = s[3], s[7], s[11], s[15]
 }
 
 func mixColumns(s *state) {
@@ -175,32 +164,25 @@ func mixColumns(s *state) {
 	}
 }
 
-func invMixColumns(s *state) {
-	for c := 0; c < 4; c++ {
-		a0, a1, a2, a3 := s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]
-		s[4*c+0] = mul(a0, 0x0e) ^ mul(a1, 0x0b) ^ mul(a2, 0x0d) ^ mul(a3, 0x09)
-		s[4*c+1] = mul(a0, 0x09) ^ mul(a1, 0x0e) ^ mul(a2, 0x0b) ^ mul(a3, 0x0d)
-		s[4*c+2] = mul(a0, 0x0d) ^ mul(a1, 0x09) ^ mul(a2, 0x0e) ^ mul(a3, 0x0b)
-		s[4*c+3] = mul(a0, 0x0b) ^ mul(a1, 0x0d) ^ mul(a2, 0x09) ^ mul(a3, 0x0e)
-	}
-}
-
-// Decrypt decrypts one 16-byte block from src into dst (inverse cipher).
-func (c *Cipher) Decrypt(dst, src []byte) {
+// EncryptRef is the from-scratch reference implementation of the forward
+// cipher: SubBytes/ShiftRows/MixColumns/AddRoundKey exactly as FIPS-197
+// writes them, over the package's own key schedule. The tests check
+// Encrypt against it.
+func (c *Cipher) EncryptRef(dst, src []byte) {
 	if len(src) < BlockSize || len(dst) < BlockSize {
 		panic("aes: input not full block")
 	}
 	var s state
 	copy(s[:], src[:16])
-	c.addRoundKey(&s, c.rounds)
-	for round := c.rounds - 1; round > 0; round-- {
-		invShiftRows(&s)
-		invSubBytes(&s)
-		c.addRoundKey(&s, round)
-		invMixColumns(&s)
-	}
-	invShiftRows(&s)
-	invSubBytes(&s)
 	c.addRoundKey(&s, 0)
+	for round := 1; round < c.rounds; round++ {
+		subBytes(&s)
+		shiftRows(&s)
+		mixColumns(&s)
+		c.addRoundKey(&s, round)
+	}
+	subBytes(&s)
+	shiftRows(&s)
+	c.addRoundKey(&s, c.rounds)
 	copy(dst[:16], s[:])
 }

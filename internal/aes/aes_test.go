@@ -47,15 +47,15 @@ func TestFIPS197Vectors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			want := unhex(t, tc.ct)
 			got := make([]byte, 16)
 			c.Encrypt(got, unhex(t, tc.pt))
-			if want := unhex(t, tc.ct); !bytes.Equal(got, want) {
-				t.Fatalf("Encrypt = %x, want %x", got, want)
+			if !bytes.Equal(got, want) {
+				t.Errorf("Encrypt = %x, want %x", got, want)
 			}
-			back := make([]byte, 16)
-			c.Decrypt(back, got)
-			if want := unhex(t, tc.pt); !bytes.Equal(back, want) {
-				t.Fatalf("Decrypt = %x, want %x", back, want)
+			c.EncryptRef(got, unhex(t, tc.pt))
+			if !bytes.Equal(got, want) {
+				t.Errorf("EncryptRef = %x, want %x", got, want)
 			}
 		})
 	}
@@ -87,8 +87,8 @@ func TestMustNewPanics(t *testing.T) {
 	MustNew(make([]byte, 3))
 }
 
-// Property: our cipher agrees with crypto/aes for random keys and blocks,
-// in both directions and for all three key sizes.
+// Property: Encrypt agrees with a separately built crypto/aes cipher for
+// random keys and blocks and all three key sizes.
 func TestMatchesStdlibProperty(t *testing.T) {
 	for _, keyLen := range []int{16, 24, 32} {
 		f := func(keySeed, block [16]byte, pad [16]byte) bool {
@@ -104,11 +104,6 @@ func TestMatchesStdlibProperty(t *testing.T) {
 			want := make([]byte, 16)
 			ours.Encrypt(got, block[:])
 			std.Encrypt(want, block[:])
-			if !bytes.Equal(got, want) {
-				return false
-			}
-			ours.Decrypt(got, block[:])
-			std.Decrypt(want, block[:])
 			return bytes.Equal(got, want)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -117,22 +112,29 @@ func TestMatchesStdlibProperty(t *testing.T) {
 	}
 }
 
-// Property: Decrypt inverts Encrypt.
-func TestRoundTripProperty(t *testing.T) {
-	f := func(key, block [16]byte) bool {
-		c := MustNew(key[:])
-		ct := make([]byte, 16)
-		pt := make([]byte, 16)
-		c.Encrypt(ct, block[:])
-		c.Decrypt(pt, ct)
-		return bytes.Equal(pt, block[:])
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+// Property: Encrypt (crypto/aes) agrees with the from-scratch EncryptRef
+// for every key size.
+func TestEncryptMatchesReferenceProperty(t *testing.T) {
+	for _, keyLen := range []int{16, 24, 32} {
+		f := func(keySeed, pad, block [16]byte) bool {
+			key := make([]byte, keyLen)
+			copy(key, keySeed[:])
+			copy(key[16:], pad[:])
+			c := MustNew(key)
+			got := make([]byte, 16)
+			ref := make([]byte, 16)
+			c.Encrypt(got, block[:])
+			c.EncryptRef(ref, block[:])
+			return bytes.Equal(got, ref)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+			t.Errorf("keyLen %d: %v", keyLen, err)
+		}
 	}
 }
 
-// Encrypting in place must work (dst == src).
+// Encrypting in place must work (dst == src); a partial overlap panics,
+// as crypto/aes does.
 func TestInPlace(t *testing.T) {
 	c := MustNew(make([]byte, 16))
 	buf := []byte("0123456789abcdef")
@@ -142,6 +144,47 @@ func TestInPlace(t *testing.T) {
 	if !bytes.Equal(buf, want) {
 		t.Fatal("in-place encryption differs")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("want panic on partially overlapping buffers")
+		}
+	}()
+	two := make([]byte, 2*BlockSize)
+	c.Encrypt(two[1:], two)
+}
+
+// EncryptBlocks over 1..8 blocks matches block-by-block Encrypt, works in
+// place, ignores a trailing partial block and panics on a short dst.
+func TestEncryptBlocks(t *testing.T) {
+	c := MustNew([]byte("0123456789abcdef"))
+	for n := 1; n <= 8; n++ {
+		src := make([]byte, n*BlockSize+5) // 5 trailing bytes: ignored
+		for i := range src {
+			src[i] = byte(i*7 + n)
+		}
+		want := make([]byte, n*BlockSize)
+		for off := 0; off < len(want); off += BlockSize {
+			c.Encrypt(want[off:], src[off:])
+		}
+		got := bytes.Repeat([]byte{0xee}, len(src))
+		c.EncryptBlocks(got, src)
+		if !bytes.Equal(got[:len(want)], want) {
+			t.Errorf("%d blocks: EncryptBlocks differs from Encrypt", n)
+		}
+		if tail := got[len(want):]; !bytes.Equal(tail, bytes.Repeat([]byte{0xee}, len(tail))) {
+			t.Errorf("%d blocks: trailing partial block was written", n)
+		}
+		c.EncryptBlocks(src, src)
+		if !bytes.Equal(src[:len(want)], want) {
+			t.Errorf("%d blocks: in-place EncryptBlocks differs", n)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("want panic when dst holds fewer whole blocks than src")
+		}
+	}()
+	c.EncryptBlocks(make([]byte, 3*BlockSize-1), make([]byte, 3*BlockSize))
 }
 
 func TestShortBufferPanics(t *testing.T) {
@@ -149,7 +192,8 @@ func TestShortBufferPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { c.Encrypt(make([]byte, 16), make([]byte, 8)) },
 		func() { c.Encrypt(make([]byte, 8), make([]byte, 16)) },
-		func() { c.Decrypt(make([]byte, 16), make([]byte, 8)) },
+		func() { c.EncryptRef(make([]byte, 16), make([]byte, 8)) },
+		func() { c.EncryptRef(make([]byte, 8), make([]byte, 16)) },
 	} {
 		func() {
 			defer func() {
@@ -162,44 +206,12 @@ func TestShortBufferPanics(t *testing.T) {
 	}
 }
 
-// GF(2^8) arithmetic sanity: mul must be commutative with identity 1 and
-// match xtime for multiplication by 2.
-func TestGFMulProperty(t *testing.T) {
-	f := func(a, b byte) bool {
-		return mul(a, b) == mul(b, a) && mul(a, 1) == a && mul(a, 2) == xtime(a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkEncryptBlock(b *testing.B) {
 	c := MustNew(make([]byte, 16))
 	buf := make([]byte, 16)
 	b.SetBytes(16)
 	for i := 0; i < b.N; i++ {
 		c.Encrypt(buf, buf)
-	}
-}
-
-// Property: the T-table fast path agrees with the byte-oriented reference
-// implementation for every key size.
-func TestTTableMatchesReferenceProperty(t *testing.T) {
-	for _, keyLen := range []int{16, 24, 32} {
-		f := func(keySeed, pad, block [16]byte) bool {
-			key := make([]byte, keyLen)
-			copy(key, keySeed[:])
-			copy(key[16:], pad[:])
-			c := MustNew(key)
-			fast := make([]byte, 16)
-			ref := make([]byte, 16)
-			c.Encrypt(fast, block[:])
-			c.EncryptRef(ref, block[:])
-			return bytes.Equal(fast, ref)
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-			t.Errorf("keyLen %d: %v", keyLen, err)
-		}
 	}
 }
 

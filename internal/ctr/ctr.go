@@ -198,12 +198,18 @@ type padEntry struct {
 // system-wide memory key (the paper's design deliberately shares one key —
 // §4.2 discusses why per-process keys are impractical).
 //
-// The engine keeps a direct-mapped cache of recently generated pads and a
-// scratch IV buffer, so it is not safe for concurrent use; the simulator
-// gives each machine its own engine.
+// The engine keeps a direct-mapped cache of recently generated pads and
+// scratch IV and pad buffers, so it is not safe for concurrent use; the
+// simulator gives each machine its own engine.
+//
+// Buffers handed to the cipher escape to the heap, because it calls
+// crypto/aes through an interface. Pad and PadChunk therefore give it
+// only this scratch and copy the result out, and CachedPad hands PadInto
+// its own cache entry, so no pad path allocates.
 type Engine struct {
 	cipher             *aes.Cipher
 	ivs                [addr.BlockSize]byte // scratch: four 16-byte IVs per block pad
+	out                [addr.BlockSize]byte // scratch: cipher output for Pad and PadChunk
 	pads               [padCacheSize]padEntry
 	padHits, padMisses uint64
 }
@@ -222,12 +228,13 @@ func NewEngine(key []byte) (*Engine, error) {
 // per 16-byte chunk, no caching. PadInto/CachedPad are the fast paths;
 // the differential tests pin them bit-identical to this.
 func (e *Engine) Pad(page addr.PageNum, blockIdx int, major uint64, minor uint8) [addr.BlockSize]byte {
-	var pad [addr.BlockSize]byte
 	for chunk := 0; chunk < addr.BlockSize/aes.BlockSize; chunk++ {
 		iv := MakeIV(page, blockIdx, major, minor, chunk)
-		e.cipher.Encrypt(pad[chunk*aes.BlockSize:], iv[:])
+		off := chunk * aes.BlockSize
+		copy(e.ivs[off:], iv[:])
+		e.cipher.Encrypt(e.out[off:], e.ivs[off:])
 	}
-	return pad
+	return e.out
 }
 
 // PadInto computes the 64-byte pad into dst with one batched AES pass:
@@ -269,10 +276,10 @@ func (e *Engine) PadCacheStats() (hits, misses uint64) { return e.padHits, e.pad
 // Schemes that encrypt sub-block regions under different counters (e.g.
 // DEUCE) use it to avoid generating the chunks they do not need.
 func (e *Engine) PadChunk(page addr.PageNum, blockIdx int, major uint64, minor uint8, chunk int) [aes.BlockSize]byte {
-	var pad [aes.BlockSize]byte
 	iv := MakeIV(page, blockIdx, major, minor, chunk)
-	e.cipher.Encrypt(pad[:], iv[:])
-	return pad
+	copy(e.ivs[:], iv[:])
+	e.cipher.Encrypt(e.out[:], e.ivs[:])
+	return [aes.BlockSize]byte(e.out[:])
 }
 
 // Apply XORs the pad for (page, blockIdx, major, minor) into the 64-byte

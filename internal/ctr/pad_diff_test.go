@@ -112,9 +112,11 @@ func FuzzPadEquivalence(f *testing.F) {
 	})
 }
 
-// TestPadFastPathsZeroAllocs pins the fast pad paths allocation-free:
-// pad generation runs on every NVM block read and write, so a single
-// allocation here multiplies across the whole simulation.
+// TestPadFastPathsZeroAllocs pins the pad paths allocation-free: pad
+// generation runs on every NVM block read and write, and PadChunk on
+// every DEUCE chunk, so a single allocation here multiplies across the
+// whole simulation. Pad is included because a local buffer handed to the
+// cipher would escape to the heap on every call.
 func TestPadFastPathsZeroAllocs(t *testing.T) {
 	e := testEngine(t)
 	var dst [addr.BlockSize]byte
@@ -122,6 +124,20 @@ func TestPadFastPathsZeroAllocs(t *testing.T) {
 		e.PadInto(&dst, 42, 7, 3, 1)
 	}); n != 0 {
 		t.Fatalf("PadInto allocates %v per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		dst = e.Pad(42, 7, 3, 1)
+	}); n != 0 {
+		t.Fatalf("Pad allocates %v per call, want 0", n)
+	}
+	var chunk [16]byte
+	if n := testing.AllocsPerRun(1000, func() {
+		chunk = e.PadChunk(42, 7, 3, 1, 2)
+	}); n != 0 {
+		t.Fatalf("PadChunk allocates %v per call, want 0", n)
+	}
+	if chunk != [16]byte(dst[32:48]) {
+		t.Fatal("PadChunk differs from chunk 2 of Pad")
 	}
 	i := 0
 	if n := testing.AllocsPerRun(1000, func() {

@@ -12,10 +12,13 @@ import (
 
 // TestIntegrityGoldens renders the integrity figures exactly as
 // `experiments -quick -cores 2 -scale 64 merkle` and `... latency` print
-// them and compares the text byte for byte with the committed goldens,
-// at one and four sweep workers, so `go test` catches drift in any
-// modeled integrity number. `make merkle` and `make telemetry` check the
-// same files through the CLI.
+// them, and the ciphertext-dependent ablations as `... ablation-dcw
+// ablation-deuce` print them, and compares the text byte for byte with
+// the committed goldens, at one and four sweep workers, so `go test`
+// catches drift in any modeled integrity number and in any figure
+// computed from ciphertext bits (the DCW and DEUCE flips_per_write
+// columns, which move if a single pad bit does). `make merkle` and `make
+// telemetry` check the first two files through the CLI.
 func TestIntegrityGoldens(t *testing.T) {
 	figures := []struct {
 		name   string
@@ -34,6 +37,9 @@ func TestIntegrityGoldens(t *testing.T) {
 				return "", err
 			}
 			return fmt.Sprintln(LatencyTable(rows)), nil
+		}},
+		{"ciphertext", func(o Options) (string, error) {
+			return fmt.Sprintln(AblationDCWTable(AblationDCW(o))) + fmt.Sprintln(AblationDeuceTable(AblationDeuce(o))), nil
 		}},
 	}
 	for _, f := range figures {

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"silentshredder/internal/addr"
@@ -60,6 +61,59 @@ func TestSteadyStateWriteZeroAllocs(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Fatalf("steady-state WriteBlock allocates %v per call, want 0", n)
+	}
+}
+
+// TestZeroPageDirectZeroAllocs pins the Baseline controller's page
+// zeroing allocation-free over already-touched pages: every page fault on
+// the paper's baseline encrypts and writes 64 zero blocks through it.
+// Every 127th zeroing of a page overflows its minor counters and
+// re-encrypts the page, which still heap-allocates its 4 KB staging
+// buffer (DESIGN.md §9.4); AllocsPerRun's whole-number average absorbs
+// those few calls.
+func TestZeroPageDirectZeroAllocs(t *testing.T) {
+	mc := newZeroPageController(t, 0)
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		mc.ZeroPageDirect(addr.PageNum(i % 4))
+		i++
+	}); n != 0 {
+		t.Fatalf("steady-state ZeroPageDirect allocates %v per call, want 0", n)
+	}
+}
+
+// newZeroPageController builds a Baseline controller with the functional
+// data path on and the given Config.Workers, and zeroes pages 0..3 once
+// so their counter and device state exist.
+func newZeroPageController(tb testing.TB, workers int) *Controller {
+	tb.Helper()
+	cfg := DefaultConfig(Baseline)
+	cfg.Workers = workers
+	mc, err := New(cfg, nvm.New(nvm.DefaultConfig()), physmem.New(true))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for p := addr.PageNum(0); p < 4; p++ {
+		mc.ZeroPageDirect(p)
+	}
+	return mc
+}
+
+// BenchmarkPageOpWorkers times ZeroPageDirect on a Baseline controller
+// at each Config.Workers width (0 is the sequential path; widths above 1
+// fan the 64 pads across goroutines), so the concurrent datapath's
+// fan-out and join are weighed against the pad work they spread.
+func BenchmarkPageOpWorkers(b *testing.B) {
+	for _, w := range []int{0, 1, 2, 4, 8} {
+		b.Run(fmt.Sprint(w), func(b *testing.B) {
+			mc := newZeroPageController(b, w)
+			b.SetBytes(addr.PageSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mc.ZeroPageDirect(addr.PageNum(i % 4))
+			}
+		})
 	}
 }
 
