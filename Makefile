@@ -61,15 +61,9 @@ obs:
 		| diff -u testdata/golden/experiments_quick.txt -
 	$(MAKE) banks
 
-# Banked-controller gate, folded into tier-1 `race` via `obs`: the
-# concurrent controller datapath (-mc-workers) must reproduce the SAME
-# goldens byte for byte at any width — the refactor's determinism
-# contract — and the bank-geometry sweep must match its own golden.
+# Banked-device gate, folded into tier-1 `race` via `obs`: the
+# bank-geometry sweep must match its golden byte for byte.
 banks:
-	$(GO) run ./cmd/shredsim -quick -scale 64 -cores 2 -parallel 2 -mc-workers 8 -workload pagerank,mcf \
-		| diff -u testdata/golden/shredsim_quick.txt -
-	$(GO) run ./cmd/experiments -quick -cores 2 -scale 64 -parallel 2 -mc-workers 8 table2 fig5 2>/dev/null \
-		| diff -u testdata/golden/experiments_quick.txt -
 	$(GO) run ./cmd/experiments -quick -cores 2 -scale 64 -parallel 2 banks 2>/dev/null \
 		| diff -u testdata/golden/experiments_banks.txt -
 
@@ -91,19 +85,17 @@ adversary:
 		printf '%s\n' "$$out" | diff -u cmd/leakscan/testdata/attack_replay_encrypted.json -
 
 # Integrity-engine gate, folded into tier-1 `race`: the per-level Merkle
-# sweep must reproduce its golden byte for byte at any sweep width and
-# any controller width (the per-level figure is rebuilt from the event
-# bus, so this pins the engines' event streams too), and the adversary
-# matrix must be invariant under the cached engine — lazy root
-# maintenance may move hash work, never detection outcomes. Regenerate
-# the golden after an intentional change with the first command
-# redirected into testdata/golden/experiments_merkle.txt.
+# sweep must reproduce its golden byte for byte at any sweep width (the
+# per-level figure is rebuilt from the event bus, so this pins the
+# engines' event streams too), and the adversary matrix must be
+# invariant under the cached engine — lazy root maintenance may move
+# hash work, never detection outcomes. Regenerate the golden after an
+# intentional change with the first command redirected into
+# testdata/golden/experiments_merkle.txt.
 merkle:
 	$(GO) run ./cmd/experiments -quick -cores 2 -scale 64 -parallel 1 merkle 2>/dev/null \
 		| diff -u testdata/golden/experiments_merkle.txt -
 	$(GO) run ./cmd/experiments -quick -cores 2 -scale 64 -parallel 4 merkle 2>/dev/null \
-		| diff -u testdata/golden/experiments_merkle.txt -
-	$(GO) run ./cmd/experiments -quick -cores 2 -scale 64 -parallel 2 -mc-workers 8 merkle 2>/dev/null \
 		| diff -u testdata/golden/experiments_merkle.txt -
 	$(GO) run ./cmd/experiments -quick -cores 2 -scale 64 -parallel 1 -integrity-engine cached adversary 2>/dev/null \
 		| diff -u testdata/golden/experiments_adversary.txt -
@@ -112,9 +104,9 @@ merkle:
 # telemetry package tests (spans-disabled AllocsPerRun proof, the
 # Prometheus /metrics golden, breakdown export round trips), the
 # `experiments latency` figure byte-identical to its golden at every
-# sweep and controller width, and the spans-enabled shredsim run whose
-# default stdout must still match the spans-off golden exactly — span
-# recording observes the machine, it must never perturb it. Regenerate
+# sweep width, and the spans-enabled shredsim run whose default stdout
+# must still match the spans-off golden exactly — span recording
+# observes the machine, it must never perturb it. Regenerate
 # the latency golden after an intentional change with the first
 # experiments command redirected into testdata/golden/.
 telemetry:
@@ -122,8 +114,6 @@ telemetry:
 	$(GO) run ./cmd/experiments -quick -cores 2 -scale 64 -parallel 1 latency 2>/dev/null \
 		| diff -u testdata/golden/experiments_latency.txt -
 	$(GO) run ./cmd/experiments -quick -cores 2 -scale 64 -parallel 4 latency 2>/dev/null \
-		| diff -u testdata/golden/experiments_latency.txt -
-	$(GO) run ./cmd/experiments -quick -cores 2 -scale 64 -parallel 2 -mc-workers 8 latency 2>/dev/null \
 		| diff -u testdata/golden/experiments_latency.txt -
 	@tmp=$$(mktemp); \
 		$(GO) run ./cmd/shredsim -quick -scale 64 -cores 2 -parallel 2 -workload pagerank,mcf -obs-spans $$tmp \
@@ -147,10 +137,6 @@ fuzz:
 cover:
 	$(GO) test ./... -coverprofile=cover.out
 	$(GO) tool cover -func=cover.out | tail -n 1
-
-# Full test run recorded to test_output.txt (what EXPERIMENTS.md cites).
-test-record:
-	$(GO) test ./... 2>&1 | tee test_output.txt
 
 # Benchmark pipeline. `bench` runs every benchmark (no unit tests),
 # records the raw text, and converts it into the committed trajectory
@@ -205,4 +191,4 @@ examples:
 	$(GO) run ./examples/persistent
 
 clean:
-	rm -f test_output.txt bench_output.txt bench_new.json cover.out
+	rm -f bench_output.txt bench_new.json cover.out

@@ -38,8 +38,6 @@ func main() {
 		"worker goroutines for independent simulation runs (1 = sequential; output is byte-identical either way)")
 	flag.BoolVar(&o.Check, "check", false,
 		"run every machine under the architectural oracle and invariant sweeps (slow; violations abort the run)")
-	flag.IntVar(&o.MCWorkers, "mc-workers", 0,
-		"memory controller crypto-datapath workers per machine (0/1 = sequential; output is byte-identical for any value)")
 	flag.IntVar(&o.Banks, "banks", 0, "NVM banks per channel (0 keeps Table 1's 8)")
 	flag.IntVar(&o.BankQueueDepth, "bank-queue", 0,
 		"per-bank posted-write queue depth; > 0 enables the banked drain-scheduler device model")
@@ -349,7 +347,7 @@ experiments:
   ablation-merkle  Bonsai Merkle integrity overhead
   banks            bank/queue geometry sweep under the banked device model
                    (per-bank write queues, drain batching, read-around;
-                   -banks/-bank-queue/-bank-drain/-mc-workers)
+                   -banks/-bank-queue/-bank-drain)
   faults           ECC corrections and retirements vs injected fault rate
   crash            crash-anywhere recovery validation sweep
   adversary        persistence-attack matrix: remanence / scavenger / replay

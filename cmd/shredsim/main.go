@@ -57,7 +57,6 @@ func main() {
 		check     = flag.Bool("check", false, "cross-check every load against the architectural oracle and sweep machine-wide invariants (slow; violations abort)")
 		faults    = flag.String("faults", "", "deterministic fault injection, seed:rate,... e.g. 42:stuck=1e-3,flip=1e-6,drop=1e-4,torn=1e-5,endur=1000 (enables ECC; \"off\" or empty disables)")
 		shredPol  = flag.String("shred-policy", "zero-cost", "physical shred policy: zero-cost | duty-to-delete | multi-pass (overwrite invalidated pages on the device)")
-		mcWorkers = flag.Int("mc-workers", 0, "memory controller crypto-datapath workers (0/1 = sequential; output is byte-identical for any value)")
 		banks     = flag.Int("banks", 0, "NVM banks per channel (0 keeps Table 1's 8)")
 		bankQueue = flag.Int("bank-queue", 0, "per-bank posted-write queue depth; > 0 enables the banked drain-scheduler device model")
 		bankDrain = flag.Int("bank-drain", 0, "writes drained back-to-back when a bank queue fills (0 = default batch)")
@@ -132,6 +131,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "shredsim: shred zeroing requires -mode ss")
 		os.Exit(2)
 	}
+	if err := checkMachine(*cores, *scale); err != nil {
+		fmt.Fprintf(os.Stderr, "shredsim: %v\n", err)
+		os.Exit(2)
+	}
 
 	names := splitList(*workload)
 	if len(names) == 0 {
@@ -141,7 +144,7 @@ func main() {
 
 	o := exper.Options{
 		Cores: *cores, Scale: *scale, Quick: *quick, Parallel: *parallel, Check: *check,
-		MCWorkers: *mcWorkers, Banks: *banks, BankQueueDepth: *bankQueue, BankDrainBatch: *bankDrain,
+		Banks: *banks, BankQueueDepth: *bankQueue, BankDrainBatch: *bankDrain,
 		IntegrityEngine: engine,
 	}
 	tweak := exper.MachineTweaks{
@@ -321,6 +324,19 @@ func report(name string, mcMode memctrl.Mode, zm kernel.ZeroMode, cores, scale i
 		maxCycles, float64(maxCycles)/2e9*1e3)
 	b.WriteString(snap.Dump())
 	return b.String()
+}
+
+// checkMachine rejects a -cores or -scale below 1. exper.Options would
+// run such a machine at its default size, while the report would print
+// the rejected value.
+func checkMachine(cores, scale int) error {
+	if cores < 1 {
+		return fmt.Errorf("-cores must be at least 1, got %d", cores)
+	}
+	if scale < 1 {
+		return fmt.Errorf("-scale must be at least 1, got %d", scale)
+	}
+	return nil
 }
 
 func splitList(s string) []string {

@@ -48,10 +48,7 @@ var banksGeometries = []struct {
 }
 
 // Banks runs the bank/queue geometry sweep. Every machine runs with the
-// banked scheduler enabled and the concurrent controller datapath on
-// (MCWorkers 2) — the sweep doubles as a standing differential check
-// that the concurrent path's output is stable, since the golden output
-// was produced at the default worker count.
+// banked scheduler enabled.
 func Banks(o Options) []BanksRow {
 	o = o.normalized()
 	pages := 1024
@@ -67,10 +64,6 @@ func Banks(o Options) []BanksRow {
 		cfg.NVM.BankQueueDepth = depth
 		if o.BankDrainBatch > 0 {
 			cfg.NVM.BankDrainBatch = o.BankDrainBatch
-		}
-		cfg.MCWorkers = 2
-		if o.MCWorkers > 0 {
-			cfg.MCWorkers = o.MCWorkers
 		}
 		m := sim.MustNew(cfg)
 		rt := m.Runtime(0)

@@ -43,10 +43,10 @@ func TestBanksSweep(t *testing.T) {
 
 // sweepArtifacts renders the sweep surface the differential below pins:
 // the measured tables and figure outputs whose bytes must not depend on
-// the sweep worker count (-parallel) or the controller datapath width
-// (-mc-workers). CompareAll is limited to two workloads (one SPEC, one
-// PowerGraph) to keep the 6-way matrix affordable; the remaining
-// comparison workloads share the same code path.
+// the sweep worker count (-parallel). CompareAll is limited to two
+// workloads (one SPEC, one PowerGraph) to keep the 6-run matrix
+// affordable; the remaining comparison workloads share the same code
+// path.
 func sweepArtifacts(t *testing.T, o Options) string {
 	t.Helper()
 	var b strings.Builder
@@ -69,14 +69,13 @@ func sweepArtifacts(t *testing.T, o Options) string {
 	return b.String()
 }
 
-// TestMCWorkersSweepDifferential is the sweep-level determinism
-// contract of the banked/concurrent refactor: every figure and ablation
-// artifact must be byte-identical between the sequential controller and
-// the concurrent one at any width, under any -parallel fan-out, with
-// the device on the legacy heuristic and on the banked drain scheduler
-// alike. One reference run per device model, then the (parallel,
-// mc-workers) matrix diffs against it.
-func TestMCWorkersSweepDifferential(t *testing.T) {
+// TestParallelSweepDifferential is the sweep-level determinism contract
+// on both device models: every figure and ablation artifact, including
+// the Table 2, Fig. 5, Fig. 12, write-queue and bank-geometry tables the
+// other -parallel tests do not render, must be byte-identical at
+// -parallel 2 and 8 to the sequential sweep, with the device on the
+// legacy heuristic and on the banked drain scheduler alike.
+func TestParallelSweepDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("6-run sweep matrix is not short")
 	}
@@ -92,16 +91,12 @@ func TestMCWorkersSweepDifferential(t *testing.T) {
 			base.BankQueueDepth = dev.depth
 			base.Parallel = 1
 			want := sweepArtifacts(t, base)
-			for _, m := range []struct{ parallel, workers int }{
-				{2, 2},
-				{8, 8},
-			} {
+			for _, parallel := range []int{2, 8} {
 				o := base
-				o.Parallel = m.parallel
-				o.MCWorkers = m.workers
+				o.Parallel = parallel
 				if got := sweepArtifacts(t, o); got != want {
-					t.Errorf("artifacts differ at parallel=%d mc-workers=%d vs sequential reference:\n--- want ---\n%.1500s\n--- got ---\n%.1500s",
-						m.parallel, m.workers, want, got)
+					t.Errorf("artifacts differ at parallel=%d vs sequential reference:\n--- want ---\n%.1500s\n--- got ---\n%.1500s",
+						parallel, want, got)
 				}
 			}
 		})

@@ -43,10 +43,6 @@ type Options struct {
 	// sweeps to every machine (sim.Config.CheckOracle). Violations panic;
 	// expect a large slowdown. Implies the functional data path.
 	Check bool
-	// MCWorkers sets every machine's concurrent crypto datapath width
-	// (sim.Config.MCWorkers, the `-mc-workers` flag). Results are
-	// byte-identical for any value; 0 or 1 is fully sequential.
-	MCWorkers int
 	// Banks overrides the per-channel bank count (0 keeps Table 1's 8).
 	Banks int
 	// BankQueueDepth > 0 enables the banked drain-scheduler device model
@@ -110,7 +106,6 @@ func isGraph(name string) bool {
 // into a machine config (shared by machineFor and RunWorkloadTweaked so
 // every harness entry point honors the same flags).
 func (o Options) applyMachine(cfg *sim.Config) {
-	cfg.MCWorkers = o.MCWorkers
 	if o.Banks > 0 {
 		cfg.NVM.Banks = o.Banks
 	}

@@ -101,7 +101,7 @@ func latencyRun(o Options, name string, mode memctrl.Mode, zm kernel.ZeroMode) L
 // LatencySweep runs the churn workload under both configurations. Runs
 // fan out across the sweep worker pool; rows come back in config order
 // regardless of which worker finished first, so output is
-// byte-identical for any -parallel or -mc-workers value.
+// byte-identical for any -parallel value.
 func LatencySweep(o Options) ([]LatencyRow, error) {
 	rows := runSweep(o, len(latencyConfigs), func(i int) LatencyRow {
 		c := latencyConfigs[i]

@@ -104,8 +104,7 @@ func TestLatencySweepShape(t *testing.T) {
 }
 
 // TestLatencySweepDeterminism pins the byte-identity contract: the
-// rendered table must not change with the sweep worker count or the
-// controller's concurrent datapath width.
+// rendered table must not change with the sweep worker count.
 func TestLatencySweepDeterminism(t *testing.T) {
 	render := func(o Options) string {
 		rows, err := LatencySweep(o)
@@ -120,11 +119,5 @@ func TestLatencySweepDeterminism(t *testing.T) {
 	o.Parallel = 4
 	if got := render(o); got != want {
 		t.Errorf("-parallel 4 output differs:\n%s\n--- want ---\n%s", got, want)
-	}
-
-	o = latencyTestOptions()
-	o.MCWorkers = 8
-	if got := render(o); got != want {
-		t.Errorf("-mc-workers 8 output differs:\n%s\n--- want ---\n%s", got, want)
 	}
 }

@@ -62,6 +62,61 @@ func TestMinorOverflowReencrypts(t *testing.T) {
 	}
 }
 
+// TestZeroPageDirectOverflowReencrypts drives the baseline's page zeroing
+// across the minor-counter ceiling. One block runs ahead of its siblings,
+// so the overflow lands mid-page: the crossing zeroing must re-encrypt the
+// page exactly once, at that block, and finish under the new major
+// counter, leaving every block reading as zeros.
+func TestZeroPageDirectOverflowReencrypts(t *testing.T) {
+	mc, _, img := newMC(t, Baseline)
+	p := addr.PageNum(25)
+	const hot = 37
+
+	for i := 0; i < addr.BlocksPerPage; i++ {
+		store(mc, img, p.BlockAddr(i), bytes.Repeat([]byte{byte(0x40 + i)}, addr.BlockSize))
+	}
+	for w := 0; w < 8; w++ {
+		store(mc, img, p.BlockAddr(hot), bytes.Repeat([]byte{byte(w)}, addr.BlockSize))
+	}
+	before := mc.Reencryptions()
+	majorBefore := mc.CounterCache().Peek(p).Major
+
+	for n := 0; mc.Reencryptions() == before; n++ {
+		if n > ctr.MinorMax {
+			t.Fatalf("no re-encryption after %d zeroings", n)
+		}
+		mc.ZeroPageDirect(p)
+	}
+	if got := mc.Reencryptions() - before; got != 1 {
+		t.Fatalf("crossing zeroing re-encrypted the page %d times, want 1", got)
+	}
+	cb := mc.CounterCache().Peek(p)
+	if cb.Major <= majorBefore {
+		t.Fatalf("major counter %d not advanced past %d by re-encryption", cb.Major, majorBefore)
+	}
+	// Blocks before the hot one were zeroed under the old major and only
+	// carried over by the re-encryption; the hot block and those after it
+	// were zeroed again under the new major.
+	for i := 0; i < addr.BlocksPerPage; i++ {
+		want := uint8(ctr.MinorFirst)
+		if i >= hot {
+			want++
+		}
+		if cb.Minor[i] != want {
+			t.Fatalf("block %d minor = %d, want %d", i, cb.Minor[i], want)
+		}
+	}
+
+	zero := make([]byte, addr.BlockSize)
+	for i := 0; i < addr.BlocksPerPage; i++ {
+		got := bytes.Repeat([]byte{0xFF}, addr.BlockSize)
+		mc.ReadBlock(p.BlockAddr(i), got)
+		if !bytes.Equal(got, zero) {
+			t.Fatalf("block %d reads %x after the crossing zeroing, want zeros", i, got)
+		}
+	}
+}
+
 // TestMajorSaturationRejected pins the major counter at its ceiling and
 // checks that the next advance panics with the typed *ctr.SaturationError
 // instead of silently wrapping to an already-used IV space.

@@ -26,11 +26,11 @@
 // completion times) lives on that clock. The model is fully
 // deterministic: timing depends only on the access sequence.
 //
-// Every bank carries its own mutex. The sequential device path takes it
-// uncontended; the concurrent memory controller (memctrl.Config.Workers)
-// and the bank-storm race tests rely on banks being independently
-// lockable so requests to different banks can be serviced by different
-// worker goroutines without sharing any mutable state.
+// Every bank carries its own mutex, and banks share no mutable state, so
+// requests to different banks can be serviced by different goroutines
+// without contending. The memory controller drives the device from one
+// goroutine and takes each lock uncontended; the bank-storm race test
+// (TestBankSchedStorm) hammers the banks from many goroutines at once.
 package nvm
 
 import (

@@ -295,12 +295,6 @@ func (d *Device) Injector() Injector { return d.inj }
 // panics guarantees the in-flight write never reached the device.
 func (d *Device) SetWriteHook(fn func(a addr.Phys)) { d.writeHook = fn }
 
-// HasWriteHook reports whether a write hook (crash scheduler) is
-// installed. The controller's concurrent zero-page path falls back to the
-// strictly sequential order when one is, so a crash can never observe
-// counter state that the sequential path would not have produced.
-func (d *Device) HasWriteHook() bool { return d.writeHook != nil }
-
 // Channel returns the channel servicing block address a (block-interleaved).
 func (d *Device) Channel(a addr.Phys) int {
 	return int(a>>addr.BlockShift) % d.cfg.Channels

@@ -9,20 +9,19 @@ import (
 	"silentshredder/internal/trace"
 )
 
-// FuzzBankSchedule fuzzes the banked-device/concurrent-controller stack:
-// a seeded op stream replayed on a Silent Shredder machine whose bank
-// geometry (bank count, queue depth, drain batch) and controller width
-// (Workers) come from the fuzzer. The machine's architectural state must
-// match the oracle's untimed projection of the same stream — the banked
-// scheduler and the crypto fan may only move *time*, never bytes — and
-// the per-bank structural invariants must hold during the run and drain
-// to empty at quiesce.
+// FuzzBankSchedule fuzzes the banked-device stack: a seeded op stream
+// replayed on a Silent Shredder machine whose bank geometry (bank count,
+// queue depth, drain batch) comes from the fuzzer. The machine's
+// architectural state must match the oracle's untimed projection of the
+// same stream — the banked scheduler may only move *time*, never bytes —
+// and the per-bank structural invariants must hold during the run and
+// drain to empty at quiesce.
 func FuzzBankSchedule(f *testing.F) {
-	f.Add(int64(1), uint16(200), byte(4), byte(4), byte(2))
-	f.Add(int64(9), uint16(96), byte(1), byte(2), byte(8))
-	f.Add(int64(-3), uint16(300), byte(16), byte(8), byte(0))
+	f.Add(int64(1), uint16(200), byte(4), byte(4))
+	f.Add(int64(9), uint16(96), byte(1), byte(2))
+	f.Add(int64(-3), uint16(300), byte(16), byte(8))
 
-	f.Fuzz(func(t *testing.T, seed int64, nops uint16, banks, depth, workers byte) {
+	f.Fuzz(func(t *testing.T, seed int64, nops uint16, banks, depth byte) {
 		n := int(nops)%512 + 32 // bounded so one input stays fast
 		w := oracle.Generate(oracle.GenConfig{
 			Seed: seed, Ops: n, MaxAllocPages: 4, MaxLivePages: 96,
@@ -34,7 +33,6 @@ func FuzzBankSchedule(f *testing.F) {
 		cfg.NVM.Banks = 1 + int(banks)%16
 		cfg.NVM.BankQueueDepth = 1 + int(depth)%8
 		cfg.NVM.BankDrainBatch = 1 + int(depth)%4
-		cfg.MCWorkers = int(workers) % 9
 		m, err := sim.New(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -90,22 +90,20 @@ func TestResetStatsZeroesEveryRegisteredStat(t *testing.T) {
 			return testConfig(memctrl.Baseline, kernel.ZeroNonTemporal)
 		}},
 		{"banked", func() Config {
-			// Banked drain-scheduler device + concurrent controller: the
-			// new per-bank stats (wq_enqueued, wq_drained, drain stalls,
-			// occupancy histogram funcs) must zero like everything else,
-			// and the per-bank queues/busy timestamps must clear the same
-			// way mc.writeQueue does.
+			// Banked drain-scheduler device: the per-bank stats
+			// (wq_enqueued, wq_drained, drain stalls, occupancy
+			// histogram funcs) must zero like everything else, and the
+			// per-bank queues/busy timestamps must clear the same way
+			// mc.writeQueue does.
 			cfg := testConfig(memctrl.SilentShredder, kernel.ZeroShred)
 			cfg.NVM.Banks = 4
 			cfg.NVM.BankQueueDepth = 4
-			cfg.MCWorkers = 2
 			return cfg
 		}},
 		{"banked-baseline", func() Config {
 			cfg := testConfig(memctrl.Baseline, kernel.ZeroNonTemporal)
 			cfg.NVM.Banks = 1 // pathological: all traffic on one queue per channel
 			cfg.NVM.BankQueueDepth = 2
-			cfg.MCWorkers = 2
 			return cfg
 		}},
 		{"faulty", func() Config {

@@ -35,13 +35,6 @@ type Config struct {
 	// MemPages is the size of the kernel's allocatable physical pool.
 	MemPages int
 
-	// MCWorkers sets the memory controller's concurrent crypto datapath
-	// width (memctrl.Config.Workers): bulk page operations fan their pad
-	// computations across this many goroutines behind a deterministic
-	// commit order. Statistics are byte-identical for any value; 0 or 1
-	// runs fully sequential.
-	MCWorkers int
-
 	// StoreData enables the functional data path (plaintext image +
 	// ciphertext NVM). Timing-only sweeps disable it.
 	StoreData bool
@@ -171,9 +164,6 @@ func New(cfg Config) (*Machine, error) {
 	}
 	cfg.NVM.StoreData = cfg.StoreData
 	cfg.MemCtrl.Mode = cfg.Mode
-	if cfg.MCWorkers > 0 {
-		cfg.MemCtrl.Workers = cfg.MCWorkers
-	}
 	cfg.MemCtrl.VerifyPlaintext = cfg.VerifyPlaintext && cfg.StoreData
 	cfg.Kernel.Mode = cfg.ZeroMode
 

@@ -14,8 +14,8 @@
 // single-goroutine like the machine it observes; under the parallel
 // sweep engine each worker's machine gets its own Recorder and the
 // per-run spans are merged in submission order, so exported artifacts
-// are byte-identical for any -parallel or -mc-workers value. All
-// timestamps are logical cycles via SetNow, never wall-clock time.
+// are byte-identical for any -parallel value. All timestamps are
+// logical cycles via SetNow, never wall-clock time.
 //
 // Segment semantics are BUSY cycles, not wall-clock slices: the
 // simulated controller overlaps work (a read's latency is
