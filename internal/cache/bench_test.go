@@ -21,13 +21,26 @@ func BenchmarkInsertWithEvictions(b *testing.B) {
 	}
 }
 
-func BenchmarkInvalidatePage(b *testing.B) {
-	c := New(Config{Name: "b", Size: 1 << 20, Assoc: 8, HitLatency: 2})
+// BenchmarkInvalidatePageCount times the shred path's page invalidation
+// on a cache the size of the trace-replay benchmark's L4 (Table 1's 64MB
+// at cache scale 8), with every other block of the page resident. Each
+// batch of pages is refilled with the timer stopped, so every timed call
+// removes 32 lines rather than re-invalidating an emptied page.
+func BenchmarkInvalidatePageCount(b *testing.B) {
+	const batch = 64
+	c := New(Config{Name: "b", Size: 8 << 20, Assoc: 8, HitLatency: 35})
 	for i := 0; i < b.N; i++ {
-		p := addr.PageNum(i % 64)
-		for j := 0; j < addr.BlocksPerPage; j += 8 {
-			c.Insert(p.BlockAddr(j), Shared, false)
+		if i%batch == 0 {
+			b.StopTimer()
+			for p := addr.PageNum(0); p < batch; p++ {
+				for j := 0; j < addr.BlocksPerPage; j += 2 {
+					c.Insert(p.BlockAddr(j), Shared, false)
+				}
+			}
+			b.StartTimer()
 		}
-		c.InvalidatePage(p)
+		if n := c.InvalidatePageCount(addr.PageNum(i % batch)); n != addr.BlocksPerPage/2 {
+			b.Fatalf("invalidated %d lines, want %d", n, addr.BlocksPerPage/2)
+		}
 	}
 }

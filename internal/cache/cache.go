@@ -6,6 +6,23 @@
 // dirtiness and LRU order, while actual data contents live in the machine's
 // physical-memory image (see internal/physmem). That split keeps the cache
 // model small and lets timing-only experiments run without data storage.
+//
+// The store is laid out for the host running the simulation. Each way is
+// one 64-bit Way word holding the block's tag, dirty bit and MESI state,
+// so an 8-way set is exactly one 64-byte host cache line, and a probe,
+// a hit and a state or dirty update all stay inside it. Counting host
+// cache lines per operation:
+//
+//   - Lookup, LookupHit: the set's line plus its LRU rank word (2).
+//   - Probe, and a state or dirty update through the returned *Way: the
+//     set's line (1); LookupOwned adds the rank word on an owned hit.
+//   - Insert: the set's line, the rank word and the residency word of
+//     the new block's page, plus the victim page's word on an eviction
+//     (3 or 4).
+//   - Invalidate: the set's line and the page's residency word (2).
+//   - InvalidatePageCount: the page's residency word plus one set line
+//     per block the cache actually holds (1 to 65), however large the
+//     cache.
 package cache
 
 import (
@@ -50,7 +67,8 @@ type Config struct {
 	HitLatency clock.Cycles
 }
 
-// Line is one cache line's metadata.
+// Line is a copy of one cache line's metadata, as Insert, Invalidate,
+// FlushAll and ForEachLine hand it out.
 type Line struct {
 	Tag   uint64 // block address >> BlockShift
 	State State
@@ -60,20 +78,63 @@ type Line struct {
 // Addr returns the block address this line caches.
 func (l Line) Addr() addr.Phys { return addr.Phys(l.Tag) << addr.BlockShift }
 
-// invalidTag marks an empty way in the tag mirror. Real tags are block
-// addresses shifted right by BlockShift, far below this value.
-const invalidTag = ^uint64(0)
+// Way is one way of a set packed into a word: the block tag (block
+// address >> BlockShift) in bits 0-57, the dirty bit in bit 58 and the
+// MESI state in bits 59-60. Lookup, LookupOwned and Probe return a
+// pointer into the store, through which callers read and update the
+// line's state and dirtiness.
+type Way uint64
+
+const (
+	tagBits    = 58
+	tagMask    = Way(1)<<tagBits - 1
+	dirtyBit   = Way(1) << tagBits
+	stateShift = tagBits + 1
+	stateMask  = Way(3) << stateShift
+
+	// emptyWay marks a way that holds no block: its tag field is all
+	// ones. That would be the tag of the last 64 bytes of the 64-bit
+	// physical space, far above the highest address the machine uses
+	// (the counter region at 2^46), so a probe needs no validity test:
+	// w&tagMask == tag never matches an empty way.
+	emptyWay = tagMask
+)
+
+func packWay(tag uint64, st State, dirty bool) Way {
+	w := Way(tag) | Way(st&3)<<stateShift
+	if dirty {
+		w |= dirtyBit
+	}
+	return w
+}
+
+// State returns the line's MESI state.
+func (w Way) State() State { return State(w >> stateShift & 3) }
+
+// SetState sets the line's MESI state.
+func (w *Way) SetState(s State) { *w = *w&^stateMask | Way(s&3)<<stateShift }
+
+// Dirty reports whether the line is dirty.
+func (w Way) Dirty() bool { return w&dirtyBit != 0 }
+
+// SetDirty sets or clears the line's dirty bit.
+func (w *Way) SetDirty(d bool) {
+	if d {
+		*w |= dirtyBit
+	} else {
+		*w &^= dirtyBit
+	}
+}
+
+// Addr returns the block address this line caches.
+func (w Way) Addr() addr.Phys { return addr.Phys(w&tagMask) << addr.BlockShift }
+
+func (w Way) line() Line { return Line{Tag: uint64(w & tagMask), State: w.State(), Dirty: w.Dirty()} }
 
 // Cache is a set-associative tag store with true-LRU replacement.
 //
-// The store is laid out structure-of-arrays for probe locality: tags
-// holds one word per way (an 8-way set's tags fill exactly one 64-byte
-// hardware cache line) and lines holds the State/Dirty metadata callers
-// mutate through the pointers Lookup/Probe return. Invalid ways carry
-// invalidTag in the mirror, so the probe scan is a bare word compare
-// with no validity test. Both arrays are set-major (set i occupies
-// [i*assoc, (i+1)*assoc)). Only Cache methods change which block a way
-// holds, so the mirror cannot go stale.
+// ways holds one Way per way, set-major (set i occupies
+// [i*assoc, (i+1)*assoc)); empty ways hold emptyWay.
 //
 // LRU order is a permutation, not a clock: for assoc <= 8 each set has
 // one rank word in which byte i holds way i's recency rank (0 = least,
@@ -83,12 +144,20 @@ const invalidTag = ^uint64(0)
 // 8x the size. Wider caches fall back to per-way clocks. Hit/miss
 // outcomes, LRU order, victim choice and all statistics are identical
 // to the obvious array-of-structs scan under either scheme.
+//
+// resident keeps, per page, a mask of the blocks this cache holds, so a
+// page invalidation probes only the sets of blocks that are actually
+// here. The masks are exact by construction: a way's tag changes only
+// inside Cache methods (Insert, Invalidate, InvalidatePageCount,
+// FlushAll), and each of them updates the mask in the same step. A *Way
+// handed to a caller can change the line's state and dirty bit, never
+// its tag.
 type Cache struct {
 	cfg      Config
-	tags     []uint64 // tag per way, invalidTag when empty
+	ways     []Way
 	rank     []uint64 // assoc <= 8: one recency-rank word per set
 	lrus     []uint64 // assoc > 8: replacement clock per way
-	lines    []Line   // State/Dirty per way (Tag kept in sync for Addr)
+	resident BlockSet
 	assoc    int
 	setMask  uint64
 	bodyMask uint64 // rank-word bytes that correspond to real ways
@@ -111,14 +180,13 @@ func New(cfg Config) *Cache {
 	if cfg.Assoc > 1<<16 {
 		panic(fmt.Sprintf("cache %s: associativity %d too large", cfg.Name, cfg.Assoc))
 	}
-	tags := make([]uint64, nsets*cfg.Assoc)
-	for i := range tags {
-		tags[i] = invalidTag
+	ways := make([]Way, nsets*cfg.Assoc)
+	for i := range ways {
+		ways[i] = emptyWay
 	}
 	c := &Cache{
 		cfg:     cfg,
-		tags:    tags,
-		lines:   make([]Line, nsets*cfg.Assoc),
+		ways:    ways,
 		assoc:   cfg.Assoc,
 		setMask: uint64(nsets - 1),
 	}
@@ -196,19 +264,24 @@ func (c *Cache) lruWay(si uint64) int {
 func (c *Cache) Config() Config { return c.cfg }
 
 // NumSets returns the number of sets.
-func (c *Cache) NumSets() int { return len(c.lines) / c.assoc }
+func (c *Cache) NumSets() int { return len(c.ways) / c.assoc }
 
 func tagOf(a addr.Phys) uint64 { return uint64(a) >> addr.BlockShift }
 
-// probeWay returns the way index holding block a, or -1. The scan reads
-// only the tag mirror — one hardware cache line per 8-way set.
+// set returns the ways of the set block tag maps to, and the set index.
+func (c *Cache) set(tag uint64) ([]Way, uint64) {
+	si := tag & c.setMask
+	base := int(si) * c.assoc
+	return c.ways[base : base+c.assoc], si
+}
+
+// probeWay returns the index in ways of the way holding block a, or -1.
 func (c *Cache) probeWay(a addr.Phys) int {
 	tag := tagOf(a)
-	base := int(tag&c.setMask) * c.assoc
-	tags := c.tags[base : base+c.assoc]
-	for i := range tags {
-		if tags[i] == tag {
-			return base + i
+	ways, si := c.set(tag)
+	for i, w := range ways {
+		if w&tagMask == Way(tag) {
+			return int(si)*c.assoc + i
 		}
 	}
 	return -1
@@ -217,23 +290,21 @@ func (c *Cache) probeWay(a addr.Phys) int {
 // Lookup finds the line caching block a, counting a hit or miss and
 // refreshing LRU order on a hit. It returns nil on a miss. The returned
 // pointer stays valid until the line is replaced; callers may update
-// State and Dirty through it.
-func (c *Cache) Lookup(a addr.Phys) *Line {
+// the line's state and dirty bit through it.
+func (c *Cache) Lookup(a addr.Phys) *Way {
 	tag := tagOf(a)
-	si := tag & c.setMask
-	base := int(si) * c.assoc
-	tags := c.tags[base : base+c.assoc]
+	ways, si := c.set(tag)
 	if c.rank != nil {
-		if m := c.mruWay(si); tags[m] == tag {
+		if m := c.mruWay(si); ways[m]&tagMask == Way(tag) {
 			c.hits.Inc()
-			return &c.lines[base+m]
+			return &ways[m]
 		}
 	}
-	for i := range tags {
-		if tags[i] == tag {
+	for i, w := range ways {
+		if w&tagMask == Way(tag) {
 			c.hits.Inc()
 			c.touch(si, i)
-			return &c.lines[base+i]
+			return &ways[i]
 		}
 	}
 	c.misses.Inc()
@@ -241,22 +312,20 @@ func (c *Cache) Lookup(a addr.Phys) *Line {
 }
 
 // LookupHit is Lookup for callers that only need the hit/miss outcome:
-// identical statistics and LRU refresh, but it never touches the line
-// metadata array (the shared-level lookups in the hierarchy's read and
-// write paths discard the line pointer).
+// identical statistics and LRU refresh, without handing out a pointer
+// (the shared-level lookups in the hierarchy's read and write paths
+// need only the outcome).
 func (c *Cache) LookupHit(a addr.Phys) bool {
 	tag := tagOf(a)
-	si := tag & c.setMask
-	base := int(si) * c.assoc
-	tags := c.tags[base : base+c.assoc]
+	ways, si := c.set(tag)
 	if c.rank != nil {
-		if m := c.mruWay(si); tags[m] == tag {
+		if m := c.mruWay(si); ways[m]&tagMask == Way(tag) {
 			c.hits.Inc()
 			return true
 		}
 	}
-	for i := range tags {
-		if tags[i] == tag {
+	for i, w := range ways {
+		if w&tagMask == Way(tag) {
 			c.hits.Inc()
 			c.touch(si, i)
 			return true
@@ -272,26 +341,26 @@ func (c *Cache) LookupHit(a addr.Phys) bool {
 // line. In every other case no statistics change; present reports
 // whether the block was cached at all (in any state), saving the caller
 // a second probe.
-func (c *Cache) LookupOwned(a addr.Phys) (l *Line, present bool) {
-	w := c.probeWay(a)
-	if w < 0 {
+func (c *Cache) LookupOwned(a addr.Phys) (w *Way, present bool) {
+	i := c.probeWay(a)
+	if i < 0 {
 		return nil, false
 	}
-	l = &c.lines[w]
-	if l.State != Modified && l.State != Exclusive {
+	w = &c.ways[i]
+	if st := w.State(); st != Modified && st != Exclusive {
 		return nil, true
 	}
 	c.hits.Inc()
 	si := tagOf(a) & c.setMask
-	c.touch(si, w-int(si)*c.assoc)
-	return l, true
+	c.touch(si, i-int(si)*c.assoc)
+	return w, true
 }
 
 // Probe finds the line caching block a without touching statistics or LRU
 // order. Coherence-directory and invalidation paths use it.
-func (c *Cache) Probe(a addr.Phys) *Line {
-	if w := c.probeWay(a); w >= 0 {
-		return &c.lines[w]
+func (c *Cache) Probe(a addr.Phys) *Way {
+	if i := c.probeWay(a); i >= 0 {
+		return &c.ways[i]
 	}
 	return nil
 }
@@ -302,40 +371,38 @@ func (c *Cache) Probe(a addr.Phys) *Line {
 // that is already present just updates its state.
 func (c *Cache) Insert(a addr.Phys, st State, dirty bool) (victim Line, evicted bool) {
 	tag := tagOf(a)
-	si := tag & c.setMask
-	base := int(si) * c.assoc
-	tags := c.tags[base : base+c.assoc]
+	ways, si := c.set(tag)
 	// One fused pass: find the block if present, else the victim way —
-	// first invalid way in index order, otherwise least-recently-used.
+	// first empty way in index order, otherwise least-recently-used.
 	// Identical outcomes to probing and then scanning separately.
-	vi, sawInvalid := -1, false
-	for i := range tags {
-		if tags[i] == tag {
-			w := base + i
-			l := &c.lines[w]
-			l.State = st
-			l.Dirty = l.Dirty || dirty
+	vi := -1
+	for i, w := range ways {
+		t := w & tagMask
+		if t == Way(tag) {
+			ways[i] = packWay(tag, st, dirty || w.Dirty())
 			c.touch(si, i)
 			return Line{}, false
 		}
-		if !sawInvalid && tags[i] == invalidTag {
-			vi, sawInvalid = i, true
+		if vi < 0 && t == emptyWay {
+			vi = i
 		}
 	}
-	if !sawInvalid {
+	if vi < 0 {
 		vi = c.lruWay(si)
 	}
-	w := base + vi
-	if tags[vi] != invalidTag {
-		victim, evicted = c.lines[w], true
+	if old := ways[vi]; old&tagMask != emptyWay {
+		victim, evicted = old.line(), true
 		c.evictions.Inc()
 		if victim.Dirty {
 			c.dirtyEvictions.Inc()
 		}
+		c.resident.remove(victim.Tag)
 	}
-	tags[vi] = tag
+	ways[vi] = packWay(tag, st, dirty)
+	if !c.resident.addDense(tag) {
+		c.resident.add(tag)
+	}
 	c.touch(si, vi)
-	c.lines[w] = Line{Tag: tag, State: st, Dirty: dirty}
 	return victim, evicted
 }
 
@@ -343,64 +410,33 @@ func (c *Cache) Insert(a addr.Phys, st State, dirty bool) (victim Line, evicted 
 // metadata (so the caller can decide about writeback) and whether it was
 // present.
 func (c *Cache) Invalidate(a addr.Phys) (Line, bool) {
-	if w := c.probeWay(a); w >= 0 {
-		old := c.lines[w]
-		c.tags[w] = invalidTag
-		c.lines[w] = Line{}
+	if i := c.probeWay(a); i >= 0 {
+		old := c.ways[i].line()
+		c.ways[i] = emptyWay
+		c.resident.remove(old.Tag)
 		return old, true
 	}
 	return Line{}, false
 }
 
-// InvalidatePage removes all 64 blocks of page p, returning the lines that
-// were present. Shred commands use this (paper Figure 6, step 2).
-func (c *Cache) InvalidatePage(p addr.PageNum) []Line {
-	var out []Line
-	for i := 0; i < addr.BlocksPerPage; i++ {
-		if l, ok := c.Invalidate(p.BlockAddr(i)); ok {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// InvalidatePageCount removes all 64 blocks of page p like InvalidatePage
-// but returns only how many were present, without allocating. The shred
-// path uses it: invalidated contents are dead, only the message count
-// matters for timing.
+// InvalidatePageCount removes every block of page p and returns how many
+// were present. Shred commands use it (paper Figure 6, step 2): the
+// invalidated contents are dead, so only the count matters for timing.
+// It probes only the sets of blocks the residency mask says are here.
 func (c *Cache) InvalidatePageCount(p addr.PageNum) int {
-	const pageShift = addr.PageShift - addr.BlockShift
-	n := 0
-	if len(c.tags) <= addr.BlocksPerPage*c.assoc {
-		// The store is smaller than the page's probe footprint (64 set
-		// scans): one linear sweep over every way is cheaper and removes
-		// exactly the same lines. invalidTag>>pageShift can never equal a
-		// real page number, so no validity test is needed.
-		pn := uint64(p)
-		for i := range c.tags {
-			if c.tags[i]>>pageShift == pn {
-				c.tags[i] = invalidTag
-				c.lines[i] = Line{}
-				n++
-			}
-		}
-		return n
-	}
+	m := c.resident.takePage(uint64(p))
 	tag0 := uint64(p) << pageShift
-	for b := 0; b < addr.BlocksPerPage; b++ {
-		tag := tag0 + uint64(b)
-		base := int(tag&c.setMask) * c.assoc
-		tags := c.tags[base : base+c.assoc]
-		for i := range tags {
-			if tags[i] == tag {
-				tags[i] = invalidTag
-				c.lines[base+i] = Line{}
-				n++
+	for rem := m; rem != 0; rem &= rem - 1 {
+		tag := tag0 + uint64(bits.TrailingZeros64(rem))
+		ways, _ := c.set(tag)
+		for i, w := range ways {
+			if w&tagMask == Way(tag) {
+				ways[i] = emptyWay
 				break
 			}
 		}
 	}
-	return n
+	return bits.OnesCount64(m)
 }
 
 // FlushAll invalidates every line, returning the dirty ones (their
@@ -408,25 +444,25 @@ func (c *Cache) InvalidatePageCount(p addr.PageNum) int {
 // explicit cache flushes.
 func (c *Cache) FlushAll() []Line {
 	var dirty []Line
-	for i := range c.tags {
-		if c.tags[i] != invalidTag && c.lines[i].Dirty {
-			dirty = append(dirty, c.lines[i])
+	for i, w := range c.ways {
+		if w&tagMask != emptyWay && w.Dirty() {
+			dirty = append(dirty, w.line())
 		}
-		c.tags[i] = invalidTag
-		c.lines[i] = Line{}
+		c.ways[i] = emptyWay
 	}
 	for i := range c.rank {
 		c.rank[i] = c.initRank
 	}
+	c.resident.reset()
 	return dirty
 }
 
-// ForEachLine calls fn for every valid line, in set order. Invariant
-// sweeps use it; it touches neither statistics nor LRU state.
-func (c *Cache) ForEachLine(fn func(l *Line)) {
-	for i := range c.tags {
-		if c.tags[i] != invalidTag {
-			fn(&c.lines[i])
+// ForEachLine calls fn with a copy of every valid line, in set order.
+// Invariant sweeps use it; it touches neither statistics nor LRU state.
+func (c *Cache) ForEachLine(fn func(l Line)) {
+	for _, w := range c.ways {
+		if w&tagMask != emptyWay {
+			fn(w.line())
 		}
 	}
 }

@@ -40,8 +40,8 @@ func TestLookupInsert(t *testing.T) {
 	}
 	c.Insert(0x40, Exclusive, false)
 	l := c.Lookup(0x40)
-	if l == nil || l.State != Exclusive {
-		t.Fatalf("lookup after insert = %+v", l)
+	if l == nil || l.State() != Exclusive {
+		t.Fatalf("lookup after insert = %v", l)
 	}
 	if c.Hits() != 1 || c.Misses() != 1 {
 		t.Fatalf("hits/misses = %d/%d", c.Hits(), c.Misses())
@@ -81,12 +81,12 @@ func TestInsertExistingUpdates(t *testing.T) {
 		t.Fatal("re-insert must not evict")
 	}
 	l := c.Probe(0x40)
-	if l.State != Modified || !l.Dirty {
-		t.Fatalf("line = %+v", l)
+	if l.State() != Modified || !l.Dirty() {
+		t.Fatalf("line = %v/%v", l.State(), l.Dirty())
 	}
 	// Dirty bit must be sticky across a clean re-insert.
 	c.Insert(0x40, Shared, false)
-	if !c.Probe(0x40).Dirty {
+	if !c.Probe(0x40).Dirty() {
 		t.Fatal("dirty bit lost on re-insert")
 	}
 }
@@ -116,27 +116,6 @@ func TestInvalidate(t *testing.T) {
 	}
 	if c.Probe(0x40) != nil {
 		t.Fatal("line still present")
-	}
-}
-
-func TestInvalidatePage(t *testing.T) {
-	c := New(Config{Name: "p", Size: 64 * 1024, Assoc: 8})
-	p := addr.PageNum(3)
-	for i := 0; i < addr.BlocksPerPage; i += 2 {
-		c.Insert(p.BlockAddr(i), Modified, true)
-	}
-	c.Insert(addr.PageNum(4).BlockAddr(0), Shared, false) // other page
-	lines := c.InvalidatePage(p)
-	if len(lines) != 32 {
-		t.Fatalf("invalidated %d lines, want 32", len(lines))
-	}
-	if c.Probe(addr.PageNum(4).BlockAddr(0)) == nil {
-		t.Fatal("other page must survive")
-	}
-	for i := 0; i < addr.BlocksPerPage; i++ {
-		if c.Probe(p.BlockAddr(i)) != nil {
-			t.Fatalf("block %d of shredded page still cached", i)
-		}
 	}
 }
 
@@ -233,5 +212,40 @@ func TestStatsSet(t *testing.T) {
 	}
 	if s.Name() != "t" {
 		t.Fatalf("stats name = %q", s.Name())
+	}
+}
+
+func TestBlockSet(t *testing.T) {
+	var s BlockSet
+	region := addr.Phys(1 << 46)          // the counter region: map side
+	far := addr.PageNum(300).BlockAddr(3) // grows the slice twice over
+	for _, tc := range []struct {
+		a    addr.Phys
+		want bool
+	}{
+		{0x40, true}, {0x7f, false}, // same block
+		{far, true}, {far, false},
+		{region, true}, {region + 0x40, true}, {region + 0x3f, false},
+	} {
+		if got := s.Add(tc.a); got != tc.want {
+			t.Fatalf("Add(%v) = %v, want %v", tc.a, got, tc.want)
+		}
+	}
+	if got := s.page(uint64(far.Page())); got != 1<<3 {
+		t.Fatalf("page(%v) = %#x, want %#x", far.Page(), got, 1<<3)
+	}
+	// Pages past the slice but below densePages are empty; removing
+	// from them is a no-op.
+	gap := uint64(densePages - 1)
+	s.remove(gap << pageShift)
+	if s.page(gap) != 0 || s.takePage(gap) != 0 {
+		t.Fatal("page beyond the slice must read empty")
+	}
+	if got := s.takePage(uint64(region.Page())); got != 0b11 || len(s.sparse) != 0 {
+		t.Fatalf("takePage(region) = %#b with %d map entries left", got, len(s.sparse))
+	}
+	s.reset()
+	if !s.Add(0x40) || !s.Add(far) {
+		t.Fatal("reset must empty the set")
 	}
 }

@@ -1,0 +1,333 @@
+package cache
+
+import (
+	"fmt"
+	"testing"
+
+	"silentshredder/internal/addr"
+)
+
+// refWay is one way of the reference model: the obvious
+// array-of-structs layout, with a per-way recency stamp.
+type refWay struct {
+	valid bool
+	tag   uint64
+	state State
+	dirty bool
+	stamp uint64
+}
+
+// refCache is the reference tag store FuzzCacheReference checks Cache
+// against. It keeps no rank words, packed ways or residency masks: a
+// probe scans the set, a victim is the first invalid way or else the
+// least recently touched one, and a page invalidation scans every way.
+type refCache struct {
+	assoc, nsets                            int
+	ways                                    []refWay
+	clock                                   uint64
+	hits, misses, evictions, dirtyEvictions uint64
+}
+
+func newRefCache(cfg Config) *refCache {
+	nsets := cfg.Size / (cfg.Assoc * addr.BlockSize)
+	return &refCache{assoc: cfg.Assoc, nsets: nsets, ways: make([]refWay, nsets*cfg.Assoc)}
+}
+
+func (r *refCache) set(a addr.Phys) ([]refWay, uint64) {
+	tag := tagOf(a)
+	base := int(tag%uint64(r.nsets)) * r.assoc
+	return r.ways[base : base+r.assoc], tag
+}
+
+func (r *refCache) find(a addr.Phys) *refWay {
+	ways, tag := r.set(a)
+	for i := range ways {
+		if ways[i].valid && ways[i].tag == tag {
+			return &ways[i]
+		}
+	}
+	return nil
+}
+
+func (r *refCache) touch(w *refWay) {
+	r.clock++
+	w.stamp = r.clock
+}
+
+func (r *refCache) lookup(a addr.Phys) *refWay {
+	w := r.find(a)
+	if w == nil {
+		r.misses++
+		return nil
+	}
+	r.hits++
+	r.touch(w)
+	return w
+}
+
+func (r *refCache) lookupOwned(a addr.Phys) (*refWay, bool) {
+	w := r.find(a)
+	if w == nil {
+		return nil, false
+	}
+	if w.state != Modified && w.state != Exclusive {
+		return nil, true
+	}
+	r.hits++
+	r.touch(w)
+	return w, true
+}
+
+func (r *refCache) insert(a addr.Phys, st State, dirty bool) (Line, bool) {
+	if w := r.find(a); w != nil {
+		w.state = st
+		w.dirty = w.dirty || dirty
+		r.touch(w)
+		return Line{}, false
+	}
+	ways, tag := r.set(a)
+	var v *refWay
+	for i := range ways {
+		if !ways[i].valid {
+			v = &ways[i]
+			break
+		}
+	}
+	var victim Line
+	evicted := false
+	if v == nil {
+		v = &ways[0]
+		for i := range ways {
+			if ways[i].stamp < v.stamp {
+				v = &ways[i]
+			}
+		}
+		victim, evicted = Line{Tag: v.tag, State: v.state, Dirty: v.dirty}, true
+		r.evictions++
+		if v.dirty {
+			r.dirtyEvictions++
+		}
+	}
+	*v = refWay{valid: true, tag: tag, state: st, dirty: dirty}
+	r.touch(v)
+	return victim, evicted
+}
+
+func (r *refCache) invalidate(a addr.Phys) (Line, bool) {
+	w := r.find(a)
+	if w == nil {
+		return Line{}, false
+	}
+	l := Line{Tag: w.tag, State: w.state, Dirty: w.dirty}
+	w.valid = false
+	return l, true
+}
+
+func (r *refCache) invalidatePage(p addr.PageNum) int {
+	n := 0
+	for i := range r.ways {
+		if w := &r.ways[i]; w.valid && addr.Phys(w.tag<<addr.BlockShift).Page() == p {
+			w.valid = false
+			n++
+		}
+	}
+	return n
+}
+
+// lines returns every valid line in way order: ForEachLine's order, and
+// FlushAll's when filtered to dirty lines.
+func (r *refCache) lines(dirtyOnly bool) []Line {
+	var out []Line
+	for _, w := range r.ways {
+		if w.valid && (w.dirty || !dirtyOnly) {
+			out = append(out, Line{Tag: w.tag, State: w.state, Dirty: w.dirty})
+		}
+	}
+	return out
+}
+
+func (r *refCache) flushAll() []Line {
+	out := r.lines(true)
+	for i := range r.ways {
+		r.ways[i].valid = false
+	}
+	return out
+}
+
+// refGeometries are the shapes FuzzCacheReference chooses from: direct
+// mapped; 4-way with fewer sets than a page has blocks, so a page wraps
+// over the sets; 8-way with exactly 64 sets, so block i of every page
+// shares set i; and 16-way, which takes the per-way clock path.
+var refGeometries = []Config{
+	{Name: "direct", Size: 64 * 64, Assoc: 1},
+	{Name: "wrap", Size: 16 * 4 * 64, Assoc: 4},
+	{Name: "pageset", Size: 64 * 8 * 64, Assoc: 8},
+	{Name: "clock", Size: 4 * 16 * 64, Assoc: 16},
+}
+
+// refPages are the pages scripts address: three low frames, on the
+// slice side of the residency masks, and thirteen pages of the counter
+// region (countercache.RegionBase, 2^46), on the map side. Sixteen pages
+// give the 64-set geometry sets with more blocks than ways.
+var refPages = func() []addr.PageNum {
+	ps := []addr.PageNum{0, 1, 2}
+	region := addr.Phys(1 << 46).Page()
+	for k := addr.PageNum(0); k < 13; k++ {
+		ps = append(ps, region+k)
+	}
+	return ps
+}()
+
+// FuzzCacheReference runs a byte script against Cache and refCache side
+// by side. The first byte picks a geometry; then every three bytes are
+// one operation:
+//
+//	op    bits 0-6: operation (mod 9); bit 7: LookupOwned and Probe
+//	      also set the returned line's state and dirty bit
+//	page  bits 0-3: page index; bits 4-6: byte offset within the block
+//	      (in 8-byte steps); bit 7: the dirty flag
+//	block bits 0-5: block index; bits 6-7: the state
+//
+// After every operation it compares the return values, the victim, the
+// four counters, the contents of every way and the residency masks.
+func FuzzCacheReference(f *testing.F) {
+	f.Add([]byte{0, 4, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) == 0 {
+			return
+		}
+		cfg := refGeometries[int(script[0])%len(refGeometries)]
+		c, r := New(cfg), newRefCache(cfg)
+		script = script[1:]
+		for step := 0; len(script) >= 3; step++ {
+			op, pb, bb := script[0], script[1], script[2]
+			script = script[3:]
+			p := refPages[int(pb&15)%len(refPages)]
+			a := p.BlockAddr(int(bb&63)) + addr.Phys(pb>>4&7)<<3
+			st, dirty := State(bb>>6), pb&0x80 != 0
+			kind := (op & 0x7f) % 9
+			where := func() string { return fmt.Sprintf("%s step %d op %d %v", cfg.Name, step, kind, a) }
+			switch kind {
+			case 0:
+				got, want := c.Lookup(a), r.lookup(a)
+				checkWay(t, where(), got, want)
+			case 1:
+				if got, want := c.LookupHit(a), r.lookup(a) != nil; got != want {
+					t.Fatalf("%s: LookupHit = %v, want %v", where(), got, want)
+				}
+			case 2:
+				got, present := c.LookupOwned(a)
+				want, wantPresent := r.lookupOwned(a)
+				if present != wantPresent {
+					t.Fatalf("%s: LookupOwned present = %v, want %v", where(), present, wantPresent)
+				}
+				checkWay(t, where(), got, want)
+				if got != nil && op&0x80 != 0 {
+					got.SetState(st)
+					got.SetDirty(dirty)
+					want.state, want.dirty = st, dirty
+				}
+			case 3:
+				got, want := c.Probe(a), r.find(a)
+				checkWay(t, where(), got, want)
+				if got != nil && op&0x80 != 0 {
+					got.SetState(st)
+					got.SetDirty(dirty)
+					want.state, want.dirty = st, dirty
+				}
+			case 4:
+				v, ev := c.Insert(a, st, dirty)
+				wv, wev := r.insert(a, st, dirty)
+				if v != wv || ev != wev {
+					t.Fatalf("%s: Insert = %+v/%v, want %+v/%v", where(), v, ev, wv, wev)
+				}
+			case 5:
+				l, ok := c.Invalidate(a)
+				wl, wok := r.invalidate(a)
+				if l != wl || ok != wok {
+					t.Fatalf("%s: Invalidate = %+v/%v, want %+v/%v", where(), l, ok, wl, wok)
+				}
+			case 6:
+				if got, want := c.InvalidatePageCount(p), r.invalidatePage(p); got != want {
+					t.Fatalf("%s: InvalidatePageCount(%v) = %d, want %d", where(), p, got, want)
+				}
+			case 7:
+				checkLines(t, where()+" FlushAll", c.FlushAll(), r.flushAll())
+			case 8:
+				var got []Line
+				c.ForEachLine(func(l Line) { got = append(got, l) })
+				checkLines(t, where()+" ForEachLine", got, r.lines(false))
+			}
+			checkAgainstRef(t, where(), c, r)
+		}
+	})
+}
+
+func checkWay(t *testing.T, where string, got *Way, want *refWay) {
+	t.Helper()
+	if (got == nil) != (want == nil) {
+		t.Fatalf("%s: way = %v, want %v", where, got, want)
+	}
+	if got != nil && (uint64(*got&tagMask) != want.tag || got.State() != want.state || got.Dirty() != want.dirty) {
+		t.Fatalf("%s: way %v/%v/%v, want %#x/%v/%v", where,
+			got.Addr(), got.State(), got.Dirty(), want.tag, want.state, want.dirty)
+	}
+}
+
+func checkLines(t *testing.T, where string, got, want []Line) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d lines, want %d", where, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: line %d = %+v, want %+v", where, i, got[i], want[i])
+		}
+	}
+}
+
+// checkAgainstRef compares the counters and every way with the model,
+// then checks that the residency masks hold exactly the resident blocks.
+func checkAgainstRef(t *testing.T, where string, c *Cache, r *refCache) {
+	t.Helper()
+	if c.Hits() != r.hits || c.Misses() != r.misses || c.Evictions() != r.evictions || c.DirtyEvictions() != r.dirtyEvictions {
+		t.Fatalf("%s: counters %d/%d/%d/%d, want %d/%d/%d/%d", where,
+			c.Hits(), c.Misses(), c.Evictions(), c.DirtyEvictions(),
+			r.hits, r.misses, r.evictions, r.dirtyEvictions)
+	}
+	want := map[uint64]uint64{}
+	for i, w := range c.ways {
+		rw := r.ways[i]
+		if w&tagMask == emptyWay {
+			if rw.valid {
+				t.Fatalf("%s: way %d empty, want block %#x", where, i, rw.tag)
+			}
+			continue
+		}
+		if !rw.valid {
+			t.Fatalf("%s: way %d holds %v, want empty", where, i, w.Addr())
+		}
+		checkWay(t, fmt.Sprintf("%s: way %d", where, i), &c.ways[i], &r.ways[i])
+		want[uint64(w&tagMask)>>pageShift] |= blockBit(uint64(w & tagMask))
+	}
+	got := map[uint64]uint64{}
+	for p, m := range c.resident.dense {
+		if m != 0 {
+			got[uint64(p)] = m
+		}
+	}
+	for p, m := range c.resident.sparse {
+		if m == 0 || uint64(p) < densePages {
+			t.Fatalf("%s: sparse residency entry %v = %#x", where, p, m)
+		}
+		got[uint64(p)] = m
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: residency masks %v, want %v", where, got, want)
+	}
+	for p, m := range want {
+		if got[p] != m {
+			t.Fatalf("%s: residency mask of page %#x = %#x, want %#x", where, p, got[p], m)
+		}
+	}
+}

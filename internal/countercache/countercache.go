@@ -251,7 +251,7 @@ func (c *Cache) MarkDirty(p addr.PageNum) {
 		}
 		return
 	}
-	l.Dirty = true
+	l.SetDirty(true)
 }
 
 // Invalidate drops page p's counter block from the cache, writing it back
@@ -283,9 +283,9 @@ func (c *Cache) Flush() {
 	}
 	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 	for _, p := range pages {
-		if l := c.tags.Probe(ctrAddr(p)); l != nil && l.Dirty {
+		if l := c.tags.Probe(ctrAddr(p)); l != nil && l.Dirty() {
 			c.writebackPage(p)
-			l.Dirty = false
+			l.SetDirty(false)
 		}
 	}
 }
@@ -396,7 +396,7 @@ func (c *Cache) ForEachCurrent(fn func(p addr.PageNum, cb ctr.CounterBlock)) {
 func (c *Cache) CheckCoherence() error {
 	tagged := make(map[addr.PageNum]bool)
 	var err error
-	c.tags.ForEachLine(func(l *cache.Line) {
+	c.tags.ForEachLine(func(l cache.Line) {
 		if err != nil {
 			return
 		}

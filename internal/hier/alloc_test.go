@@ -1,0 +1,88 @@
+package hier
+
+import (
+	"testing"
+
+	"silentshredder/internal/addr"
+	"silentshredder/internal/cache"
+	"silentshredder/internal/memctrl"
+)
+
+// The tag-store operations on the shred path, and the shred itself,
+// allocate nothing once the caches' residency masks have grown to cover
+// the pages in use.
+func TestShredPathZeroAllocs(t *testing.T) {
+	const runs = 200
+	zero := func(name string, f func()) {
+		t.Helper()
+		if n := testing.AllocsPerRun(runs, f); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, n)
+		}
+	}
+
+	// 64 pages of blocks over a 1024-way cache: filling it evicts, and
+	// grows the masks over every page the calls below touch.
+	const pages = 64
+	c := cache.New(cache.Config{Name: "c", Size: 64 << 10, Assoc: 8})
+	blk := func(i int) addr.Phys {
+		return addr.PageNum(i / addr.BlocksPerPage % pages).BlockAddr(i % addr.BlocksPerPage)
+	}
+	for i := 0; i < pages*addr.BlocksPerPage; i++ {
+		c.Insert(blk(i), cache.Shared, false)
+	}
+
+	i, ev0 := 0, c.Evictions()
+	zero("Insert with eviction", func() { c.Insert(blk(i), cache.Exclusive, i%2 == 0); i++ })
+	if got := c.Evictions() - ev0; got != runs+1 {
+		t.Fatalf("inserts evicted %d lines, want %d", got, runs+1)
+	}
+	hits, k := 0, i
+	zero("Probe+SetDirty", func() {
+		k--
+		if w := c.Probe(blk(k)); w != nil {
+			w.SetDirty(true)
+			hits++
+		}
+	})
+	if hits != runs+1 {
+		t.Fatalf("Probe found %d of %d freshly inserted blocks", hits, runs+1)
+	}
+	removed := 0
+	zero("Invalidate", func() {
+		i--
+		if _, ok := c.Invalidate(blk(i)); ok {
+			removed++
+		}
+	})
+	if removed != runs+1 {
+		t.Fatalf("Invalidate removed %d of %d freshly inserted blocks", removed, runs+1)
+	}
+	c.FlushAll() // empties the masks but keeps their storage
+	removed = 0
+	zero("InvalidatePageCount", func() {
+		p := addr.PageNum(i % pages)
+		for j := 0; j < addr.BlocksPerPage; j += 2 {
+			c.Insert(p.BlockAddr(j), cache.Shared, false)
+		}
+		removed += c.InvalidatePageCount(p)
+		i++
+	})
+	if want := (runs + 1) * addr.BlocksPerPage / 2; removed != want {
+		t.Fatalf("InvalidatePageCount removed %d lines, want %d", removed, want)
+	}
+
+	// Shred pages core 0 read four blocks of: each shred finds them in
+	// its L1 and L2 and the shared L3 and L4. The blocks' offsets rotate
+	// so that the pages spread over all of L1's sets and none is evicted.
+	h, _, _ := newHier(t, Table1Config(2), memctrl.SilentShredder)
+	for p := addr.PageNum(0); p <= runs; p++ {
+		for j := 0; j < 4; j++ {
+			h.Read(0, p.BlockAddr((4*int(p/2)+j)%addr.BlocksPerPage))
+		}
+	}
+	p, msgs := addr.PageNum(0), 0
+	zero("ShredInvalidate", func() { msgs += h.ShredInvalidate(p); p++ })
+	if want := (runs + 1) * 8; msgs != want {
+		t.Fatalf("shreds sent %d invalidations, want %d", msgs, want)
+	}
+}

@@ -260,7 +260,7 @@ func (h *Hierarchy) Read(core int, a addr.Phys) clock.Cycles {
 	}
 	lat += h.cfg.L2.HitLatency
 	if l := h.l2[core].Lookup(a); l != nil {
-		h.insertL1(core, a, l.State, false)
+		h.insertL1(core, a, l.State(), false)
 		return lat
 	}
 	// Private miss: consult the directory for a dirty remote copy, and
@@ -276,11 +276,11 @@ func (h *Hierarchy) Read(core int, a addr.Phys) clock.Cycles {
 			if c == core || de.sharers&(1<<c) == 0 {
 				continue
 			}
-			if l := h.l1[c].Probe(a); l != nil && l.State == cache.Exclusive {
-				l.State = cache.Shared
+			if l := h.l1[c].Probe(a); l != nil && l.State() == cache.Exclusive {
+				l.SetState(cache.Shared)
 			}
-			if l := h.l2[c].Probe(a); l != nil && l.State == cache.Exclusive {
-				l.State = cache.Shared
+			if l := h.l2[c].Probe(a); l != nil && l.State() == cache.Exclusive {
+				l.SetState(cache.Shared)
 			}
 		}
 	}
@@ -312,8 +312,8 @@ func (h *Hierarchy) Write(core int, a addr.Phys) clock.Cycles {
 	lat := h.cfg.L1.HitLatency
 	l1Line, l1Present := h.l1[core].LookupOwned(a)
 	if l1Line != nil {
-		l1Line.State = cache.Modified
-		l1Line.Dirty = true
+		l1Line.SetState(cache.Modified)
+		l1Line.SetDirty(true)
 		de := h.entry(a)
 		de.modified, de.owner, de.sharers = true, core, 1<<core
 		return lat
@@ -360,7 +360,7 @@ func (h *Hierarchy) Write(core int, a addr.Phys) clock.Cycles {
 	}
 	if inheritDirty {
 		if l := h.l1[core].Probe(a); l != nil {
-			l.Dirty = true
+			l.SetDirty(true)
 		}
 	}
 	de := h.entry(a)
@@ -406,12 +406,12 @@ func (h *Hierarchy) intervene(a addr.Phys, de *dirEntry) {
 	c := de.owner
 	if c >= 0 {
 		if l := h.l1[c].Probe(a); l != nil {
-			l.State = cache.Shared
-			l.Dirty = false
+			l.SetState(cache.Shared)
+			l.SetDirty(false)
 		}
 		if l := h.l2[c].Probe(a); l != nil {
-			l.State = cache.Shared
-			l.Dirty = false
+			l.SetState(cache.Shared)
+			l.SetDirty(false)
 		}
 	}
 	// The dirty data now lives in L3 (inclusive), marked dirty so it is
@@ -458,11 +458,11 @@ func (h *Hierarchy) insertL1(core int, a addr.Phys, st cache.State, dirty bool) 
 		// L1 victim folds into L2 (inclusive: it must be there).
 		if v.Dirty {
 			if l := h.l2[core].Probe(v.Addr()); l != nil {
-				l.Dirty = true
+				l.SetDirty(true)
 				// A dirty fold carries ownership: the L1 copy was
 				// Modified (possibly via a silent E->M upgrade the L2
 				// never saw).
-				l.State = cache.Modified
+				l.SetState(cache.Modified)
 			} else {
 				// Inclusion was broken by an L2 eviction that raced
 				// ahead; push dirtiness to the shared levels.
@@ -482,7 +482,7 @@ func (h *Hierarchy) evictFromL2(core int, v cache.Line) {
 	}
 	if dirty {
 		if l := h.l3.Probe(a); l != nil {
-			l.Dirty = true
+			l.SetDirty(true)
 		} else {
 			h.insertL3(a, true)
 		}
@@ -516,7 +516,7 @@ func (h *Hierarchy) insertL3(a addr.Phys, dirty bool) {
 	h.dir.remove(va)
 	if d {
 		if l := h.l4.Probe(va); l != nil {
-			l.Dirty = true
+			l.SetDirty(true)
 		} else {
 			// Inclusion hole: write back directly.
 			h.mc.WriteBlock(va)
@@ -576,13 +576,14 @@ func (h *Hierarchy) FlushPage(p addr.PageNum) int {
 }
 
 // FlushAll writes every dirty block back through the memory controller
-// and empties all caches (clean shutdown / explicit wbinvd).
+// and empties all caches (clean shutdown / explicit wbinvd). Each block
+// is written once, at its first dirty copy in the order below; the NVM
+// banks' timing depends on that order.
 func (h *Hierarchy) FlushAll() {
-	seen := make(map[addr.Phys]bool)
+	var written cache.BlockSet
 	flush := func(lines []cache.Line) {
 		for _, l := range lines {
-			if !seen[l.Addr()] {
-				seen[l.Addr()] = true
+			if written.Add(l.Addr()) {
 				h.mc.WriteBlock(l.Addr())
 			}
 		}

@@ -39,8 +39,8 @@ func (h *Hierarchy) CheckInvariants(blocks []addr.Phys) error {
 					return fmt.Errorf("hier: %v in private caches of core %d but not L4 (inclusion)", a, c)
 				}
 			}
-			for _, l := range []*cache.Line{l1, l2} {
-				if l != nil && l.State == cache.Modified {
+			for _, l := range []*cache.Way{l1, l2} {
+				if l != nil && l.State() == cache.Modified {
 					if modifiedOwner >= 0 && modifiedOwner != c {
 						return fmt.Errorf("hier: %v Modified in cores %d and %d", a, modifiedOwner, c)
 					}
@@ -75,7 +75,7 @@ func (h *Hierarchy) CheckInvariants(blocks []addr.Phys) error {
 func (h *Hierarchy) ResidentBlocks() []addr.Phys {
 	seen := make(map[addr.Phys]bool)
 	collect := func(c *cache.Cache) {
-		c.ForEachLine(func(l *cache.Line) { seen[l.Addr()] = true })
+		c.ForEachLine(func(l cache.Line) { seen[l.Addr()] = true })
 	}
 	for c := 0; c < h.cfg.Cores; c++ {
 		collect(h.l1[c])

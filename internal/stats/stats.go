@@ -75,19 +75,31 @@ type Histogram struct {
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	i := 0
-	if v > 1 {
-		i = int(math.Ceil(math.Log2(v)))
-		if i > 63 {
-			i = 63
-		}
-	}
-	h.buckets[i]++
+	h.buckets[bucket(v)]++
 	h.total++
 	h.sum += v
 	if v > h.max {
 		h.max = v
 	}
+}
+
+// bucket returns the index of the bucket holding v: the least i >= 0
+// with v <= 2^i, capped at 63 (NaN goes to bucket 0).
+//
+// It reads the exponent math.Frexp would return straight from v's
+// IEEE-754 bits: v = 1.f * 2^e, so 2^e <= v < 2^(e+1), and v is exactly
+// 2^e when the fraction bits are zero. Frexp itself does not inline, and
+// every controller read observes a histogram.
+func bucket(v float64) int {
+	if !(v > 1) {
+		return 0
+	}
+	b := math.Float64bits(v) // sign bit clear: v > 1
+	e := int(b>>52) - 1023
+	if b&(1<<52-1) != 0 {
+		e++
+	}
+	return min(e, 63)
 }
 
 // Reset clears all samples, buckets and the running max, returning the

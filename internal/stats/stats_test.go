@@ -61,6 +61,54 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// Bucket i holds 2^(i-1) < v <= 2^i: each power of two sits at the top
+// of its own bucket, and the next float above it, like 2^k+1, opens the
+// next one. Log2 rounding put math.Nextafter(16, +Inf) in bucket 4 and
+// 2^49+1 in bucket 49.
+func TestHistogramBucketBoundaries(t *testing.T) {
+	for k := 0; k <= 62; k++ {
+		p := math.Ldexp(1, k)
+		if got := bucket(p); got != k {
+			t.Errorf("bucket(2^%d) = %d, want %d", k, got, k)
+		}
+		if got := bucket(math.Nextafter(p, math.Inf(1))); got != k+1 {
+			t.Errorf("bucket(nextafter(2^%d)) = %d, want %d", k, got, k+1)
+		}
+		if v := p + 1; v != p {
+			if got := bucket(v); got != k+1 {
+				t.Errorf("bucket(2^%d+1) = %d, want %d", k, got, k+1)
+			}
+		}
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(-1), -5, 0, 0.5, 1} {
+		if got := bucket(v); got != 0 {
+			t.Errorf("bucket(%v) = %d, want 0", v, got)
+		}
+	}
+	for _, v := range []float64{math.MaxFloat64, math.Inf(1)} {
+		if got := bucket(v); got != 63 {
+			t.Errorf("bucket(%v) = %d, want 63", v, got)
+		}
+	}
+}
+
+// Every sample the simulator observes is an integer count far below
+// 2^49, where the Log2 expression the bucket used to be computed with is
+// exact; on those the two must agree, so no golden moves.
+func TestHistogramBucketMatchesLog2OnIntegers(t *testing.T) {
+	log2Bucket := func(v float64) int {
+		if v <= 1 {
+			return 0
+		}
+		return min(int(math.Ceil(math.Log2(v))), 63)
+	}
+	for n := 0; n <= 1<<24; n++ {
+		if got, want := bucket(float64(n)), log2Bucket(float64(n)); got != want {
+			t.Fatalf("bucket(%d) = %d, Log2 expression gives %d", n, got, want)
+		}
+	}
+}
+
 // Property: the quantile upper bound is monotone in q and bounds the mean
 // sample bucket correctly.
 func TestHistogramQuantileMonotoneProperty(t *testing.T) {
