@@ -179,7 +179,12 @@ func imageScan(stdout, stderr io.Writer, image, pattern string, entropy bool, sc
 	})
 	rep.Clean = len(rep.LeakPages) == 0
 	if entropy {
-		sort.Slice(ents, func(i, j int) bool { return ents[i].BitsPerByte < ents[j].BitsPerByte })
+		sort.Slice(ents, func(i, j int) bool {
+			if ents[i].BitsPerByte != ents[j].BitsPerByte {
+				return ents[i].BitsPerByte < ents[j].BitsPerByte
+			}
+			return ents[i].Page < ents[j].Page
+		})
 		for i := 0; i < len(ents) && i < 8; i++ {
 			rep.Lowest = append(rep.Lowest, ents[i])
 		}

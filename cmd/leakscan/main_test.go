@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -87,8 +89,12 @@ func TestAttackJSONGolden(t *testing.T) {
 
 // TestImageScan: an unencrypted DIMM image leaks its plaintext to the
 // scanner; the same contents behind counter-mode encryption scan clean.
+// TestImageScan: a plaintext image leaks the secret and an encrypted
+// one does not. The secret sits on 16 pages, and repeated scans must
+// report the leaking pages identically, in ascending order.
 func TestImageScan(t *testing.T) {
 	const secret = "BEGIN RSA PRIVATE KEY"
+	const secretPages = 16
 	dir := t.TempDir()
 
 	save := func(name string, disableEnc bool) string {
@@ -98,8 +104,10 @@ func TestImageScan(t *testing.T) {
 		cfg.MemCtrl.DisableEncryption = disableEnc
 		m := sim.MustNew(cfg)
 		rt := m.Runtime(0)
-		va := rt.Malloc(addr.PageSize)
-		rt.StoreBytes(va, []byte(secret))
+		va := rt.Malloc(secretPages * addr.PageSize)
+		for i := 0; i < secretPages; i++ {
+			rt.StoreBytes(va+addr.Virt(i*addr.PageSize), []byte(secret))
+		}
 		m.Hier.FlushAll()
 		m.MC.Flush()
 		p := filepath.Join(dir, name)
@@ -122,6 +130,21 @@ func TestImageScan(t *testing.T) {
 	code, stdout, _ = exec(t, "-image", plain, "-pattern", secret, "-format", "json")
 	if code != 1 || !strings.Contains(stdout, `"clean": false`) {
 		t.Errorf("plaintext image json: exit %d, out:\n%s", code, stdout)
+	}
+	var rep imageReport
+	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.LeakPages) != secretPages || !slices.IsSorted(rep.LeakPages) {
+		t.Errorf("leak_pages = %v, want %d pages in ascending order", rep.LeakPages, secretPages)
+	}
+	for _, format := range []string{"json", "text"} {
+		_, first, _ := exec(t, "-image", plain, "-pattern", secret, "-entropy", "-format", format)
+		for i := 0; i < 2; i++ {
+			if _, again, _ := exec(t, "-image", plain, "-pattern", secret, "-entropy", "-format", format); again != first {
+				t.Fatalf("%s scans differ between runs:\n%s\nthen\n%s", format, first, again)
+			}
+		}
 	}
 
 	enc := save("enc.img", false)

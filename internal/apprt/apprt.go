@@ -18,6 +18,7 @@ import (
 	"silentshredder/internal/clock"
 	"silentshredder/internal/cpu"
 	"silentshredder/internal/kernel"
+	"silentshredder/internal/physmem"
 	"silentshredder/internal/span"
 )
 
@@ -27,6 +28,7 @@ type Runtime struct {
 	core int
 	proc *kernel.Process
 	cpu  *cpu.Core
+	img  *physmem.Image // the controller's plaintext image
 
 	// storeOccupancy is the core-visible cost of an ordinary store (the
 	// write buffer hides the rest).
@@ -60,8 +62,8 @@ type Runtime struct {
 	// allocation-free (a Runtime is single-threaded by construction).
 	pattern  [addr.BlockSize]byte // memset fill pattern
 	blockBuf [addr.BlockSize]byte // LoadBytes per-block staging
-	wordBuf  [8]byte              // Load/Store staging (a local would
-	// escape: the checker hook takes the slice through an interface)
+	wordBuf  [8]byte              // Load staging for the checker (a local
+	// would escape: the hook takes the slice through an interface)
 }
 
 // Checker observes a runtime's operations and validates its load results
@@ -162,7 +164,7 @@ func (rt *Runtime) emit(kind TraceKind, va addr.Virt, arg uint64) {
 
 // New creates a runtime for proc running on the given core.
 func New(k *kernel.Kernel, core int, proc *kernel.Process, c *cpu.Core) *Runtime {
-	return &Runtime{k: k, core: core, proc: proc, cpu: c, storeOccupancy: 2}
+	return &Runtime{k: k, core: core, proc: proc, cpu: c, img: k.Controller().Image(), storeOccupancy: 2}
 }
 
 // Core returns the core's timing model.
@@ -213,12 +215,13 @@ func (rt *Runtime) Load(va addr.Virt) uint64 {
 	lat := klat + hlat
 	rt.spans.End(uint64(lat))
 	rt.cpu.Load(lat)
-	b := rt.wordBuf[:]
-	rt.k.Controller().Image().Read(pa, b)
+	v := rt.img.ReadU64(pa)
 	if rt.check != nil {
+		b := rt.wordBuf[:]
+		binary.LittleEndian.PutUint64(b, v)
 		rt.check.CheckLoad(va, b)
 	}
-	return binary.LittleEndian.Uint64(b)
+	return v
 }
 
 // Store performs an 8-byte store.
@@ -234,9 +237,7 @@ func (rt *Runtime) Store(va addr.Virt, val uint64) {
 	// The span totals the core-visible cost; the hierarchy's busy
 	// cycles live in the segments (the write buffer hides them).
 	rt.spans.End(uint64(klat) + uint64(rt.storeOccupancy))
-	b := rt.wordBuf[:]
-	binary.LittleEndian.PutUint64(b, val)
-	rt.k.Controller().Image().Write(pa, b)
+	rt.img.WriteU64(pa, val)
 	if klat > 0 {
 		rt.cpu.Stall(klat) // page-fault / TLB-walk time
 	}
@@ -261,7 +262,7 @@ func (rt *Runtime) LoadBytes(va addr.Virt, n int) []byte {
 		rt.spans.End(uint64(lat))
 		rt.cpu.Load(lat)
 		buf := rt.blockBuf[:cnt]
-		rt.k.Controller().Image().Read(pa, buf)
+		rt.img.Read(pa, buf)
 		if rt.check != nil {
 			rt.check.CheckLoad(blk+addr.Virt(off), buf)
 		}
@@ -284,7 +285,7 @@ func (rt *Runtime) StoreBytes(va addr.Virt, data []byte) {
 		hlat := rt.k.Hierarchy().Write(rt.core, pa)
 		rt.spans.Attribute(span.LayerCache, uint64(hlat), mk)
 		rt.spans.End(uint64(klat) + uint64(rt.storeOccupancy))
-		rt.k.Controller().Image().Write(pa, data[:cnt])
+		rt.img.Write(pa, data[:cnt])
 		if rt.check != nil {
 			rt.check.ObserveStoreBytes(blk+addr.Virt(off), data[:cnt])
 		}
@@ -316,7 +317,7 @@ func (rt *Runtime) memset(va addr.Virt, b byte, n int, nonTemporal bool) {
 		nt = 1
 	}
 	rt.emit(TraceMemset, va, uint64(n)<<9|nt<<8|uint64(b))
-	img := rt.k.Controller().Image()
+	img := rt.img
 	pattern := rt.pattern[:]
 	for i := range pattern {
 		pattern[i] = b

@@ -191,3 +191,19 @@ func TestMemcpy(t *testing.T) {
 		t.Fatalf("memcpy = %q", got)
 	}
 }
+
+// Load and Store on a resident page allocate nothing when no checker is
+// attached: the word moves straight between the value and the image.
+func TestLoadStoreZeroAllocs(t *testing.T) {
+	_, rt := testRT(t)
+	va := rt.Malloc(addr.PageSize)
+	rt.Store(va, 1) // fault the page in and materialize it
+	i := 0
+	word := func() addr.Virt { i++; return va + addr.Virt(i%(addr.PageSize/8)*8) }
+	if n := testing.AllocsPerRun(500, func() { rt.Store(word(), uint64(i)) }); n != 0 {
+		t.Errorf("Store: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(500, func() { _ = rt.Load(word()) }); n != 0 {
+		t.Errorf("Load: %v allocs/op, want 0", n)
+	}
+}

@@ -2,33 +2,25 @@ package cache
 
 import "silentshredder/internal/addr"
 
-// densePages bounds the slice-indexed part of a BlockSet. Frame
-// allocators hand out small page numbers from zero, so every data page
-// falls below it; the counter cache's tags sit at RegionBase (2^46),
-// whose pages go to the map. It is the bound the hierarchy's coherence
-// directory uses for the same reason.
-const densePages = 1 << 22 // 16GB of 4KB pages
-
 // pageShift converts a block tag to its page number.
 const pageShift = addr.PageShift - addr.BlockShift
 
 // BlockSet is a set of block addresses kept as one 64-bit mask per
-// page: bit i of page p's mask stands for block i of p. Page numbers
-// below densePages index a slice grown by doubling to the largest page
-// seen; higher pages live in a map that holds only non-empty masks. The
-// zero value is an empty set.
+// page: bit i of page p's mask stands for block i of p. The masks live
+// in a page table, so data pages index a slice and the counter cache's
+// tags, at RegionBase (2^46), go to its map. The zero value is an empty
+// set.
 type BlockSet struct {
-	dense  []uint64
-	sparse map[addr.PageNum]uint64
+	pages addr.PageTable[uint64]
 }
 
 // Add inserts block a, reporting whether it was absent.
 func (s *BlockSet) Add(a addr.Phys) bool {
 	tag := tagOf(a)
-	if s.page(tag>>pageShift)&blockBit(tag) != 0 {
+	if s.pages.Get(pageOf(tag))&blockBit(tag) != 0 {
 		return false
 	}
-	if !s.addDense(tag) {
+	if !s.addHeld(tag) {
 		s.add(tag)
 	}
 	return true
@@ -36,83 +28,39 @@ func (s *BlockSet) Add(a addr.Phys) bool {
 
 func blockBit(tag uint64) uint64 { return 1 << (tag & (addr.BlocksPerPage - 1)) }
 
-// page returns page p's mask.
-func (s *BlockSet) page(p uint64) uint64 {
-	if p < uint64(len(s.dense)) {
-		return s.dense[p]
-	}
-	if p < densePages {
-		return 0
-	}
-	return s.sparse[addr.PageNum(p)]
-}
+func pageOf(tag uint64) addr.PageNum { return addr.PageNum(tag >> pageShift) }
 
-// addDense inserts the block with the given tag if the slice covers its
-// page, reporting whether it did. It is small enough to inline, so the
-// common case costs no call; add handles the rest.
-func (s *BlockSet) addDense(tag uint64) bool {
-	p := tag >> pageShift
-	if p < uint64(len(s.dense)) {
-		s.dense[p] |= blockBit(tag)
+// addHeld inserts the block with the given tag if the table already has
+// a slot for its page, reporting whether it did. It is small enough to
+// inline, so the common case costs no call; add handles the rest.
+func (s *BlockSet) addHeld(tag uint64) bool {
+	if m := s.pages.Ptr(pageOf(tag)); m != nil {
+		*m |= blockBit(tag)
 		return true
 	}
 	return false
 }
 
-// add inserts the block with the given tag.
-func (s *BlockSet) add(tag uint64) {
-	p := tag >> pageShift
-	if p < densePages {
-		n := max(2*len(s.dense), addr.BlocksPerPage)
-		for uint64(n) <= p {
-			n *= 2
-		}
-		s.dense = append(s.dense, make([]uint64, n-len(s.dense))...)
-		s.dense[p] |= blockBit(tag)
-		return
-	}
-	if s.sparse == nil {
-		s.sparse = make(map[addr.PageNum]uint64)
-	}
-	s.sparse[addr.PageNum(p)] |= blockBit(tag)
-}
+// add inserts the block with the given tag into a page without a slot.
+func (s *BlockSet) add(tag uint64) { s.pages.Set(pageOf(tag), blockBit(tag)) }
 
 // remove deletes the block with the given tag.
 func (s *BlockSet) remove(tag uint64) {
-	p := tag >> pageShift
-	if p < uint64(len(s.dense)) {
-		s.dense[p] &^= blockBit(tag)
-		return
-	}
-	if p < densePages {
-		return
-	}
-	if m := s.sparse[addr.PageNum(p)] &^ blockBit(tag); m != 0 {
-		s.sparse[addr.PageNum(p)] = m
-	} else {
-		delete(s.sparse, addr.PageNum(p))
+	if m := s.pages.Ptr(pageOf(tag)); m != nil {
+		*m &^= blockBit(tag)
 	}
 }
 
 // takePage empties page p's mask and returns what it held.
-func (s *BlockSet) takePage(p uint64) uint64 {
-	if p < uint64(len(s.dense)) {
-		m := s.dense[p]
-		s.dense[p] = 0
-		return m
-	}
-	if p < densePages {
+func (s *BlockSet) takePage(p addr.PageNum) uint64 {
+	m := s.pages.Ptr(p)
+	if m == nil {
 		return 0
 	}
-	m := s.sparse[addr.PageNum(p)]
-	if m != 0 {
-		delete(s.sparse, addr.PageNum(p))
-	}
-	return m
+	v := *m
+	*m = 0
+	return v
 }
 
 // reset empties the set, keeping its storage.
-func (s *BlockSet) reset() {
-	clear(s.dense)
-	clear(s.sparse)
-}
+func (s *BlockSet) reset() { s.pages.Reset() }

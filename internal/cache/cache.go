@@ -399,7 +399,7 @@ func (c *Cache) Insert(a addr.Phys, st State, dirty bool) (victim Line, evicted 
 		c.resident.remove(victim.Tag)
 	}
 	ways[vi] = packWay(tag, st, dirty)
-	if !c.resident.addDense(tag) {
+	if !c.resident.addHeld(tag) {
 		c.resident.add(tag)
 	}
 	c.touch(si, vi)
@@ -424,7 +424,7 @@ func (c *Cache) Invalidate(a addr.Phys) (Line, bool) {
 // invalidated contents are dead, so only the count matters for timing.
 // It probes only the sets of blocks the residency mask says are here.
 func (c *Cache) InvalidatePageCount(p addr.PageNum) int {
-	m := c.resident.takePage(uint64(p))
+	m := c.resident.takePage(p)
 	tag0 := uint64(p) << pageShift
 	for rem := m; rem != 0; rem &= rem - 1 {
 		tag := tag0 + uint64(bits.TrailingZeros64(rem))

@@ -231,18 +231,18 @@ func TestBlockSet(t *testing.T) {
 			t.Fatalf("Add(%v) = %v, want %v", tc.a, got, tc.want)
 		}
 	}
-	if got := s.page(uint64(far.Page())); got != 1<<3 {
-		t.Fatalf("page(%v) = %#x, want %#x", far.Page(), got, 1<<3)
+	if got := s.pages.Get(far.Page()); got != 1<<3 {
+		t.Fatalf("mask of %v = %#x, want %#x", far.Page(), got, 1<<3)
 	}
-	// Pages past the slice but below densePages are empty; removing
-	// from them is a no-op.
-	gap := uint64(densePages - 1)
-	s.remove(gap << pageShift)
-	if s.page(gap) != 0 || s.takePage(gap) != 0 {
+	// A page past the slice but below the table's dense bound is empty;
+	// removing from it is a no-op.
+	gap := addr.PageNum(1<<22 - 1)
+	s.remove(uint64(gap) << pageShift)
+	if s.pages.Get(gap) != 0 || s.takePage(gap) != 0 {
 		t.Fatal("page beyond the slice must read empty")
 	}
-	if got := s.takePage(uint64(region.Page())); got != 0b11 || len(s.sparse) != 0 {
-		t.Fatalf("takePage(region) = %#b with %d map entries left", got, len(s.sparse))
+	if got := s.takePage(region.Page()); got != 0b11 || s.pages.Get(region.Page()) != 0 {
+		t.Fatalf("takePage(region) = %#b, leaving %#b", got, s.pages.Get(region.Page()))
 	}
 	s.reset()
 	if !s.Add(0x40) || !s.Add(far) {

@@ -311,17 +311,7 @@ func checkAgainstRef(t *testing.T, where string, c *Cache, r *refCache) {
 		want[uint64(w&tagMask)>>pageShift] |= blockBit(uint64(w & tagMask))
 	}
 	got := map[uint64]uint64{}
-	for p, m := range c.resident.dense {
-		if m != 0 {
-			got[uint64(p)] = m
-		}
-	}
-	for p, m := range c.resident.sparse {
-		if m == 0 || uint64(p) < densePages {
-			t.Fatalf("%s: sparse residency entry %v = %#x", where, p, m)
-		}
-		got[uint64(p)] = m
-	}
+	c.resident.pages.ForEach(func(p addr.PageNum, m uint64) { got[uint64(p)] = m })
 	if len(got) != len(want) {
 		t.Fatalf("%s: residency masks %v, want %v", where, got, want)
 	}

@@ -18,7 +18,6 @@ package countercache
 
 import (
 	"fmt"
-	"sort"
 
 	"silentshredder/internal/addr"
 	"silentshredder/internal/cache"
@@ -70,12 +69,14 @@ type Backend interface {
 
 // Cache is the counter cache plus its NVM-resident backing region.
 type Cache struct {
-	cfg     Config
-	tags    *cache.Cache
-	cached  map[addr.PageNum]*ctr.CounterBlock // contents of resident lines
-	region  map[addr.PageNum]ctr.CounterBlock  // NVM-resident (persistent) values
-	lastP   addr.PageNum                       // one-entry cache over cached:
-	lastCB  *ctr.CounterBlock                  // consecutive Gets hit the same page
+	cfg  Config
+	tags *cache.Cache
+	// cached holds the contents of each resident line, by data page.
+	cached addr.PageTable[*ctr.CounterBlock]
+	// region holds the NVM-resident (persistent) values. A page that was
+	// never persisted has no entry, which ForEachPersisted tells apart
+	// from a persisted all-zero block.
+	region  addr.PageTable[*ctr.CounterBlock]
 	dev     *nvm.Device
 	backend Backend  // optional ECC/fault mediation layer
 	bus     *obs.Bus // nil unless observability is enabled
@@ -102,9 +103,7 @@ func New(cfg Config, dev *nvm.Device) *Cache {
 			Assoc:      cfg.Assoc,
 			HitLatency: cfg.HitLatency,
 		}),
-		cached: make(map[addr.PageNum]*ctr.CounterBlock),
-		region: make(map[addr.PageNum]ctr.CounterBlock),
-		dev:    dev,
+		dev: dev,
 	}
 }
 
@@ -167,12 +166,7 @@ func pageOfCtrAddr(a addr.Phys) addr.PageNum {
 func (c *Cache) Get(p addr.PageNum) (*ctr.CounterBlock, clock.Cycles, bool) {
 	if c.tags.Lookup(ctrAddr(p)) != nil {
 		c.bus.Emit(obs.EvCtrHit, uint64(p.Addr()), 0)
-		if c.lastCB != nil && c.lastP == p {
-			return c.lastCB, c.cfg.HitLatency, true
-		}
-		cb := c.cached[p]
-		c.lastP, c.lastCB = p, cb
-		return cb, c.cfg.HitLatency, true
+		return c.cached.Get(p), c.cfg.HitLatency, true
 	}
 	// Miss: fetch from NVM.
 	c.bus.Emit(obs.EvCtrMiss, uint64(p.Addr()), 0)
@@ -189,14 +183,13 @@ func (c *Cache) Get(p addr.PageNum) (*ctr.CounterBlock, clock.Cycles, bool) {
 			c.prefetches.Inc()
 			c.bus.Emit(obs.EvCtrPrefetch, uint64(next.Addr()), 0)
 			c.readDev(ctrAddr(next)) // overlapped: no latency charged
-			nb := c.region[next]
+			nb := c.PersistedValue(next)
 			c.install(next, &nb, false)
 		}
 	}
-	cb := c.region[p] // zero value = fresh page (major 0, all minors 0)
-	copyCB := cb
-	c.install(p, &copyCB, false)
-	return c.cached[p], lat, false
+	cb := c.PersistedValue(p) // zero value = fresh page (major 0, all minors 0)
+	c.install(p, &cb, false)
+	return c.cached.Get(p), lat, false
 }
 
 // install inserts page p's counter block, handling victim writeback.
@@ -208,18 +201,14 @@ func (c *Cache) install(p addr.PageNum, cb *ctr.CounterBlock, dirty bool) {
 			c.bus.Emit(obs.EvCtrEvict, uint64(vp.Addr()), 0)
 			c.writebackPage(vp)
 		}
-		delete(c.cached, vp)
-		if c.lastP == vp {
-			c.lastCB = nil
-		}
+		c.cached.Set(vp, nil)
 	}
-	c.cached[p] = cb
-	c.lastP, c.lastCB = p, cb
+	c.cached.Set(p, cb)
 }
 
 func (c *Cache) writebackPage(p addr.PageNum) {
-	cb, ok := c.cached[p]
-	if !ok {
+	cb := c.cached.Get(p)
+	if cb == nil {
 		return
 	}
 	// Root-before-data: the integrity engine must cover this block in
@@ -227,7 +216,7 @@ func (c *Cache) writebackPage(p addr.PageNum) {
 	if c.persistHook != nil {
 		c.persistHook(p)
 	}
-	c.region[p] = *cb
+	c.persist(p, *cb)
 	c.writebacks.Inc()
 	enc := cb.Encode()
 	c.writeDev(ctrAddr(p), enc[:])
@@ -244,8 +233,8 @@ func (c *Cache) MarkDirty(p addr.PageNum) {
 	}
 	if c.cfg.WriteThrough {
 		c.writeThroughs.Inc()
-		if cb, ok := c.cached[p]; ok {
-			c.region[p] = *cb
+		if cb := c.cached.Get(p); cb != nil {
+			c.persist(p, *cb)
 			enc := cb.Encode()
 			c.writeDev(ctrAddr(p), enc[:])
 		}
@@ -265,10 +254,7 @@ func (c *Cache) Invalidate(p addr.PageNum) {
 	if l.Dirty {
 		c.writebackPage(p)
 	}
-	delete(c.cached, p)
-	if c.lastP == p {
-		c.lastCB = nil
-	}
+	c.cached.Set(p, nil)
 }
 
 // Flush writes back every dirty counter block, leaving contents resident
@@ -277,17 +263,12 @@ func (c *Cache) Invalidate(p addr.PageNum) {
 // order-dependent bank timing sees the same access sequence on every run
 // — checkpoint/replay equivalence depends on it.
 func (c *Cache) Flush() {
-	pages := make([]addr.PageNum, 0, len(c.cached))
-	for p := range c.cached {
-		pages = append(pages, p)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	for _, p := range pages {
+	c.cached.ForEach(func(p addr.PageNum, _ *ctr.CounterBlock) {
 		if l := c.tags.Probe(ctrAddr(p)); l != nil && l.Dirty() {
 			c.writebackPage(p)
 			l.SetDirty(false)
 		}
-	}
+	})
 }
 
 // Crash models sudden power loss: with a battery (or in write-through
@@ -299,84 +280,88 @@ func (c *Cache) Crash() {
 		c.Flush()
 	}
 	c.tags.FlushAll()
-	c.cached = make(map[addr.PageNum]*ctr.CounterBlock)
-	c.lastCB = nil
+	c.cached.Reset()
 }
 
 // Peek returns the architecturally current counter block value for page p
 // (cached copy if resident, else the NVM-resident value) without modeling
 // an access. Tests and the integrity layer use it.
 func (c *Cache) Peek(p addr.PageNum) ctr.CounterBlock {
-	if cb, ok := c.cached[p]; ok {
+	if cb := c.cached.Get(p); cb != nil {
 		return *cb
 	}
-	return c.region[p]
+	return c.PersistedValue(p)
 }
 
 // PersistedValue returns the NVM-resident counter block for page p,
 // ignoring any dirty cached copy. After Crash without a battery this is
 // the state the system sees.
-func (c *Cache) PersistedValue(p addr.PageNum) ctr.CounterBlock { return c.region[p] }
+func (c *Cache) PersistedValue(p addr.PageNum) ctr.CounterBlock {
+	if cb := c.region.Get(p); cb != nil {
+		return *cb
+	}
+	return ctr.CounterBlock{}
+}
+
+// persist stores cb as page p's NVM-resident value.
+func (c *Cache) persist(p addr.PageNum, cb ctr.CounterBlock) {
+	if r := c.region.Get(p); r != nil {
+		*r = cb
+		return
+	}
+	c.region.Set(p, &cb)
+}
 
 // SnapshotRegion exports the NVM-resident counter region (checkpointing).
 func (c *Cache) SnapshotRegion() map[addr.PageNum]ctr.CounterBlock {
-	out := make(map[addr.PageNum]ctr.CounterBlock, len(c.region))
-	for p, cb := range c.region {
-		out[p] = cb
-	}
+	out := make(map[addr.PageNum]ctr.CounterBlock)
+	c.ForEachPersisted(func(p addr.PageNum, cb ctr.CounterBlock) { out[p] = cb })
 	return out
 }
 
 // RestoreRegion replaces the counter region and empties the cache (a
 // restored machine boots with cold counter caches).
 func (c *Cache) RestoreRegion(region map[addr.PageNum]ctr.CounterBlock) {
-	c.region = make(map[addr.PageNum]ctr.CounterBlock, len(region))
+	c.region.Reset()
 	for p, cb := range region {
-		c.region[p] = cb
+		c.persist(p, cb)
 	}
 	c.tags.FlushAll()
-	c.cached = make(map[addr.PageNum]*ctr.CounterBlock)
-	c.lastCB = nil
+	c.cached.Reset()
 }
 
 // TamperPersisted overwrites page p's NVM-resident counter block without
 // any of the controller's bookkeeping — the §7.1 attack where an
 // adversary with physical access rolls counters back or forges them. The
 // integrity tree (when enabled) must catch the next fetch.
-func (c *Cache) TamperPersisted(p addr.PageNum, cb ctr.CounterBlock) {
-	c.region[p] = cb
-}
+func (c *Cache) TamperPersisted(p addr.PageNum, cb ctr.CounterBlock) { c.persist(p, cb) }
 
 // ForEachPersisted calls fn for every page with an NVM-resident counter
-// block. Crash recovery uses it to find pages whose state is encoded only
-// in the counters (e.g. shredded pages that were never written back).
+// block, in ascending page order. Crash recovery uses it to find pages
+// whose state is encoded only in the counters (e.g. shredded pages that
+// were never written back).
 func (c *Cache) ForEachPersisted(fn func(p addr.PageNum, cb ctr.CounterBlock)) {
-	for p, cb := range c.region {
-		fn(p, cb)
-	}
+	c.region.ForEach(func(p addr.PageNum, cb *ctr.CounterBlock) { fn(p, *cb) })
 }
 
 // ForEachCurrent calls fn for every page with counter state, passing the
 // architecturally current value (cached copy when resident, NVM-resident
-// value otherwise) in ascending page order. Invariant sweeps use it.
+// value otherwise) in ascending page order. Invariant sweeps use it. It
+// merges the ascending walks of the resident and the persisted pages.
 func (c *Cache) ForEachCurrent(fn func(p addr.PageNum, cb ctr.CounterBlock)) {
-	seen := make(map[addr.PageNum]bool, len(c.region)+len(c.cached))
-	pages := make([]addr.PageNum, 0, len(c.region)+len(c.cached))
-	for p := range c.region {
-		if !seen[p] {
-			seen[p] = true
-			pages = append(pages, p)
+	var res []addr.PageNum
+	c.cached.ForEach(func(p addr.PageNum, _ *ctr.CounterBlock) { res = append(res, p) })
+	i := 0
+	c.region.ForEach(func(p addr.PageNum, _ *ctr.CounterBlock) {
+		for ; i < len(res) && res[i] <= p; i++ {
+			if res[i] < p {
+				fn(res[i], c.Peek(res[i]))
+			}
 		}
-	}
-	for p := range c.cached {
-		if !seen[p] {
-			seen[p] = true
-			pages = append(pages, p)
-		}
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	for _, p := range pages {
 		fn(p, c.Peek(p))
+	})
+	for ; i < len(res); i++ {
+		fn(res[i], c.Peek(res[i]))
 	}
 }
 
@@ -402,8 +387,8 @@ func (c *Cache) CheckCoherence() error {
 		}
 		p := pageOfCtrAddr(l.Addr())
 		tagged[p] = true
-		cb, ok := c.cached[p]
-		if !ok || cb == nil {
+		cb := c.cached.Get(p)
+		if cb == nil {
 			err = fmt.Errorf("countercache: %v tagged resident but has no cached counter block", p)
 			return
 		}
@@ -411,20 +396,20 @@ func (c *Cache) CheckCoherence() error {
 			err = fmt.Errorf("countercache: %v dirty in write-through mode", p)
 			return
 		}
-		if !l.Dirty && *cb != c.region[p] {
+		if nv := c.PersistedValue(p); !l.Dirty && *cb != nv {
 			err = fmt.Errorf("countercache: %v clean cached counters diverge from NVM (cached major=%d, NVM major=%d)",
-				p, cb.Major, c.region[p].Major)
+				p, cb.Major, nv.Major)
 		}
 	})
 	if err != nil {
 		return err
 	}
-	for p := range c.cached {
-		if !tagged[p] {
-			return fmt.Errorf("countercache: %v has cached contents but no resident tag", p)
+	c.cached.ForEach(func(p addr.PageNum, _ *ctr.CounterBlock) {
+		if err == nil && !tagged[p] {
+			err = fmt.Errorf("countercache: %v has cached contents but no resident tag", p)
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 // MissRate returns the tag-store miss rate.

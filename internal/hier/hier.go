@@ -60,71 +60,35 @@ type dirEntry struct {
 	modified bool
 }
 
-// dirPage holds the directory entries for one page's 64 blocks. Storing
-// entries page-chunked (one map lookup per page instead of per block,
-// plus a last-page cache) replaces the former flat map[addr.Phys] layout;
-// the tracked state per block is unchanged.
+// dirPage holds the directory entries for one page's 64 blocks. A slot
+// whose present bit is clear holds no entry, whatever its contents.
 type dirPage struct {
 	present uint64 // bit per block: entry exists
 	e       [addr.BlocksPerPage]dirEntry
 }
 
-// denseDirPages bounds the directly indexed part of the directory: page
-// numbers below it (the kernel's frame allocators hand out small frame
-// numbers from zero) live in a slice grown on demand; anything beyond —
-// which no current configuration produces — falls back to a map.
-const denseDirPages = 1 << 22 // 16GB of 4KB frames
-
-// directory is the two-level MESI directory: page number -> 64-entry
-// chunk. The page table is a dense slice indexed by page number (one
-// bounds check instead of a map probe on every coherence consult), with
-// a map spillover for out-of-range pages.
+// directory is the two-level MESI directory: a page table of 64-entry
+// chunks. A chunk, once allocated, stays for reuse.
 type directory struct {
-	dense  []*dirPage
-	sparse map[addr.PageNum]*dirPage // pages >= denseDirPages only
+	pages addr.PageTable[*dirPage]
 }
 
-func newDirectory() directory {
-	return directory{sparse: make(map[addr.PageNum]*dirPage)}
-}
-
-func (d *directory) page(p addr.PageNum) *dirPage {
-	if uint64(p) < uint64(len(d.dense)) {
-		return d.dense[p]
-	}
-	if uint64(p) < denseDirPages {
-		return nil
-	}
-	return d.sparse[p]
-}
-
-// lookup returns the entry for block a if one exists.
-func (d *directory) lookup(a addr.Phys) (*dirEntry, bool) {
-	dp := d.page(a.Page())
-	if dp == nil {
-		return nil, false
-	}
+// lookup returns the entry for block a, or nil if none exists.
+func (d *directory) lookup(a addr.Phys) *dirEntry {
 	bi := a.BlockIndex()
-	if dp.present&(1<<bi) == 0 {
-		return nil, false
+	if dp := d.pages.Get(a.Page()); dp != nil && dp.present&(1<<bi) != 0 {
+		return &dp.e[bi]
 	}
-	return &dp.e[bi], true
+	return nil
 }
 
 // entry returns the entry for block a, creating it if needed.
 func (d *directory) entry(a addr.Phys) *dirEntry {
 	p := a.Page()
-	dp := d.page(p)
+	dp := d.pages.Get(p)
 	if dp == nil {
 		dp = &dirPage{}
-		if uint64(p) < denseDirPages {
-			for uint64(p) >= uint64(len(d.dense)) {
-				d.dense = append(d.dense, nil)
-			}
-			d.dense[p] = dp
-		} else {
-			d.sparse[p] = dp
-		}
+		d.pages.Set(p, dp)
 	}
 	bi := a.BlockIndex()
 	if dp.present&(1<<bi) == 0 {
@@ -134,63 +98,35 @@ func (d *directory) entry(a addr.Phys) *dirEntry {
 	return &dp.e[bi]
 }
 
-// remove drops block a's entry, freeing the page chunk when it empties.
+// remove drops block a's entry. Clearing the present bit is a full
+// logical removal: entry() re-initializes a slot whose bit is clear.
 func (d *directory) remove(a addr.Phys) {
-	p := a.Page()
-	dp := d.page(p)
-	if dp == nil {
-		return
+	if dp := d.pages.Get(a.Page()); dp != nil {
+		dp.present &^= 1 << a.BlockIndex()
 	}
-	bi := a.BlockIndex()
-	if dp.present&(1<<bi) == 0 {
-		return
-	}
-	dp.present &^= 1 << bi
-	dp.e[bi] = dirEntry{}
 }
 
-// removePage drops every entry of page p at once (the shred path). The
-// chunk itself stays allocated for reuse: entry() re-initializes a slot
-// whenever its present bit is clear, so clearing the bitmask is a full
-// logical removal without feeding the allocator.
+// removePage drops every entry of page p at once (the shred path),
+// keeping the chunk for reuse.
 func (d *directory) removePage(p addr.PageNum) {
-	if dp := d.page(p); dp != nil {
+	if dp := d.pages.Get(p); dp != nil {
 		dp.present = 0
 	}
 }
 
 // reset empties the directory, retaining chunk allocations.
 func (d *directory) reset() {
-	for _, dp := range d.dense {
-		if dp != nil {
-			dp.present = 0
-		}
-	}
-	for _, dp := range d.sparse {
-		dp.present = 0
-	}
+	d.pages.ForEach(func(_ addr.PageNum, dp *dirPage) { dp.present = 0 })
 }
 
-// forEach calls fn for every existing entry. Dense pages come first in
-// ascending page order, then spillover pages in Go map order; callers
-// needing full determinism must sort.
+// forEach calls fn for every existing entry, in ascending address order.
 func (d *directory) forEach(fn func(a addr.Phys, de *dirEntry)) {
-	visit := func(p addr.PageNum, dp *dirPage) {
-		rem := dp.present
-		for rem != 0 {
+	d.pages.ForEach(func(p addr.PageNum, dp *dirPage) {
+		for rem := dp.present; rem != 0; rem &= rem - 1 {
 			bi := bits.TrailingZeros64(rem)
-			rem &= rem - 1
 			fn(p.BlockAddr(bi), &dp.e[bi])
 		}
-	}
-	for i, dp := range d.dense {
-		if dp != nil {
-			visit(addr.PageNum(i), dp)
-		}
-	}
-	for p, dp := range d.sparse {
-		visit(p, dp)
-	}
+	})
 }
 
 // Hierarchy is the full multi-core cache system in front of the memory
@@ -227,7 +163,6 @@ func New(cfg Config, mc *memctrl.Controller) *Hierarchy {
 		cfg: cfg,
 		l3:  cache.New(cfg.L3),
 		l4:  cache.New(cfg.L4),
-		dir: newDirectory(),
 		mc:  mc,
 	}
 	for i := 0; i < cfg.Cores; i++ {
@@ -267,7 +202,7 @@ func (h *Hierarchy) Read(core int, a addr.Phys) clock.Cycles {
 	// downgrade any remote Exclusive copy to Shared (it is no longer the
 	// sole copy once this read completes).
 	state := cache.Shared
-	if de, ok := h.dir.lookup(a); ok {
+	if de := h.dir.lookup(a); de != nil {
 		if de.modified && de.owner != core {
 			h.intervene(a, de)
 			lat += h.cfg.CoherencePenalty
@@ -321,7 +256,7 @@ func (h *Hierarchy) Write(core int, a addr.Phys) clock.Cycles {
 
 	// Need ownership: invalidate all other private copies.
 	inheritDirty := false
-	if de, ok := h.dir.lookup(a); ok {
+	if de := h.dir.lookup(a); de != nil {
 		for c := 0; c < h.cfg.Cores; c++ {
 			if c == core || de.sharers&(1<<c) == 0 {
 				continue
@@ -487,7 +422,7 @@ func (h *Hierarchy) evictFromL2(core int, v cache.Line) {
 			h.insertL3(a, true)
 		}
 	}
-	if de, ok := h.dir.lookup(a); ok {
+	if de := h.dir.lookup(a); de != nil {
 		de.sharers &^= 1 << core
 		if de.owner == core {
 			de.modified = false

@@ -51,7 +51,7 @@ func (h *Hierarchy) CheckInvariants(blocks []addr.Phys) error {
 		if modifiedOwner >= 0 && holders&^(1<<modifiedOwner) != 0 {
 			return fmt.Errorf("hier: %v Modified in core %d but shared by mask %b", a, modifiedOwner, holders)
 		}
-		if de, ok := h.dir.lookup(a); ok {
+		if de := h.dir.lookup(a); de != nil {
 			if de.sharers&^holders != 0 {
 				return fmt.Errorf("hier: %v directory sharers %b exceed actual holders %b", a, de.sharers, holders)
 			}

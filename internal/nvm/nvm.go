@@ -60,7 +60,6 @@ type Config struct {
 	Channels     int          // memory channels (blocks interleave across them)
 	StoreData    bool         // keep actual contents (required for DCW/FNW and functional checks)
 	WriteMode    WriteMode
-	Endurance    uint64 // writes a block endures before being considered worn out
 
 	// DisableWearTracking drops the per-block wear map. Giant
 	// timing-only sweeps (e.g. the 1GB memset experiment) enable this
@@ -100,8 +99,7 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's Table 1 main-memory configuration:
-// 75ns reads, 150ns writes, 2 channels, with data storage enabled and a
-// 10^8-write endurance (PCM's upper range, §2.1).
+// 75ns reads, 150ns writes, 2 channels, with data storage enabled.
 func DefaultConfig() Config {
 	return Config{
 		ReadLatency:  clock.FromNs(75),
@@ -109,7 +107,6 @@ func DefaultConfig() Config {
 		Channels:     2,
 		StoreData:    true,
 		WriteMode:    WriteAll,
-		Endurance:    100_000_000,
 		Banks:        8,
 		BankPenalty:  clock.FromNs(30),
 		BankWindow:   4,
@@ -142,10 +139,9 @@ type Injector interface {
 	CorruptRead(a addr.Phys, dst []byte) ReadOutcome
 }
 
-// wearPage holds the per-block wear counters of one page. Wear and flip
-// metadata are stored page-chunked (one map lookup per page plus a
-// last-page cache) instead of in flat map[addr.Phys] maps; the presence
-// bitmasks preserve the old maps' present/absent distinction exactly.
+// wearPage holds the per-block wear counters of one page. The presence
+// bitmask records which blocks have ever been written, the distinction
+// State's flat per-block maps export.
 type wearPage struct {
 	present uint64
 	w       [addr.BlocksPerPage]uint64
@@ -157,21 +153,14 @@ type flipPage struct {
 	f       [addr.BlocksPerPage]uint8
 }
 
-// Device is a simulated NVM DIMM population.
+// Device is a simulated NVM DIMM population. Cell contents, wear counts
+// and Flip-N-Write flip bits are kept per page in page tables, each
+// page's chunk allocated on its first write.
 type Device struct {
 	cfg   Config
-	pages map[addr.PageNum]*[addr.PageSize]byte
-	flip  map[addr.PageNum]*flipPage // FNW flip bit per 8-byte word, bit i = word i of block
-	wear  map[addr.PageNum]*wearPage
-
-	// One-entry caches over the three page maps: accesses are page-local,
-	// so the common case never touches the maps at all.
-	lastP     addr.PageNum
-	lastPg    *[addr.PageSize]byte
-	lastWearP addr.PageNum
-	lastWear  *wearPage
-	lastFlipP addr.PageNum
-	lastFlip  *flipPage
+	pages addr.PageTable[*[addr.PageSize]byte]
+	flip  addr.PageTable[*flipPage] // FNW flip bit per 8-byte word, bit i = word i of block
+	wear  addr.PageTable[*wearPage]
 
 	inj       Injector          // nil = perfect device
 	writeHook func(a addr.Phys) // crash scheduler; runs before any commit
@@ -208,9 +197,6 @@ func New(cfg Config) *Device {
 	}
 	d := &Device{
 		cfg:        cfg,
-		pages:      make(map[addr.PageNum]*[addr.PageSize]byte),
-		flip:       make(map[addr.PageNum]*flipPage),
-		wear:       make(map[addr.PageNum]*wearPage),
 		perChannel: make([]stats.Counter, cfg.Channels),
 	}
 	if cfg.Banks > 0 {
@@ -235,46 +221,22 @@ func (d *Device) SetBus(b *obs.Bus) { d.bus = b }
 // to LayerBankWait on whatever span is active when an access arrives.
 func (d *Device) SetSpans(r *span.Recorder) { d.spans = r }
 
-// dataPage returns page p's storage if materialized.
-func (d *Device) dataPage(p addr.PageNum) *[addr.PageSize]byte {
-	if d.lastPg != nil && d.lastP == p {
-		return d.lastPg
-	}
-	pg := d.pages[p]
-	if pg != nil {
-		d.lastP, d.lastPg = p, pg
-	}
-	return pg
-}
-
-// wearPageOf returns page p's wear chunk, creating it when create is set.
-func (d *Device) wearPageOf(p addr.PageNum, create bool) *wearPage {
-	if d.lastWear != nil && d.lastWearP == p {
-		return d.lastWear
-	}
-	wp := d.wear[p]
-	if wp == nil && create {
+// wearPageOf returns page p's wear chunk, creating it if needed.
+func (d *Device) wearPageOf(p addr.PageNum) *wearPage {
+	wp := d.wear.Get(p)
+	if wp == nil {
 		wp = &wearPage{}
-		d.wear[p] = wp
-	}
-	if wp != nil {
-		d.lastWearP, d.lastWear = p, wp
+		d.wear.Set(p, wp)
 	}
 	return wp
 }
 
-// flipPageOf returns page p's flip chunk, creating it when create is set.
-func (d *Device) flipPageOf(p addr.PageNum, create bool) *flipPage {
-	if d.lastFlip != nil && d.lastFlipP == p {
-		return d.lastFlip
-	}
-	fp := d.flip[p]
-	if fp == nil && create {
+// flipPageOf returns page p's flip chunk, creating it if needed.
+func (d *Device) flipPageOf(p addr.PageNum) *flipPage {
+	fp := d.flip.Get(p)
+	if fp == nil {
 		fp = &flipPage{}
-		d.flip[p] = fp
-	}
-	if fp != nil {
-		d.lastFlipP, d.lastFlip = p, fp
+		d.flip.Set(p, fp)
 	}
 	return fp
 }
@@ -391,7 +353,7 @@ func (d *Device) ReadBlock(a addr.Phys, dst []byte) clock.Cycles {
 	d.perChannel[d.Channel(a)].Inc()
 	bankExtra := d.accessDelay(a, false)
 	if d.cfg.StoreData && dst != nil {
-		if pg := d.dataPage(a.Page()); pg != nil {
+		if pg := d.pages.Get(a.Page()); pg != nil {
 			off := a.PageOffset()
 			copy(dst[:addr.BlockSize], pg[off:off+addr.BlockSize])
 		} else {
@@ -426,7 +388,7 @@ func (d *Device) Peek(a addr.Phys, dst []byte) bool {
 		return false
 	}
 	a = a.Block()
-	if pg := d.dataPage(a.Page()); pg != nil {
+	if pg := d.pages.Get(a.Page()); pg != nil {
 		off := a.PageOffset()
 		copy(dst[:addr.BlockSize], pg[off:off+addr.BlockSize])
 	} else {
@@ -454,11 +416,11 @@ func (d *Device) WriteBlock(a addr.Phys, src []byte) clock.Cycles {
 		return d.serviceLat(d.cfg.WriteLatency, bankExtra)
 	}
 
-	pg := d.dataPage(a.Page())
+	pg := d.pages.Get(a.Page())
 	if pg == nil {
+		// This line keeps the hot calls below at the PGO profile's offsets (DESIGN.md §8.7).
 		pg = new([addr.PageSize]byte)
-		d.pages[a.Page()] = pg
-		d.lastP, d.lastPg = a.Page(), pg
+		d.pages.Set(a.Page(), pg)
 	}
 	off := a.PageOffset()
 	old := pg[off : off+addr.BlockSize]
@@ -506,7 +468,7 @@ func (d *Device) accountWrite(a addr.Phys, flipped, written uint64) {
 	if d.cfg.DisableWearTracking {
 		return
 	}
-	wp := d.wearPageOf(a.Page(), true)
+	wp := d.wearPageOf(a.Page())
 	bi := a.BlockIndex()
 	wp.present |= 1 << bi
 	wp.w[bi]++
@@ -517,7 +479,7 @@ func (d *Device) accountWrite(a addr.Phys, flipped, written uint64) {
 
 // wearOf returns the wear count of block a (0 when never written).
 func (d *Device) wearOf(a addr.Phys) uint64 {
-	wp := d.wearPageOf(a.Page(), false)
+	wp := d.wear.Get(a.Page())
 	if wp == nil {
 		return 0
 	}
@@ -539,7 +501,7 @@ func diffBits(old, new []byte) uint64 {
 // stored image may be inverted (tracked by a flip bit) so at most 32 cells
 // plus the flip bit change per word.
 func (d *Device) fnwFlips(a addr.Phys, old, new []byte) uint64 {
-	fp := d.flipPageOf(a.Page(), true)
+	fp := d.flipPageOf(a.Page())
 	bi := a.BlockIndex()
 	flips := fp.f[bi]
 	var total uint64
@@ -588,46 +550,41 @@ type State struct {
 // per-block form State has always used.
 func (d *Device) Snapshot() *State {
 	st := &State{
-		Pages: make(map[addr.PageNum][]byte, len(d.pages)),
-		Wear:  make(map[addr.Phys]uint64, len(d.wear)*addr.BlocksPerPage),
-		Flip:  make(map[addr.Phys]uint8, len(d.flip)*addr.BlocksPerPage),
+		Pages: make(map[addr.PageNum][]byte),
+		Wear:  make(map[addr.Phys]uint64),
+		Flip:  make(map[addr.Phys]uint8),
 	}
-	for p, data := range d.pages {
+	d.pages.ForEach(func(p addr.PageNum, data *[addr.PageSize]byte) {
 		st.Pages[p] = append([]byte(nil), data[:]...)
-	}
-	for p, wp := range d.wear {
-		rem := wp.present
-		for rem != 0 {
+	})
+	d.wear.ForEach(func(p addr.PageNum, wp *wearPage) {
+		for rem := wp.present; rem != 0; rem &= rem - 1 {
 			bi := bits.TrailingZeros64(rem)
-			rem &= rem - 1
 			st.Wear[p.BlockAddr(bi)] = wp.w[bi]
 		}
-	}
-	for p, fp := range d.flip {
-		rem := fp.present
-		for rem != 0 {
+	})
+	d.flip.ForEach(func(p addr.PageNum, fp *flipPage) {
+		for rem := fp.present; rem != 0; rem &= rem - 1 {
 			bi := bits.TrailingZeros64(rem)
-			rem &= rem - 1
 			st.Flip[p.BlockAddr(bi)] = fp.f[bi]
 		}
-	}
+	})
 	return st
 }
 
 // Restore replaces the device's persistent state with st.
 func (d *Device) Restore(st *State) {
-	d.pages = make(map[addr.PageNum]*[addr.PageSize]byte, len(st.Pages))
-	d.lastPg, d.lastWear, d.lastFlip = nil, nil, nil
+	d.pages.Reset()
 	for p, data := range st.Pages {
 		pg := new([addr.PageSize]byte)
 		copy(pg[:], data)
-		d.pages[p] = pg
+		d.pages.Set(p, pg)
 	}
-	d.wear = make(map[addr.PageNum]*wearPage)
+	d.wear.Reset()
 	d.maxWear = 0
 	for a, w := range st.Wear {
 		a = a.Block()
-		wp := d.wearPageOf(a.Page(), true)
+		wp := d.wearPageOf(a.Page())
 		bi := a.BlockIndex()
 		wp.present |= 1 << bi
 		wp.w[bi] = w
@@ -635,11 +592,10 @@ func (d *Device) Restore(st *State) {
 			d.maxWear = w
 		}
 	}
-	d.flip = make(map[addr.PageNum]*flipPage)
-	d.lastFlip = nil
+	d.flip.Reset()
 	for a, f := range st.Flip {
 		a = a.Block()
-		fp := d.flipPageOf(a.Page(), true)
+		fp := d.flipPageOf(a.Page())
 		bi := a.BlockIndex()
 		fp.present |= 1 << bi
 		fp.f[bi] = f
@@ -647,12 +603,11 @@ func (d *Device) Restore(st *State) {
 }
 
 // ForEachPage calls fn for every materialized data page (requires
-// StoreData). Crash recovery uses it to rebuild the architectural image
-// from the persistent ciphertext.
+// StoreData) in ascending page order. Crash recovery uses it to rebuild
+// the architectural image from the persistent ciphertext, and the leak
+// scan to report leaking pages in a stable order.
 func (d *Device) ForEachPage(fn func(p addr.PageNum, data *[addr.PageSize]byte)) {
-	for p, data := range d.pages {
-		fn(p, data)
-	}
+	d.pages.ForEach(fn)
 }
 
 // Wear returns the write count of the block at a.
@@ -660,22 +615,6 @@ func (d *Device) Wear(a addr.Phys) uint64 { return d.wearOf(a.Block()) }
 
 // MaxWear returns the highest per-block write count seen so far.
 func (d *Device) MaxWear() uint64 { return d.maxWear }
-
-// WornBlocks returns how many blocks have exceeded the endurance limit.
-func (d *Device) WornBlocks() int {
-	n := 0
-	for _, wp := range d.wear {
-		rem := wp.present
-		for rem != 0 {
-			bi := bits.TrailingZeros64(rem)
-			rem &= rem - 1
-			if wp.w[bi] > d.cfg.Endurance {
-				n++
-			}
-		}
-	}
-	return n
-}
 
 // EnergyPJ returns the modeled energy spent on the device so far, in
 // picojoules: sensing energy for every block read plus programming

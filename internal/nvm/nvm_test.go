@@ -189,15 +189,6 @@ func TestWearTracking(t *testing.T) {
 	if d.MaxWear() != 5 {
 		t.Fatalf("MaxWear = %d", d.MaxWear())
 	}
-	cfg := DefaultConfig()
-	cfg.Endurance = 3
-	d2 := New(cfg)
-	for i := 0; i < 5; i++ {
-		d2.WriteBlock(0, blockOf(byte(i)))
-	}
-	if d2.WornBlocks() != 1 {
-		t.Fatalf("WornBlocks = %d", d2.WornBlocks())
-	}
 }
 
 func TestChannelInterleaving(t *testing.T) {

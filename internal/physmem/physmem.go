@@ -11,42 +11,23 @@ package physmem
 
 import (
 	"encoding/binary"
-	"sort"
 
 	"silentshredder/internal/addr"
 )
 
-// Image is a sparse plaintext memory image. A one-page cache in front of
-// the page map short-circuits the map lookup for the page-local access
-// runs that dominate workloads.
+// Image is a sparse plaintext memory image: a page table of 4KB pages,
+// each materialized on first write.
 type Image struct {
 	enabled bool
-	pages   map[addr.PageNum]*[addr.PageSize]byte
-	lastP   addr.PageNum
-	last    *[addr.PageSize]byte // nil when the cache is empty
+	pages   addr.PageTable[*[addr.PageSize]byte]
 }
 
 // New creates an image. If store is false all operations are no-ops and
 // reads return zeros; timing-only runs use that mode.
-func New(store bool) *Image {
-	return &Image{enabled: store, pages: make(map[addr.PageNum]*[addr.PageSize]byte)}
-}
+func New(store bool) *Image { return &Image{enabled: store} }
 
 // Enabled reports whether the image stores data.
 func (m *Image) Enabled() bool { return m.enabled }
-
-// page returns page p's storage if materialized, consulting the
-// one-page cache first.
-func (m *Image) page(p addr.PageNum) *[addr.PageSize]byte {
-	if m.last != nil && m.lastP == p {
-		return m.last
-	}
-	pg := m.pages[p]
-	if pg != nil {
-		m.lastP, m.last = p, pg
-	}
-	return pg
-}
 
 // Read copies len(dst) bytes at physical address a into dst. Unwritten
 // memory reads as zeros.
@@ -58,7 +39,7 @@ func (m *Image) Read(a addr.Phys, dst []byte) {
 		return
 	}
 	for len(dst) > 0 {
-		pg := m.page(a.Page())
+		pg := m.pages.Get(a.Page())
 		off := int(a.PageOffset())
 		n := addr.PageSize - off
 		if n > len(dst) {
@@ -82,11 +63,10 @@ func (m *Image) Write(a addr.Phys, src []byte) {
 		return
 	}
 	for len(src) > 0 {
-		pg := m.page(a.Page())
+		pg := m.pages.Get(a.Page())
 		if pg == nil {
 			pg = new([addr.PageSize]byte)
-			m.pages[a.Page()] = pg
-			m.lastP, m.last = a.Page(), pg
+			m.pages.Set(a.Page(), pg)
 		}
 		off := int(a.PageOffset())
 		n := addr.PageSize - off
@@ -106,15 +86,46 @@ func (m *Image) ReadBlock(a addr.Phys) [addr.BlockSize]byte {
 	return out
 }
 
-// ReadU64 reads a little-endian uint64 at a.
+// ReadU64 reads a little-endian uint64 at a. It inlines into its
+// callers, so a disabled image costs loads no call.
 func (m *Image) ReadU64(a addr.Phys) uint64 {
-	var b [8]byte
-	m.Read(a, b[:])
-	return binary.LittleEndian.Uint64(b[:])
+	if !m.enabled {
+		return 0
+	}
+	return m.readU64(a)
 }
 
-// WriteU64 writes a little-endian uint64 at a.
+// readU64 reads a word inside one page in place, and one that crosses a
+// page boundary through Read.
+func (m *Image) readU64(a addr.Phys) uint64 {
+	off := a.PageOffset()
+	if off > addr.PageSize-8 {
+		var b [8]byte
+		m.Read(a, b[:])
+		return binary.LittleEndian.Uint64(b[:])
+	}
+	if pg := m.pages.Get(a.Page()); pg != nil {
+		return binary.LittleEndian.Uint64(pg[off : off+8])
+	}
+	return 0
+}
+
+// WriteU64 writes a little-endian uint64 at a. It inlines into its
+// callers, so a disabled image costs stores no call.
 func (m *Image) WriteU64(a addr.Phys, v uint64) {
+	if m.enabled {
+		m.writeU64(a, v)
+	}
+}
+
+// writeU64 writes a word inside a materialized page in place, and any
+// other through Write.
+func (m *Image) writeU64(a addr.Phys, v uint64) {
+	off := a.PageOffset()
+	if pg := m.pages.Get(a.Page()); pg != nil && off <= addr.PageSize-8 {
+		binary.LittleEndian.PutUint64(pg[off:off+8], v)
+		return
+	}
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
 	m.Write(a, b[:])
@@ -127,7 +138,7 @@ func (m *Image) ZeroPage(p addr.PageNum) {
 	if !m.enabled {
 		return
 	}
-	if pg, ok := m.pages[p]; ok {
+	if pg := m.pages.Get(p); pg != nil {
 		*pg = [addr.PageSize]byte{}
 	}
 	// An unmaterialized page already reads as zeros.
@@ -139,24 +150,23 @@ func (m *Image) Snapshot() map[addr.PageNum][]byte {
 	if !m.enabled {
 		return nil
 	}
-	out := make(map[addr.PageNum][]byte, len(m.pages))
-	for p, data := range m.pages {
+	out := make(map[addr.PageNum][]byte)
+	m.pages.ForEach(func(p addr.PageNum, data *[addr.PageSize]byte) {
 		out[p] = append([]byte(nil), data[:]...)
-	}
+	})
 	return out
 }
 
 // Restore replaces the image contents. A nil snapshot clears the image.
 func (m *Image) Restore(pages map[addr.PageNum][]byte) {
-	m.pages = make(map[addr.PageNum]*[addr.PageSize]byte, len(pages))
-	m.last = nil
+	m.pages.Reset()
 	if !m.enabled {
 		return
 	}
 	for p, data := range pages {
 		pg := new([addr.PageSize]byte)
 		copy(pg[:], data)
-		m.pages[p] = pg
+		m.pages.Set(p, pg)
 	}
 }
 
@@ -164,22 +174,5 @@ func (m *Image) Restore(pages map[addr.PageNum][]byte) {
 // order (deterministic for scanning and reporting). The crash-recovery
 // leak scan walks the recovered image this way.
 func (m *Image) ForEachPage(fn func(p addr.PageNum, data *[addr.PageSize]byte)) {
-	ps := make([]addr.PageNum, 0, len(m.pages))
-	for p := range m.pages {
-		ps = append(ps, p)
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-	for _, p := range ps {
-		fn(p, m.pages[p])
-	}
+	m.pages.ForEach(fn)
 }
-
-// PageResident reports whether page p has been materialized.
-func (m *Image) PageResident(p addr.PageNum) bool {
-	_, ok := m.pages[p]
-	return ok
-}
-
-// ResidentPages returns the number of materialized pages (for memory
-// accounting in big sweeps).
-func (m *Image) ResidentPages() int { return len(m.pages) }

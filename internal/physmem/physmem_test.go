@@ -2,11 +2,22 @@ package physmem
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"silentshredder/internal/addr"
 )
+
+// resident lists m's materialized pages in ascending order.
+func resident(m *Image) []addr.PageNum {
+	var ps []addr.PageNum
+	m.ForEachPage(func(p addr.PageNum, _ *[addr.PageSize]byte) { ps = append(ps, p) })
+	return ps
+}
 
 func TestReadWriteRoundTrip(t *testing.T) {
 	m := New(true)
@@ -38,11 +49,8 @@ func TestCrossPageAccess(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatalf("cross-page round trip = %v", got)
 	}
-	if !m.PageResident(0) || !m.PageResident(1) {
-		t.Fatal("both pages must be resident")
-	}
-	if m.ResidentPages() != 2 {
-		t.Fatalf("ResidentPages = %d", m.ResidentPages())
+	if got := resident(m); !slices.Equal(got, []addr.PageNum{0, 1}) {
+		t.Fatalf("resident pages = %v, want both pages", got)
 	}
 }
 
@@ -58,17 +66,74 @@ func TestDisabledImage(t *testing.T) {
 		t.Fatal("disabled image must read zeros")
 	}
 	m.ZeroPage(0)
-	if m.ResidentPages() != 0 {
-		t.Fatal("disabled image must not materialize pages")
+	if got := resident(m); len(got) != 0 {
+		t.Fatalf("disabled image materialized pages %v", got)
 	}
 }
 
+// TestU64Helpers: the word path gives the same bytes as an 8-byte Read
+// or Write, for words inside a page, ending at its last byte, and
+// crossing into the next page, on materialized and unmaterialized
+// pages and on a disabled image.
 func TestU64Helpers(t *testing.T) {
-	m := New(true)
-	m.WriteU64(64, 0xDEADBEEFCAFE)
-	if got := m.ReadU64(64); got != 0xDEADBEEFCAFE {
-		t.Fatalf("ReadU64 = %#x", got)
+	pattern := make([]byte, 2*addr.PageSize)
+	for i := range pattern {
+		pattern[i] = byte(i*7 + 3)
 	}
+	base := addr.PageNum(1).Addr()
+	for _, img := range []struct {
+		name        string
+		store, fill bool
+	}{
+		{"materialized", true, true},
+		{"unmaterialized", true, false},
+		{"disabled", false, false},
+	} {
+		for _, off := range []addr.Phys{0, 8, 4087, 4088, 4089, 4095} {
+			a := base + off
+			word, bytewise := New(img.store), New(img.store)
+			if img.fill {
+				word.Write(base, pattern)
+				bytewise.Write(base, pattern)
+			}
+			var b [8]byte
+			bytewise.Read(a, b[:])
+			if got, want := word.ReadU64(a), binary.LittleEndian.Uint64(b[:]); got != want {
+				t.Errorf("%s +%d: ReadU64 = %#x, Read gives %#x", img.name, off, got, want)
+			}
+			const v = 0x0102030405060708
+			word.WriteU64(a, v)
+			binary.LittleEndian.PutUint64(b[:], v)
+			bytewise.Write(a, b[:])
+			if !reflect.DeepEqual(word.Snapshot(), bytewise.Snapshot()) {
+				t.Errorf("%s +%d: WriteU64 and Write leave different images", img.name, off)
+			}
+			if got, want := word.ReadU64(a), uint64(v); img.store && got != want || !img.store && got != 0 {
+				t.Errorf("%s +%d: ReadU64 after WriteU64 = %#x", img.name, off, got)
+			}
+		}
+	}
+}
+
+var sinkU64 uint64
+
+// BenchmarkReadU64Scattered reads one word from each of 512 materialized
+// pages in a fixed shuffled order, so consecutive reads never share a
+// page: the access pattern of PageRank's vertex reads.
+func BenchmarkReadU64Scattered(b *testing.B) {
+	const pages = 512
+	m := New(true)
+	addrs := make([]addr.Phys, pages)
+	for i, p := range rand.New(rand.NewSource(1)).Perm(pages) {
+		addrs[i] = addr.PageNum(p).Addr() + addr.Phys(i%64*64)
+		m.WriteU64(addrs[i], uint64(p))
+	}
+	b.ResetTimer()
+	var sum uint64
+	for i := 0; i < b.N; i++ {
+		sum += m.ReadU64(addrs[i%pages])
+	}
+	sinkU64 = sum
 }
 
 func TestZeroPage(t *testing.T) {
@@ -80,8 +145,8 @@ func TestZeroPage(t *testing.T) {
 		t.Fatal("ZeroPage did not clear contents")
 	}
 	m.ZeroPage(77) // non-resident: must not materialize
-	if m.PageResident(77) {
-		t.Fatal("ZeroPage materialized a page")
+	if got := resident(m); !slices.Equal(got, []addr.PageNum{2}) {
+		t.Fatalf("resident pages = %v: ZeroPage materialized a page", got)
 	}
 }
 
@@ -132,8 +197,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	m.Write(addr.PageNum(1).BlockAddr(0), []byte("gamma"))
 	m.Write(addr.PageNum(77).BlockAddr(0), []byte("extra"))
 	m.Restore(snap)
-	if m.ResidentPages() != 2 || m.PageResident(addr.PageNum(77)) {
-		t.Fatalf("restore kept diverged state: %d pages", m.ResidentPages())
+	if got := resident(m); !slices.Equal(got, []addr.PageNum{1, 9}) {
+		t.Fatalf("restore kept diverged state: pages %v", got)
 	}
 	m.Read(addr.PageNum(1).BlockAddr(0), got)
 	if string(got) != "alpha" {
@@ -142,8 +207,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 
 	// Nil snapshot clears everything.
 	m.Restore(nil)
-	if m.ResidentPages() != 0 {
-		t.Fatal("Restore(nil) must clear the image")
+	if got := resident(m); len(got) != 0 {
+		t.Fatalf("Restore(nil) left pages %v", got)
 	}
 }
 
@@ -154,8 +219,8 @@ func TestSnapshotRestoreDisabled(t *testing.T) {
 		t.Fatal("disabled image must snapshot to nil")
 	}
 	m.Restore(map[addr.PageNum][]byte{addr.PageNum(1): make([]byte, addr.PageSize)})
-	if m.ResidentPages() != 0 {
-		t.Fatal("disabled image must ignore restored pages")
+	if got := resident(m); len(got) != 0 {
+		t.Fatalf("disabled image restored pages %v", got)
 	}
 }
 
