@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race faults obs banks adversary merkle telemetry fuzz cover bench bench-json bench-compare bench-smoke quick-experiments experiments examples clean
+.PHONY: all build test vet race faults obs banks adversary telemetry fuzz cover bench bench-json bench-compare bench-smoke quick-experiments experiments examples clean
 
 all: build vet test race
 
@@ -32,7 +32,7 @@ test:
 # The purego line checks crypto/aes's generic Go code, which hosts without
 # AES instructions run, against the FIPS vectors, EncryptRef and the pad
 # differential tests.
-race: vet faults obs adversary merkle telemetry bench-smoke
+race: vet faults obs adversary telemetry bench-smoke
 	$(GO) test -race ./...
 	$(GO) test -tags purego ./internal/aes ./internal/ctr
 	cd bench && $(GO) test ./...
@@ -83,22 +83,6 @@ adversary:
 	@out=$$($(GO) run ./cmd/leakscan -attack replay -personality encrypted -format json 2>/dev/null); st=$$?; \
 		if [ $$st -ne 1 ]; then echo "leakscan -attack: exit $$st, want 1 (leak verdict)"; exit 1; fi; \
 		printf '%s\n' "$$out" | diff -u cmd/leakscan/testdata/attack_replay_encrypted.json -
-
-# Integrity-engine gate, folded into tier-1 `race`: the per-level Merkle
-# sweep must reproduce its golden byte for byte at any sweep width (the
-# per-level figure is rebuilt from the event bus, so this pins the
-# engines' event streams too), and the adversary matrix must be
-# invariant under the cached engine — lazy root maintenance may move
-# hash work, never detection outcomes. Regenerate the golden after an
-# intentional change with the first command redirected into
-# testdata/golden/experiments_merkle.txt.
-merkle:
-	$(GO) run ./cmd/experiments -quick -cores 2 -scale 64 -parallel 1 merkle 2>/dev/null \
-		| diff -u testdata/golden/experiments_merkle.txt -
-	$(GO) run ./cmd/experiments -quick -cores 2 -scale 64 -parallel 4 merkle 2>/dev/null \
-		| diff -u testdata/golden/experiments_merkle.txt -
-	$(GO) run ./cmd/experiments -quick -cores 2 -scale 64 -parallel 1 -integrity-engine cached adversary 2>/dev/null \
-		| diff -u testdata/golden/experiments_adversary.txt -
 
 # Latency-provenance gate, folded into tier-1 `race`: the span and
 # telemetry package tests (spans-disabled AllocsPerRun proof, the

@@ -26,6 +26,7 @@ import (
 	"silentshredder/internal/memctrl"
 	"silentshredder/internal/obs"
 	"silentshredder/internal/obscli"
+	"silentshredder/internal/sim"
 	"silentshredder/internal/stats"
 )
 
@@ -44,7 +45,7 @@ func main() {
 	flag.IntVar(&o.BankDrainBatch, "bank-drain", 0,
 		"writes drained back-to-back when a bank queue fills (0 = default batch)")
 	integrityEngine := flag.String("integrity-engine", "eager",
-		"integrity engine for Merkle-enabled machines: eager | cached (output is engine-invariant where pinned by goldens)")
+		"Merkle tree update scheme for machines with the tree enabled: eager | cached (merkle runs both either way and adversary prints the same matrix; cached changes latency's mmu, integrity and other cells and its merkle_flush means)")
 	var workloads string
 	flag.StringVar(&workloads, "workloads", "", "comma-separated subset for fig8-fig11 (default: all 29)")
 	var format string
@@ -63,12 +64,16 @@ func main() {
 		os.Exit(2)
 	}
 
-	engine, err := integrity.ParseEngineKind(*integrityEngine)
+	engine, err := integrity.ParseEngine(*integrityEngine)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
 	o.IntegrityEngine = engine
+	if err := sim.ScaledConfig(memctrl.SilentShredder, kernel.ZeroShred, o.Scale).ValidateCaches(); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: -scale %d: %v\n", o.Scale, err)
+		os.Exit(2)
+	}
 
 	stopProf, err := profCfg.Start()
 	if err != nil {

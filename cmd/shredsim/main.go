@@ -32,6 +32,7 @@ import (
 	"silentshredder/internal/memctrl"
 	"silentshredder/internal/obs"
 	"silentshredder/internal/obscli"
+	"silentshredder/internal/sim"
 	"silentshredder/internal/stats"
 	"silentshredder/internal/telemetry"
 	"silentshredder/internal/workloads/spec"
@@ -50,7 +51,7 @@ func main() {
 
 		deuce     = flag.Bool("deuce", false, "enable DEUCE partial re-encryption")
 		integrity = flag.Bool("integrity", false, "enable the Bonsai Merkle counter tree")
-		intEngine = flag.String("integrity-engine", "eager", "integrity engine when the Merkle tree is enabled: eager | cached")
+		intEngine = flag.String("integrity-engine", "eager", "Merkle tree update scheme with -integrity: eager | cached (cached changes merkle.hash_ops and adds the merkle verify_hits, flushes and flush_hashes stats)")
 		ccSize    = flag.Int("counter-cache", 0, "counter cache bytes (0 = Table 1 / scale)")
 		wt        = flag.Bool("write-through", false, "write-through counter cache (no battery needed)")
 		saveNVM   = flag.String("save-nvm", "", "after the run, write a memory-state checkpoint (DIMM image) to this file (single workload only)")
@@ -86,7 +87,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "shredsim: %v\n", err)
 		os.Exit(2)
 	}
-	engine, err := intg.ParseEngineKind(*intEngine)
+	engine, err := intg.ParseEngine(*intEngine)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "shredsim: %v\n", err)
 		os.Exit(2)
@@ -131,7 +132,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "shredsim: shred zeroing requires -mode ss")
 		os.Exit(2)
 	}
-	if err := checkMachine(*cores, *scale); err != nil {
+	if err := checkMachine(*cores, *scale, *ccSize); err != nil {
 		fmt.Fprintf(os.Stderr, "shredsim: %v\n", err)
 		os.Exit(2)
 	}
@@ -326,15 +327,27 @@ func report(name string, mcMode memctrl.Mode, zm kernel.ZeroMode, cores, scale i
 	return b.String()
 }
 
-// checkMachine rejects a -cores or -scale below 1. exper.Options would
-// run such a machine at its default size, while the report would print
-// the rejected value.
-func checkMachine(cores, scale int) error {
+// checkMachine rejects a machine shredsim cannot run as asked: a -cores
+// or -scale below 1, which exper.Options would run at its default size
+// while the report printed the rejected value, and a -scale or
+// -counter-cache that leaves a cache with a geometry the simulator
+// cannot build (a -scale that is not a power of two, or a counter-cache
+// size that is not a power-of-two number of 512-byte sets).
+func checkMachine(cores, scale, counterCache int) error {
 	if cores < 1 {
 		return fmt.Errorf("-cores must be at least 1, got %d", cores)
 	}
 	if scale < 1 {
 		return fmt.Errorf("-scale must be at least 1, got %d", scale)
+	}
+	cfg := sim.ScaledConfig(memctrl.SilentShredder, kernel.ZeroShred, scale)
+	flags := fmt.Sprintf("-scale %d", scale)
+	if counterCache > 0 {
+		cfg.MemCtrl.CounterCache.Size = counterCache
+		flags += fmt.Sprintf(" with -counter-cache %d", counterCache)
+	}
+	if err := cfg.ValidateCaches(); err != nil {
+		return fmt.Errorf("%s: %w", flags, err)
 	}
 	return nil
 }

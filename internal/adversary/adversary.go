@@ -160,11 +160,12 @@ type Config struct {
 	// ScavengerMax caps the crash cuts sampled inside shred/re-encrypt
 	// windows (0 = 12).
 	ScavengerMax int
-	// Engine selects the integrity engine the merkle defender runs
-	// (EngineEager = the default eager tree). The lazy engine must
-	// detect every attack the eager one does — the matrix output is
-	// engine-invariant, which the merkle gate pins.
-	Engine integrity.EngineKind
+	// Engine is the dirty-cache capacity of the merkle defender's
+	// integrity tree (integrity.Config.DirtyCacheNodes): 0, the
+	// default, is the eager tree. A lazy tree must detect every attack
+	// the eager one does — the matrix output is the same for any
+	// capacity, which exper.TestIntegrityGoldens pins.
+	Engine int
 	// Bus, when non-nil, receives attack_attempt / attack_detected /
 	// attack_leak events in engine program order.
 	Bus *obs.Bus
@@ -194,7 +195,7 @@ func (c Config) machineConfig() sim.Config {
 	cfg.MemCtrl.CounterCache.WriteThrough = true
 	cfg.MemCtrl.DisableEncryption = c.Personality.DisableEncryption
 	cfg.MemCtrl.Integrity = c.Personality.Integrity
-	cfg.MemCtrl.IntegrityCfg.Engine = c.Engine
+	cfg.MemCtrl.IntegrityCfg.DirtyCacheNodes = c.Engine
 	cfg.MemCtrl.Policy = c.Policy
 	return cfg
 }

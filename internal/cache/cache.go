@@ -167,19 +167,29 @@ type Cache struct {
 	hits, misses, evictions, dirtyEvictions stats.Counter
 }
 
-// New creates a cache. It panics on a malformed geometry, since cache
-// geometry is static configuration.
-func New(cfg Config) *Cache {
+// Validate reports whether cfg is a geometry New accepts: a positive
+// size that is a whole number of sets, a power-of-two set count, and an
+// associativity of at most 2^16.
+func (cfg Config) Validate() error {
 	if cfg.Assoc <= 0 || cfg.Size <= 0 || cfg.Size%(cfg.Assoc*addr.BlockSize) != 0 {
-		panic(fmt.Sprintf("cache %s: invalid geometry size=%d assoc=%d", cfg.Name, cfg.Size, cfg.Assoc))
+		return fmt.Errorf("cache %s: invalid geometry size=%d assoc=%d", cfg.Name, cfg.Size, cfg.Assoc)
 	}
-	nsets := cfg.Size / (cfg.Assoc * addr.BlockSize)
-	if bits.OnesCount(uint(nsets)) != 1 {
-		panic(fmt.Sprintf("cache %s: set count %d not a power of two", cfg.Name, nsets))
+	if nsets := cfg.Size / (cfg.Assoc * addr.BlockSize); bits.OnesCount(uint(nsets)) != 1 {
+		return fmt.Errorf("cache %s: set count %d not a power of two", cfg.Name, nsets)
 	}
 	if cfg.Assoc > 1<<16 {
-		panic(fmt.Sprintf("cache %s: associativity %d too large", cfg.Name, cfg.Assoc))
+		return fmt.Errorf("cache %s: associativity %d too large", cfg.Name, cfg.Assoc)
 	}
+	return nil
+}
+
+// New creates a cache. It panics on a geometry Validate rejects, since
+// cache geometry is static configuration.
+func New(cfg Config) *Cache {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
+	nsets := cfg.Size / (cfg.Assoc * addr.BlockSize)
 	ways := make([]Way, nsets*cfg.Assoc)
 	for i := range ways {
 		ways[i] = emptyWay

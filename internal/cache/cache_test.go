@@ -19,6 +19,9 @@ func TestGeometryValidation(t *testing.T) {
 		{Name: "bad", Size: 64 * 3 * 2, Assoc: 2}, // 3 sets, not power of two
 		{Name: "bad", Size: 256, Assoc: 0},
 	} {
+		if cfg.Validate() == nil {
+			t.Errorf("config %+v: Validate accepted it", cfg)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -27,6 +30,9 @@ func TestGeometryValidation(t *testing.T) {
 			}()
 			New(cfg)
 		}()
+	}
+	if err := (Config{Name: "t", Size: 256, Assoc: 2}).Validate(); err != nil {
+		t.Fatalf("Validate rejected a 2-set, 2-way cache: %v", err)
 	}
 	if got := tiny().NumSets(); got != 2 {
 		t.Fatalf("NumSets = %d", got)

@@ -96,15 +96,15 @@ type Cache struct {
 // traffic is issued to dev at RegionBase-relative addresses).
 func New(cfg Config, dev *nvm.Device) *Cache {
 	return &Cache{
-		cfg: cfg,
-		tags: cache.New(cache.Config{
-			Name:       "ctrcache",
-			Size:       cfg.Size,
-			Assoc:      cfg.Assoc,
-			HitLatency: cfg.HitLatency,
-		}),
-		dev: dev,
+		cfg:  cfg,
+		tags: cache.New(cfg.Tags()),
+		dev:  dev,
 	}
+}
+
+// Tags returns the geometry of the counter cache's tag store.
+func (c Config) Tags() cache.Config {
+	return cache.Config{Name: "ctrcache", Size: c.Size, Assoc: c.Assoc, HitLatency: c.HitLatency}
 }
 
 // Config returns the configuration.

@@ -11,7 +11,6 @@ import (
 	"silentshredder/internal/addr"
 	"silentshredder/internal/apprt"
 	"silentshredder/internal/fault"
-	"silentshredder/internal/integrity"
 	"silentshredder/internal/kernel"
 	"silentshredder/internal/memctrl"
 	"silentshredder/internal/obs"
@@ -53,11 +52,13 @@ type Options struct {
 	// BankDrainBatch sets the full-queue drain batch under the banked
 	// model (0 = nvm.DefaultBankDrainBatch).
 	BankDrainBatch int
-	// IntegrityEngine selects the integrity engine for machines that
-	// enable the Merkle tree (the `-integrity-engine` flag). The zero
-	// value (EngineEager) keeps the classic eager tree — and
-	// byte-identical default output.
-	IntegrityEngine integrity.EngineKind
+	// IntegrityEngine is the dirty-cache capacity
+	// (integrity.Config.DirtyCacheNodes) of machines that enable the
+	// Merkle tree (the `-integrity-engine` flag, via
+	// integrity.ParseEngine). The zero value keeps the eager tree — and
+	// byte-identical default output. The merkle sweep sets its own
+	// capacities and ignores this one.
+	IntegrityEngine int
 	// Profile, when non-nil, collects host wall-time phase timers and
 	// per-run duration histograms over every sweep run through this
 	// Options value (the `-obs-phase` flag). Host-time measurement only:
@@ -115,8 +116,8 @@ func (o Options) applyMachine(cfg *sim.Config) {
 	if o.BankDrainBatch > 0 {
 		cfg.NVM.BankDrainBatch = o.BankDrainBatch
 	}
-	if o.IntegrityEngine != integrity.EngineEager {
-		cfg.MemCtrl.IntegrityCfg.Engine = o.IntegrityEngine
+	if o.IntegrityEngine != 0 {
+		cfg.MemCtrl.IntegrityCfg.DirtyCacheNodes = o.IntegrityEngine
 	}
 }
 

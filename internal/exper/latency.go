@@ -63,7 +63,6 @@ func latencyRun(o Options, name string, mode memctrl.Mode, zm kernel.ZeroMode) L
 		Depth:        merkleDepth,
 		CachedLevels: merkleCached,
 		HashLatency:  40,
-		Engine:       integrity.EngineEager,
 	}
 	// Undersized counter cache, as in the merkle sweep: the churn
 	// footprint must force counter misses so the shred rows show their

@@ -1,5 +1,7 @@
 // The `experiments merkle` sweep: per-level Merkle traffic of the two
-// integrity engines over one write-heavy checked workload.
+// integrity engines — the tree at dirty-cache capacity 0 (eager) and at
+// integrity.DefaultDirtyCacheNodes (cached) — over one write-heavy
+// checked workload.
 //
 // Both engines replay the SAME seeded oracle workload on the same
 // machine geometry, with the oracle and the machine-wide invariant
@@ -73,10 +75,10 @@ func merkleWorkload(o Options, seed int64) oracle.Workload {
 // grow it (shrinking would guarantee the wrap error below).
 const merkleRingMin = 1 << 21
 
-// merkleRun replays the workload with the given engine and reconstructs
-// the per-level traffic from the machine's event bus. A wrapped ring is
-// an error, not a truncated figure.
-func merkleRun(o Options, w oracle.Workload, engine integrity.EngineKind, ringCap int) (MerkleRow, error) {
+// merkleRun replays the workload on a tree with the given dirty-cache
+// capacity and reconstructs the per-level traffic from the machine's
+// event bus. A wrapped ring is an error, not a truncated figure.
+func merkleRun(o Options, w oracle.Workload, dirtyCacheNodes int, ringCap int) (MerkleRow, error) {
 	// A private bus per run: the per-level figure is rebuilt from the
 	// event stream, so it must never wrap. The capacity is checked
 	// after the run rather than trusted.
@@ -90,10 +92,10 @@ func merkleRun(o Options, w oracle.Workload, engine integrity.EngineKind, ringCa
 	o.applyMachine(&cfg)
 	cfg.MemCtrl.Integrity = true
 	cfg.MemCtrl.IntegrityCfg = integrity.Config{
-		Depth:        merkleDepth,
-		CachedLevels: merkleCached,
-		HashLatency:  40,
-		Engine:       engine,
+		Depth:           merkleDepth,
+		CachedLevels:    merkleCached,
+		HashLatency:     40,
+		DirtyCacheNodes: dirtyCacheNodes,
 	}
 	// Undersize the counter cache so the workload's footprint forces
 	// evictions (per-page persist propagation) and miss-path
@@ -112,13 +114,14 @@ func merkleRun(o Options, w oracle.Workload, engine integrity.EngineKind, ringCa
 	m.Hier.FlushAll()
 	m.MC.Flush()
 
+	engine := integrity.EngineName(dirtyCacheNodes)
 	if n := bus.Dropped(); n > 0 {
 		return MerkleRow{}, fmt.Errorf(
 			"exper: merkle sweep (%s) event ring wrapped: %d of the events the per-level figure is built from were dropped; re-run with -obs-ring %d (or larger)",
 			engine, n, 2*ringCap)
 	}
 	row := MerkleRow{
-		Engine:   engine.String(),
+		Engine:   engine,
 		PerLevel: make([]uint64, merkleDepth+1),
 	}
 	for _, ev := range bus.Events() {
@@ -148,15 +151,16 @@ func merkleRun(o Options, w oracle.Workload, engine integrity.EngineKind, ringCa
 	if n := m.MC.IntegrityFailures(); n > 0 {
 		return MerkleRow{}, fmt.Errorf("exper: merkle sweep (%s): %d authentic counter fetches failed verification", engine, n)
 	}
-	eng := m.MC.IntegrityEngine()
-	row.HashOps = eng.HashOps()
-	root := eng.Root()
+	tree := m.MC.IntegrityEngine()
+	row.HashOps = tree.HashOps()
+	root := tree.Root()
 	row.Root = hex.EncodeToString(root[:8])
 	return row, nil
 }
 
-// MerkleEngines is the sweep's engine axis, eager first.
-var MerkleEngines = []integrity.EngineKind{integrity.EngineEager, integrity.EngineCached}
+// MerkleEngines is the sweep's engine axis as dirty-cache capacities,
+// eager (0) first.
+var MerkleEngines = []int{0, integrity.DefaultDirtyCacheNodes}
 
 // MerkleSweep runs the shared workload under each engine. The two runs
 // are independent machines and fan out across the sweep worker pool.

@@ -74,7 +74,7 @@ func TestMerkleSweep(t *testing.T) {
 func TestMerkleRunRingWrap(t *testing.T) {
 	o := Options{Quick: true, Scale: 64, Parallel: 1}.normalized()
 	w := merkleWorkload(o, 42)
-	_, err := merkleRun(o, w, integrity.EngineEager, 64)
+	_, err := merkleRun(o, w, 0, 64)
 	if err == nil {
 		t.Fatal("merkleRun with a 64-event ring reported no wrap")
 	}
@@ -101,7 +101,7 @@ func TestAdversaryMatrixEngineInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := AdversaryMatrix(Options{Parallel: 2, IntegrityEngine: integrity.EngineCached}, 42, attacks)
+	cached, err := AdversaryMatrix(Options{Parallel: 2, IntegrityEngine: integrity.DefaultDirtyCacheNodes}, 42, attacks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // caused it. BenchmarkUpdate is one uncoalesced update: the leaf hash
 // plus its settle.
 func BenchmarkUpdate(b *testing.B) {
-	t := NewTree(DefaultConfig())
+	t := New(DefaultConfig())
 	var blk [ctr.CounterBlockSize]byte
 	for i := 0; i < b.N; i++ {
 		blk[0] = byte(i)
@@ -23,7 +23,7 @@ func BenchmarkUpdate(b *testing.B) {
 }
 
 func BenchmarkVerify(b *testing.B) {
-	t := NewTree(DefaultConfig())
+	t := New(DefaultConfig())
 	var blk [ctr.CounterBlockSize]byte
 	t.Update(7, blk)
 	b.ResetTimer()
@@ -32,13 +32,14 @@ func BenchmarkVerify(b *testing.B) {
 	}
 }
 
-// benchEngines runs fn once per engine kind as a sub-benchmark, so every
-// engine benchmark below reports an eager/cached pair.
-func benchEngines(b *testing.B, fn func(b *testing.B, e Engine)) {
-	for _, kind := range []EngineKind{EngineEager, EngineCached} {
-		b.Run(kind.String(), func(b *testing.B) {
+// benchEngines runs fn once per CLI-selectable dirty-cache capacity as a
+// sub-benchmark, so every engine benchmark below reports an eager/cached
+// pair.
+func benchEngines(b *testing.B, fn func(b *testing.B, e *Tree)) {
+	for _, capacity := range []int{0, DefaultDirtyCacheNodes} {
+		b.Run(EngineName(capacity), func(b *testing.B) {
 			cfg := DefaultConfig()
-			cfg.Engine = kind
+			cfg.DirtyCacheNodes = capacity
 			fn(b, New(cfg))
 		})
 	}
@@ -48,7 +49,7 @@ func benchEngines(b *testing.B, fn func(b *testing.B, e Engine)) {
 // a persist barrier per burst — the coalescing case the lazy engine is
 // built for.
 func BenchmarkEngineUpdateBurst(b *testing.B) {
-	benchEngines(b, func(b *testing.B, e Engine) {
+	benchEngines(b, func(b *testing.B, e *Tree) {
 		var blk [ctr.CounterBlockSize]byte
 		for i := 0; i < b.N; i++ {
 			blk[0] = byte(i)
@@ -65,7 +66,7 @@ func BenchmarkEngineUpdateBurst(b *testing.B) {
 
 // The counter-fetch read path: repeated verification of a settled page.
 func BenchmarkEngineVerifyHit(b *testing.B) {
-	benchEngines(b, func(b *testing.B, e Engine) {
+	benchEngines(b, func(b *testing.B, e *Tree) {
 		var blk [ctr.CounterBlockSize]byte
 		e.Update(7, blk)
 		e.PersistBarrier()
@@ -84,7 +85,7 @@ func BenchmarkEngineVerifyHit(b *testing.B) {
 func BenchmarkEngineCoalescedFlush(b *testing.B) {
 	for _, leaves := range []int{16, 256} {
 		b.Run(fmt.Sprintf("leaves%d", leaves), func(b *testing.B) {
-			benchEngines(b, func(b *testing.B, e Engine) {
+			benchEngines(b, func(b *testing.B, e *Tree) {
 				var blk [ctr.CounterBlockSize]byte
 				for i := 0; i < b.N; i++ {
 					blk[0] = byte(i)
@@ -104,7 +105,7 @@ func BenchmarkEngineCoalescedFlush(b *testing.B) {
 // the pages interleaved, and then one barrier persists the counters.
 func BenchmarkEngineWritebackFlush(b *testing.B) {
 	const pages, perPage = 300, 60
-	benchEngines(b, func(b *testing.B, e Engine) {
+	benchEngines(b, func(b *testing.B, e *Tree) {
 		var blk [ctr.CounterBlockSize]byte
 		for i := 0; i < b.N; i++ {
 			for u := 0; u < perPage; u++ {

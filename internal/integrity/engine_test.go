@@ -2,9 +2,11 @@ package integrity
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"silentshredder/internal/addr"
+	"silentshredder/internal/clock"
 	"silentshredder/internal/obs"
 )
 
@@ -12,35 +14,71 @@ func smallConfig() Config {
 	return Config{Depth: 8, CachedLevels: 3, HashLatency: 40}
 }
 
-func engines(t *testing.T, cfg Config) map[string]Engine {
-	t.Helper()
-	eager, cached := cfg, cfg
-	eager.Engine = EngineEager
-	cached.Engine = EngineCached
-	return map[string]Engine{"eager": New(eager), "cached": New(cached)}
+// withCapacity returns cfg with the given dirty-cache capacity.
+func withCapacity(cfg Config, dirtyCacheNodes int) Config {
+	cfg.DirtyCacheNodes = dirtyCacheNodes
+	return cfg
 }
 
-func TestParseEngineKind(t *testing.T) {
-	for _, k := range []EngineKind{EngineEager, EngineCached} {
-		got, err := ParseEngineKind(k.String())
-		if err != nil || got != k {
-			t.Fatalf("round trip %v: got %v, %v", k, got, err)
+// engines builds the two trees the CLIs can select, keyed by spelling.
+func engines(t *testing.T, cfg Config) map[string]*Tree {
+	t.Helper()
+	return map[string]*Tree{
+		"eager":  New(withCapacity(cfg, 0)),
+		"cached": New(withCapacity(cfg, DefaultDirtyCacheNodes)),
+	}
+}
+
+// The two -integrity-engine spellings map to capacities 0 and
+// DefaultDirtyCacheNodes and back; anything else is an error.
+func TestParseEngine(t *testing.T) {
+	for name, want := range map[string]int{"eager": 0, "cached": DefaultDirtyCacheNodes} {
+		got, err := ParseEngine(name)
+		if err != nil || got != want {
+			t.Fatalf("ParseEngine(%q) = %d, %v; want %d", name, got, err, want)
+		}
+		if back := EngineName(got); back != name {
+			t.Fatalf("EngineName(%d) = %q, want %q", got, back, name)
 		}
 	}
-	if _, err := ParseEngineKind("nope"); err == nil {
+	if _, err := ParseEngine("nope"); err == nil {
 		t.Fatal("want error for unknown engine name")
 	}
 }
 
+// New's one knob: capacity 0 builds the eager tree (no dirty cache, an
+// update charged the full path and announced as Depth+1 hashes), a
+// positive capacity the lazy tree (an update charged one leaf hash), and
+// a negative capacity panics.
 func TestFactorySelectsEngine(t *testing.T) {
-	if _, ok := New(smallConfig()).(*Tree); !ok {
-		t.Fatal("zero-value Engine must build the eager Tree")
-	}
 	cfg := smallConfig()
-	cfg.Engine = EngineCached
-	if _, ok := New(cfg).(*CachedTree); !ok {
-		t.Fatal("EngineCached must build the CachedTree")
+	for _, tc := range []struct {
+		capacity int
+		path     uint64
+	}{{0, uint64(cfg.Depth + 1)}, {1, 1}, {DefaultDirtyCacheNodes, 1}} {
+		tr := New(withCapacity(cfg, tc.capacity))
+		if (tr.dirty == nil) != (tc.capacity == 0) {
+			t.Fatalf("capacity %d: dirty cache present = %v", tc.capacity, tr.dirty != nil)
+		}
+		bus := obs.NewBus(obs.Config{})
+		tr.SetBus(bus)
+		if lat := tr.Update(5, blockWith(1)); lat != clock.Cycles(tc.path)*cfg.HashLatency {
+			t.Fatalf("capacity %d: update latency %d, want %d hashes", tc.capacity, lat, tc.path)
+		}
+		evs := bus.Events()
+		if len(evs) != 1 || evs[0].Kind != obs.EvMerkleUpdate || evs[0].Arg != tc.path {
+			t.Fatalf("capacity %d: update events %+v, want one merkle_update with Arg %d", tc.capacity, evs, tc.path)
+		}
+		if tr.HashOps() != tc.path {
+			t.Fatalf("capacity %d: hash_ops %d, want %d", tc.capacity, tr.HashOps(), tc.path)
+		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("want panic for a negative dirty-cache capacity")
+		}
+	}()
+	New(withCapacity(cfg, -1))
 }
 
 // The eager Verify stat must match the modeled Bonsai cost: the walk
@@ -48,7 +86,7 @@ func TestFactorySelectsEngine(t *testing.T) {
 // Depth-CachedLevels+1 per verification — not Depth+1 (the pre-engine
 // overcount this PR fixes).
 func TestVerifyHashOpsMatchBonsaiCost(t *testing.T) {
-	tr := NewTree(Config{Depth: 24, CachedLevels: 10, HashLatency: 40})
+	tr := New(Config{Depth: 24, CachedLevels: 10, HashLatency: 40})
 	tr.Update(7, blockWith(1))
 	before := tr.HashOps()
 	if ok, _ := tr.Verify(7, blockWith(1)); !ok {
@@ -130,9 +168,8 @@ func TestEngineReplayDetectionEquivalence(t *testing.T) {
 // verify path must short-circuit at the dirty cache.
 func TestCachedTreeCoalesces(t *testing.T) {
 	cfg := smallConfig()
-	eager := NewTree(cfg)
-	cfg.Engine = EngineCached
-	cached := NewCachedTree(cfg)
+	eager := New(cfg)
+	cached := New(withCapacity(cfg, DefaultDirtyCacheNodes))
 	for i := 0; i < 64; i++ {
 		p := addr.PageNum(i % 4)
 		eager.Update(p, blockWith(byte(i+1)))
@@ -159,9 +196,8 @@ func TestCachedTreeCoalesces(t *testing.T) {
 
 // A second barrier with nothing pending must be free and keep the root.
 func TestPersistBarrierIdempotent(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Engine = EngineCached
-	cached := NewCachedTree(cfg)
+	cfg := withCapacity(smallConfig(), DefaultDirtyCacheNodes)
+	cached := New(cfg)
 	cached.Update(1, blockWith(1))
 	cached.PersistBarrier()
 	r := cached.Root()
@@ -175,9 +211,8 @@ func TestPersistBarrierIdempotent(t *testing.T) {
 // Persisted propagates exactly the named page: its block then verifies
 // via the tree path, while other pages stay pending in the dirty cache.
 func TestPersistedPropagatesSinglePage(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Engine = EngineCached
-	cached := NewCachedTree(cfg)
+	cfg := withCapacity(smallConfig(), DefaultDirtyCacheNodes)
+	cached := New(cfg)
 	cached.Update(2, blockWith(2))
 	cached.Update(40, blockWith(3))
 	cached.Persisted(2)
@@ -204,14 +239,28 @@ func TestPersistedPropagatesSinglePage(t *testing.T) {
 // The dirty cache is bounded: overflowing it forces a coalescing
 // propagation instead of unbounded growth.
 func TestDirtyCacheOverflowForcesBarrier(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Engine = EngineCached
-	cfg.DirtyCacheNodes = 8
-	cached := NewCachedTree(cfg)
+	cfg := withCapacity(smallConfig(), 8)
+	cached := New(cfg)
+	bus := obs.NewBus(obs.Config{})
+	cached.SetBus(bus)
 	for i := 0; i < 32; i++ {
+		n := len(bus.Events())
 		cached.Update(addr.PageNum(i), blockWith(byte(i+1)))
 		if len(cached.dirty) > cfg.DirtyCacheNodes {
 			t.Fatalf("dirty cache grew to %d > cap %d", len(cached.dirty), cfg.DirtyCacheNodes)
+		}
+		// The first overflowing update is announced before the flush
+		// events of the barrier it forces, one per level.
+		if i == cfg.DirtyCacheNodes {
+			evs := bus.Events()[n:]
+			if len(evs) != 1+cfg.Depth || evs[0].Kind != obs.EvMerkleUpdate {
+				t.Fatalf("overflowing update emitted %+v, want merkle_update then %d merkle_flush", evs, cfg.Depth)
+			}
+			for _, ev := range evs[1:] {
+				if ev.Kind != obs.EvMerkleFlush {
+					t.Fatalf("overflowing update emitted %+v, want merkle_update then %d merkle_flush", evs, cfg.Depth)
+				}
+			}
 		}
 	}
 	// Re-dirtying an already-pending page must not force a flush.
@@ -229,9 +278,8 @@ func TestDirtyCacheOverflowForcesBarrier(t *testing.T) {
 // The cached engine's flush events must account for exactly its
 // propagation hash ops, level by level.
 func TestFlushEventsMatchFlushHashes(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Engine = EngineCached
-	cached := NewCachedTree(cfg)
+	cfg := withCapacity(smallConfig(), DefaultDirtyCacheNodes)
+	cached := New(cfg)
 	bus := obs.NewBus(obs.Config{})
 	cached.SetBus(bus)
 	for i := 0; i < 10; i++ {
@@ -253,26 +301,36 @@ func TestFlushEventsMatchFlushHashes(t *testing.T) {
 	}
 }
 
+// The stat set's shape is part of the digest contract: the eager tree
+// registers exactly its three counters, so its dump and the benchmark
+// digests do not change, and the lazy tree adds its three dirty-cache
+// counters. ResetStats zeroes them all and keeps the authenticated state.
 func TestCachedStatsAndReset(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Engine = EngineCached
-	cached := NewCachedTree(cfg)
-	cached.Update(1, blockWith(1))
-	cached.Verify(1, blockWith(1))
-	cached.PersistBarrier()
-	s := cached.StatsSet()
-	for _, name := range []string{"updates", "verifies", "hash_ops", "verify_hits", "flushes", "flush_hashes"} {
-		if _, ok := s.Get(name); !ok {
-			t.Fatalf("stat %q not registered", name)
+	eager := []string{"updates", "verifies", "hash_ops"}
+	for _, tc := range []struct {
+		capacity int
+		names    []string
+	}{
+		{0, eager},
+		{DefaultDirtyCacheNodes, append(eager, "verify_hits", "flushes", "flush_hashes")},
+	} {
+		tr := New(withCapacity(smallConfig(), tc.capacity))
+		tr.Update(1, blockWith(1))
+		tr.Verify(1, blockWith(1))
+		tr.PersistBarrier()
+		s := tr.StatsSet()
+		if got := s.Names(); !reflect.DeepEqual(got, tc.names) {
+			t.Fatalf("capacity %d: registered stats %v, want %v", tc.capacity, got, tc.names)
 		}
-	}
-	cached.ResetStats()
-	if cached.HashOps() != 0 || cached.flushHashes.Value() != 0 {
-		t.Fatal("ResetStats must zero every counter")
-	}
-	// Reset clears statistics, never authenticated state.
-	if ok, _ := cached.Verify(1, blockWith(1)); !ok {
-		t.Fatal("state must survive ResetStats")
+		tr.ResetStats()
+		for _, name := range tc.names {
+			if v, _ := s.Get(name); v != 0 {
+				t.Fatalf("capacity %d: %s = %v after ResetStats, want 0", tc.capacity, name, v)
+			}
+		}
+		if ok, _ := tr.Verify(1, blockWith(1)); !ok {
+			t.Fatalf("capacity %d: state must survive ResetStats", tc.capacity)
+		}
 	}
 }
 

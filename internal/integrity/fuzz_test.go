@@ -8,16 +8,18 @@ import (
 	"silentshredder/internal/ctr"
 )
 
-// FuzzEngineEquivalence drives both engines through the same
-// fuzzer-chosen operation script — updates, per-page persists, barriers,
-// interleaved verifications — and requires that they never disagree: on
-// every verification verdict, on replay detection, and on the root
-// register once the cached engine's pending work is drained. A step
-// whose top bit is set also checks the eager root against the
-// from-scratch reference, so the eager engine's deferred host rehash is
-// observed at arbitrary points. The script is one byte per step; the
-// seed derives page numbers and block values deterministically so any
-// corpus entry replays exactly.
+// FuzzEngineEquivalence drives the eager tree (dirty-cache capacity 0)
+// and a lazy tree through the same fuzzer-chosen operation script —
+// updates, per-page persists, barriers, interleaved verifications — and
+// requires that they never disagree: on every verification verdict, on
+// replay detection, and on the root register once the lazy tree's
+// pending work is drained. A step whose top bit is set also checks the
+// eager root against the from-scratch reference, so the eager tree's
+// deferred host rehash is observed at arbitrary points. The script is
+// one byte per step; the seed derives the lazy tree's capacity (1–32,
+// so capacity 1 forces a propagation on almost every update), page
+// numbers and block values deterministically so any corpus entry
+// replays exactly.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3})
 	f.Add(int64(42), []byte{0, 0, 0, 0, 2, 1, 1, 3, 2, 0})
@@ -26,10 +28,9 @@ func FuzzEngineEquivalence(f *testing.F) {
 		if len(script) > 512 {
 			script = script[:512]
 		}
-		cfg := Config{Depth: 8, CachedLevels: 3, HashLatency: 40, DirtyCacheNodes: 16}
-		eager := NewTree(cfg)
-		cfg.Engine = EngineCached
-		cached := NewCachedTree(cfg)
+		cfg := Config{Depth: 8, CachedLevels: 3, HashLatency: 40}
+		eager := New(cfg)
+		cached := New(withCapacity(cfg, int(uint64(seed)%32)+1))
 		rng := rand.New(rand.NewSource(seed))
 		current := map[addr.PageNum][ctr.CounterBlockSize]byte{}
 

@@ -9,7 +9,7 @@ import (
 )
 
 func smallTree() *Tree {
-	return NewTree(Config{Depth: 8, CachedLevels: 3, HashLatency: 40})
+	return New(Config{Depth: 8, CachedLevels: 3, HashLatency: 40})
 }
 
 func blockWith(b byte) [ctr.CounterBlockSize]byte {
@@ -90,14 +90,16 @@ func TestReplayDetectedProperty(t *testing.T) {
 }
 
 func TestVerifyCostUsesBonsaiCaching(t *testing.T) {
-	deep := NewTree(Config{Depth: 24, CachedLevels: 10, HashLatency: 40})
-	shallowCached := NewTree(Config{Depth: 24, CachedLevels: 0, HashLatency: 40})
-	if deep.VerifyCost() >= shallowCached.VerifyCost() {
-		t.Fatalf("cached levels must reduce verify cost: %d vs %d",
-			deep.VerifyCost(), shallowCached.VerifyCost())
+	deep := New(Config{Depth: 24, CachedLevels: 10, HashLatency: 40})
+	shallowCached := New(Config{Depth: 24, CachedLevels: 0, HashLatency: 40})
+	var zero [ctr.CounterBlockSize]byte
+	_, deepCost := deep.Verify(0, zero)
+	_, shallowCost := shallowCached.Verify(0, zero)
+	if deepCost >= shallowCost {
+		t.Fatalf("cached levels must reduce verify cost: %d vs %d", deepCost, shallowCost)
 	}
-	if deep.VerifyCost() != 15*40 {
-		t.Fatalf("VerifyCost = %d, want 600", deep.VerifyCost())
+	if deepCost != 15*40 {
+		t.Fatalf("verify cost = %d, want 600", deepCost)
 	}
 }
 
@@ -109,18 +111,22 @@ func TestUpdateLatency(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic for bad depth")
-		}
-	}()
-	NewTree(Config{Depth: 0})
+	for _, cfg := range []Config{{Depth: 0}, {Depth: 41}, {Depth: 8, DirtyCacheNodes: -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("want panic for %+v", cfg)
+				}
+			}()
+			New(cfg)
+		}()
+	}
 }
 
 func TestCachedLevelsClamped(t *testing.T) {
-	tr := NewTree(Config{Depth: 4, CachedLevels: 99, HashLatency: 1})
-	if tr.VerifyCost() != 1 {
-		t.Fatalf("clamped verify cost = %d", tr.VerifyCost())
+	tr := New(Config{Depth: 4, CachedLevels: 99, HashLatency: 1})
+	if _, cost := tr.Verify(0, [ctr.CounterBlockSize]byte{}); cost != 1 {
+		t.Fatalf("clamped verify cost = %d", cost)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"silentshredder/internal/addr"
-	"silentshredder/internal/ctr"
 )
 
 // ReplayError reports that a counter block failed authentication against
@@ -25,27 +24,4 @@ type ReplayError struct {
 
 func (e *ReplayError) Error() string {
 	return fmt.Sprintf("integrity: counter block of %v (major=%d) fails authentication against the Merkle root: stale or forged counters replayed", e.Page, e.Major)
-}
-
-// consistencyChecker is the slice of Engine that authenticate needs.
-type consistencyChecker interface {
-	ConsistentWith(p addr.PageNum, block [ctr.CounterBlockSize]byte) bool
-}
-
-// authenticate turns an engine's ConsistentWith verdict into the typed
-// *ReplayError both engines return from Authenticate. Like
-// ConsistentWith it is statistics-neutral: recovery-time audits must not
-// perturb the measured verification counts.
-func authenticate(e consistencyChecker, p addr.PageNum, block [ctr.CounterBlockSize]byte) error {
-	if e.ConsistentWith(p, block) {
-		return nil
-	}
-	cb := ctr.DecodeCounterBlock(block)
-	return &ReplayError{Page: p, Major: cb.Major}
-}
-
-// Authenticate verifies page p's counter block against the current root
-// and returns a typed *ReplayError on mismatch.
-func (t *Tree) Authenticate(p addr.PageNum, block [ctr.CounterBlockSize]byte) error {
-	return authenticate(t, p, block)
 }

@@ -52,7 +52,7 @@ func referenceRoot(depth int, blocks map[addr.PageNum][ctr.CounterBlockSize]byte
 // charge, and hash_ops stays the eager formula.
 func TestEagerLazySettleEquivalence(t *testing.T) {
 	cfg := smallConfig()
-	tr := NewTree(cfg)
+	tr := New(cfg)
 	bus := obs.NewBus(obs.Config{})
 	tr.SetBus(bus)
 	rng := rand.New(rand.NewSource(20261017))
@@ -91,8 +91,8 @@ func TestEagerLazySettleEquivalence(t *testing.T) {
 		switch op {
 		case 3, 4:
 			ok, lat := tr.Verify(p, probe)
-			if ok != want || lat != tr.VerifyCost() {
-				t.Fatalf("step %d: Verify(%v) = %v, %d; want %v, %d", step, p, ok, lat, want, tr.VerifyCost())
+			if ok != want || lat != cfg.verifyCost() {
+				t.Fatalf("step %d: Verify(%v) = %v, %d; want %v, %d", step, p, ok, lat, want, cfg.verifyCost())
 			}
 			verifies++
 			charge = snap{verifies: 1, hashOps: uint64(cfg.verifyPath()), events: 1}
@@ -141,7 +141,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	pages := []addr.PageNum{3, 900, 901, 1 << 20}
 	blk := blockWith(2)
 
-	eager := NewTree(cfg)
+	eager := New(cfg)
 	for _, p := range pages {
 		eager.Update(p, blockWith(1))
 	}
@@ -158,8 +158,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		t.Errorf("warm eager settle allocates %v per run, want 0", n)
 	}
 
-	cfg.Engine = EngineCached
-	cached := NewCachedTree(cfg)
+	cached := New(withCapacity(cfg, DefaultDirtyCacheNodes))
 	for _, p := range pages {
 		cached.Update(p, blockWith(1))
 	}
@@ -170,6 +169,6 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		}
 		cached.PersistBarrier()
 	}); n != 0 {
-		t.Errorf("CachedTree.PersistBarrier allocates %v per run, want 0", n)
+		t.Errorf("lazy PersistBarrier allocates %v per run, want 0", n)
 	}
 }

@@ -23,7 +23,7 @@ type crashPersonality struct {
 	mode         memctrl.Mode
 	zm           kernel.ZeroMode
 	integrity    bool
-	engine       integrity.EngineKind
+	engine       int // integrity.Config.DirtyCacheNodes
 	writeThrough bool
 }
 
@@ -37,9 +37,9 @@ func crashPersonalities() []crashPersonality {
 		// configuration: every cut point must recover a persistent state
 		// whose counters authenticate against the (persist-ordered) root.
 		{name: "ss-merkle-eager-wt", mode: memctrl.SilentShredder, zm: kernel.ZeroShred,
-			integrity: true, engine: integrity.EngineEager, writeThrough: true},
+			integrity: true, writeThrough: true},
 		{name: "ss-merkle-cached-wt", mode: memctrl.SilentShredder, zm: kernel.ZeroShred,
-			integrity: true, engine: integrity.EngineCached, writeThrough: true},
+			integrity: true, engine: integrity.DefaultDirtyCacheNodes, writeThrough: true},
 	}
 }
 
@@ -49,7 +49,7 @@ func crashConfig(p crashPersonality) sim.Config {
 	cfg.MemPages = 8192
 	cfg.StoreData = true
 	cfg.MemCtrl.Integrity = p.integrity
-	cfg.MemCtrl.IntegrityCfg.Engine = p.engine
+	cfg.MemCtrl.IntegrityCfg.DirtyCacheNodes = p.engine
 	cfg.MemCtrl.CounterCache.WriteThrough = p.writeThrough
 	return cfg
 }

@@ -18,9 +18,9 @@ import (
 	"silentshredder/internal/sim"
 )
 
-func merkleCrashPersonality(t *testing.T, kind integrity.EngineKind) crashPersonality {
+func merkleCrashPersonality(t *testing.T, dirtyCacheNodes int) crashPersonality {
 	t.Helper()
-	want := "ss-merkle-" + kind.String() + "-wt"
+	want := "ss-merkle-" + integrity.EngineName(dirtyCacheNodes) + "-wt"
 	for _, p := range crashPersonalities() {
 		if p.name == want {
 			return p
@@ -33,8 +33,8 @@ func merkleCrashPersonality(t *testing.T, kind integrity.EngineKind) crashPerson
 func TestCrashAuditEquivalenceAcrossEngines(t *testing.T) {
 	const seed = 7
 	w := shortWorkload(seed)
-	eagerCfg := crashConfig(merkleCrashPersonality(t, integrity.EngineEager))
-	cachedCfg := crashConfig(merkleCrashPersonality(t, integrity.EngineCached))
+	eagerCfg := crashConfig(merkleCrashPersonality(t, 0))
+	cachedCfg := crashConfig(merkleCrashPersonality(t, integrity.DefaultDirtyCacheNodes))
 
 	_, base, err := sim.ReplayToCrash(eagerCfg, w, ^uint64(0))
 	if err != nil {
@@ -79,8 +79,9 @@ func TestCrashAuditTamperDetectionAcrossEngines(t *testing.T) {
 	const seed = 7
 	w := shortWorkload(seed)
 	var failedPage [2]uint64
-	for i, kind := range []integrity.EngineKind{integrity.EngineEager, integrity.EngineCached} {
-		cfg := crashConfig(merkleCrashPersonality(t, kind))
+	for i, capacity := range []int{0, integrity.DefaultDirtyCacheNodes} {
+		kind := integrity.EngineName(capacity)
+		cfg := crashConfig(merkleCrashPersonality(t, capacity))
 		m, _, err := sim.ReplayToCrash(cfg, w, ^uint64(0))
 		if err != nil {
 			t.Fatal(err)

@@ -43,6 +43,27 @@ func TestScaledConfigFloors(t *testing.T) {
 	}
 }
 
+// Every power-of-two scale from 1 to 128 leaves every cache with a
+// buildable geometry; every other scale in that range does not, and
+// New reports it as an error instead of panicking inside cache.New.
+func TestValidateCachesScales(t *testing.T) {
+	for scale := 1; scale <= 128; scale++ {
+		cfg := ScaledConfig(memctrl.SilentShredder, kernel.ZeroShred, scale)
+		err := cfg.ValidateCaches()
+		if pow2 := scale&(scale-1) == 0; (err == nil) != pow2 {
+			t.Errorf("scale %d: ValidateCaches() = %v, want ok=%v", scale, err, pow2)
+		}
+		if err == nil {
+			continue
+		}
+		cfg.Hier.Cores = 1
+		cfg.MemPages = 64
+		if _, err := New(cfg); err == nil {
+			t.Errorf("scale %d: New accepted a geometry ValidateCaches rejects", scale)
+		}
+	}
+}
+
 func TestMachineEndToEnd(t *testing.T) {
 	m := MustNew(testConfig(memctrl.SilentShredder, kernel.ZeroShred))
 	rt := m.Runtime(0)

@@ -1,12 +1,11 @@
-// Line retirement: the graceful-degradation companion to Start-Gap.
+// Package wearlevel implements line retirement, the graceful-degradation
+// path for worn NVM lines.
 //
-// Start-Gap spreads writes so lines wear evenly; retirement is what
-// happens when a line fails anyway. The controller keeps a small remap
-// table (real PCM DIMMs provision a spare region exactly for this) that
-// redirects a retired line's traffic to a spare physical line, so a
-// workload keeps running with degraded spare capacity instead of
-// aborting on the first uncorrectable error.
-
+// Retirement is what happens when a line fails. The controller keeps a
+// small remap table (real PCM DIMMs provision a spare region exactly for
+// this) that redirects a retired line's traffic to a spare physical
+// line, so a workload keeps running with degraded spare capacity instead
+// of aborting on the first uncorrectable error.
 package wearlevel
 
 import (
