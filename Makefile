@@ -115,6 +115,7 @@ fuzz:
 	$(GO) test ./internal/oracle -run='^$$' -fuzz=FuzzBankSchedule -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/integrity -run='^$$' -fuzz=FuzzEngineEquivalence -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cache -run='^$$' -fuzz=FuzzCacheReference -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/hier -run='^$$' -fuzz=FuzzHierarchy -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/addr -run='^$$' -fuzz=FuzzPageTable -fuzztime=$(FUZZTIME)
 
 # Coverage over all packages; prints the per-function summary tail and

@@ -136,14 +136,14 @@ func (w Way) line() Line { return Line{Tag: uint64(w & tagMask), State: w.State(
 // ways holds one Way per way, set-major (set i occupies
 // [i*assoc, (i+1)*assoc)); empty ways hold emptyWay.
 //
-// LRU order is a permutation, not a clock: for assoc <= 8 each set has
-// one rank word in which byte i holds way i's recency rank (0 = least,
-// assoc-1 = most recent; unused bytes are 0xff). Every touch moves a
-// way to the top rank, exactly the total order per-way clocks would
-// record, in one word-sized read-modify-write instead of a clock array
-// 8x the size. Wider caches fall back to per-way clocks. Hit/miss
-// outcomes, LRU order, victim choice and all statistics are identical
-// to the obvious array-of-structs scan under either scheme.
+// LRU order is a permutation, not a clock: each set has one rank word
+// in which byte i holds way i's recency rank (0 = least, assoc-1 = most
+// recent; unused bytes are 0xff), which is why a cache has at most 8
+// ways. Every touch moves a way to the top rank, exactly the total order
+// per-way clocks would record, in one word-sized read-modify-write
+// instead of a clock array 8x the size. Hit/miss outcomes, LRU order,
+// victim choice and all statistics are identical to the obvious
+// array-of-structs scan.
 //
 // resident keeps, per page, a mask of the blocks this cache holds, so a
 // page invalidation probes only the sets of blocks that are actually
@@ -155,21 +155,19 @@ func (w Way) line() Line { return Line{Tag: uint64(w & tagMask), State: w.State(
 type Cache struct {
 	cfg      Config
 	ways     []Way
-	rank     []uint64 // assoc <= 8: one recency-rank word per set
-	lrus     []uint64 // assoc > 8: replacement clock per way
+	rank     []uint64 // one recency-rank word per set
 	resident BlockSet
 	assoc    int
 	setMask  uint64
 	bodyMask uint64 // rank-word bytes that correspond to real ways
 	initRank uint64 // rank word of a freshly reset set
-	useClock uint64
 
 	hits, misses, evictions, dirtyEvictions stats.Counter
 }
 
 // Validate reports whether cfg is a geometry New accepts: a positive
 // size that is a whole number of sets, a power-of-two set count, and an
-// associativity of at most 2^16.
+// associativity of at most 8, the ways one rank word orders.
 func (cfg Config) Validate() error {
 	if cfg.Assoc <= 0 || cfg.Size <= 0 || cfg.Size%(cfg.Assoc*addr.BlockSize) != 0 {
 		return fmt.Errorf("cache %s: invalid geometry size=%d assoc=%d", cfg.Name, cfg.Size, cfg.Assoc)
@@ -177,8 +175,8 @@ func (cfg Config) Validate() error {
 	if nsets := cfg.Size / (cfg.Assoc * addr.BlockSize); bits.OnesCount(uint(nsets)) != 1 {
 		return fmt.Errorf("cache %s: set count %d not a power of two", cfg.Name, nsets)
 	}
-	if cfg.Assoc > 1<<16 {
-		return fmt.Errorf("cache %s: associativity %d too large", cfg.Name, cfg.Assoc)
+	if cfg.Assoc > 8 {
+		return fmt.Errorf("cache %s: associativity %d above 8", cfg.Name, cfg.Assoc)
 	}
 	return nil
 }
@@ -195,23 +193,19 @@ func New(cfg Config) *Cache {
 		ways[i] = emptyWay
 	}
 	c := &Cache{
-		cfg:     cfg,
-		ways:    ways,
-		assoc:   cfg.Assoc,
-		setMask: uint64(nsets - 1),
+		cfg:      cfg,
+		ways:     ways,
+		rank:     make([]uint64, nsets),
+		assoc:    cfg.Assoc,
+		setMask:  uint64(nsets - 1),
+		initRank: ^uint64(0),
 	}
-	if cfg.Assoc <= 8 {
-		c.initRank = ^uint64(0)
-		for i := 0; i < cfg.Assoc; i++ {
-			c.initRank = c.initRank&^(0xff<<(8*uint(i))) | uint64(i)<<(8*uint(i))
-			c.bodyMask |= 0x80 << (8 * uint(i))
-		}
-		c.rank = make([]uint64, nsets)
-		for i := range c.rank {
-			c.rank[i] = c.initRank
-		}
-	} else {
-		c.lrus = make([]uint64, nsets*cfg.Assoc)
+	for i := 0; i < cfg.Assoc; i++ {
+		c.initRank = c.initRank&^(0xff<<(8*uint(i))) | uint64(i)<<(8*uint(i))
+		c.bodyMask |= 0x80 << (8 * uint(i))
+	}
+	for i := range c.rank {
+		c.rank[i] = c.initRank
 	}
 	return c
 }
@@ -226,11 +220,6 @@ const (
 // above it slides down one, then way i takes rank assoc-1. This is the
 // move-to-front step of true LRU, done bit-parallel on the rank word.
 func (c *Cache) touch(si uint64, i int) {
-	if c.rank == nil {
-		c.useClock++
-		c.lrus[int(si)*c.assoc+i] = c.useClock
-		return
-	}
 	w := c.rank[si]
 	r := w >> (8 * uint(i)) & 0xff
 	// Per-byte b > r test: bit 7 of (b|0x80)-(r+1) is set iff b >= r+1
@@ -255,16 +244,6 @@ func (c *Cache) mruWay(si uint64) int {
 // when every way is valid. Ranks are a permutation, so exactly one real
 // way holds rank 0; the zero-byte scan finds it.
 func (c *Cache) lruWay(si uint64) int {
-	if c.rank == nil {
-		base := int(si) * c.assoc
-		vi := 0
-		for i := 1; i < c.assoc; i++ {
-			if c.lrus[base+i] < c.lrus[base+vi] {
-				vi = i
-			}
-		}
-		return vi
-	}
 	w := c.rank[si]
 	z := (w - rankLo) & ^w & c.bodyMask
 	return bits.TrailingZeros64(z) >> 3
@@ -304,11 +283,9 @@ func (c *Cache) probeWay(a addr.Phys) int {
 func (c *Cache) Lookup(a addr.Phys) *Way {
 	tag := tagOf(a)
 	ways, si := c.set(tag)
-	if c.rank != nil {
-		if m := c.mruWay(si); ways[m]&tagMask == Way(tag) {
-			c.hits.Inc()
-			return &ways[m]
-		}
+	if m := c.mruWay(si); ways[m]&tagMask == Way(tag) {
+		c.hits.Inc()
+		return &ways[m]
 	}
 	for i, w := range ways {
 		if w&tagMask == Way(tag) {
@@ -328,11 +305,9 @@ func (c *Cache) Lookup(a addr.Phys) *Way {
 func (c *Cache) LookupHit(a addr.Phys) bool {
 	tag := tagOf(a)
 	ways, si := c.set(tag)
-	if c.rank != nil {
-		if m := c.mruWay(si); ways[m]&tagMask == Way(tag) {
-			c.hits.Inc()
-			return true
-		}
+	if m := c.mruWay(si); ways[m]&tagMask == Way(tag) {
+		c.hits.Inc()
+		return true
 	}
 	for i, w := range ways {
 		if w&tagMask == Way(tag) {

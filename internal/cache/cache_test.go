@@ -18,6 +18,7 @@ func TestGeometryValidation(t *testing.T) {
 		{Name: "bad", Size: 100, Assoc: 2},
 		{Name: "bad", Size: 64 * 3 * 2, Assoc: 2}, // 3 sets, not power of two
 		{Name: "bad", Size: 256, Assoc: 0},
+		{Name: "bad", Size: 16 * 64, Assoc: 16}, // 1 set, but one rank word orders at most 8 ways
 	} {
 		if cfg.Validate() == nil {
 			t.Errorf("config %+v: Validate accepted it", cfg)

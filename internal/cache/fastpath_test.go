@@ -106,23 +106,3 @@ func TestConfigAccessor(t *testing.T) {
 		t.Fatalf("Config() = %+v, want %+v", got, cfg)
 	}
 }
-
-// Wide-associativity instance (no rank word fits >8 ways) exercises the
-// use-clock fallback paths of touch and lruWay.
-func TestWideAssocLRUFallback(t *testing.T) {
-	c := New(Config{Name: "wide", Size: 16 * 64, Assoc: 16}) // 1 set, 16 ways
-	for i := 0; i < 16; i++ {
-		c.Insert(addr.Phys(i)<<addr.BlockShift, Shared, false)
-	}
-	c.Lookup(0) // refresh block 0; block 1 becomes LRU
-	victim, evicted := c.Insert(16<<addr.BlockShift, Shared, false)
-	if !evicted || victim.Addr() != 1<<addr.BlockShift {
-		t.Fatalf("victim = %#x/%v, want block 1", victim.Addr(), evicted)
-	}
-	if !c.LookupHit(0) || c.LookupHit(1<<addr.BlockShift) {
-		t.Fatal("resident set wrong after fallback eviction")
-	}
-	if l, present := c.LookupOwned(16 << addr.BlockShift); l != nil || !present {
-		t.Fatalf("shared wide block: LookupOwned = %v, %v", l, present)
-	}
-}

@@ -156,13 +156,12 @@ func (r *refCache) flushAll() []Line {
 
 // refGeometries are the shapes FuzzCacheReference chooses from: direct
 // mapped; 4-way with fewer sets than a page has blocks, so a page wraps
-// over the sets; 8-way with exactly 64 sets, so block i of every page
-// shares set i; and 16-way, which takes the per-way clock path.
+// over the sets; and 8-way with exactly 64 sets, so block i of every
+// page shares set i.
 var refGeometries = []Config{
 	{Name: "direct", Size: 64 * 64, Assoc: 1},
 	{Name: "wrap", Size: 16 * 4 * 64, Assoc: 4},
 	{Name: "pageset", Size: 64 * 8 * 64, Assoc: 8},
-	{Name: "clock", Size: 4 * 16 * 64, Assoc: 16},
 }
 
 // refPages are the pages scripts address: three low frames, on the

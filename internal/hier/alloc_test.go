@@ -85,4 +85,30 @@ func TestShredPathZeroAllocs(t *testing.T) {
 	if want := (runs + 1) * 8; msgs != want {
 		t.Fatalf("shreds sent %d invalidations, want %d", msgs, want)
 	}
+
+	// Once the directory chunks exist, the read and write paths keep
+	// their chunk pointers off the heap. Core 0 walks four pages round a
+	// two-core tiny hierarchy whose L4 holds one page, so every read
+	// misses every level and its L3 and L4 fills evict; one walk first
+	// allocates the directory chunks and residency masks the timed reads
+	// use.
+	th, _, _ := newHier(t, tinyConfig(2), memctrl.SilentShredder)
+	const walk = 4 * addr.BlocksPerPage
+	for j := 0; j < walk; j++ {
+		th.Read(0, addr.Phys(j)<<addr.BlockShift)
+	}
+	j, misses, l3ev := walk, th.LLCMisses(), th.L3().Evictions()
+	zero("Read missing every level", func() { th.Read(0, addr.Phys(j%walk)<<addr.BlockShift); j++ })
+	if th.LLCMisses()-misses != runs+1 || th.L3().Evictions()-l3ev != runs+1 {
+		t.Fatalf("reads missed the LLC %d times and evicted from L3 %d times, want %d each",
+			th.LLCMisses()-misses, th.L3().Evictions()-l3ev, runs+1)
+	}
+	th.Write(1, 0x40)
+	zero("owned Write", func() { th.Write(1, 0x40) })
+	th.Write(1, 0x80)
+	k, inv := 0, th.Invalidations()
+	zero("Write taking ownership", func() { th.Write(k&1, 0x80); k++ })
+	if got := th.Invalidations() - inv; got != runs+1 {
+		t.Fatalf("ownership-taking writes sent %d invalidations, want %d", got, runs+1)
+	}
 }

@@ -4,23 +4,24 @@ import (
 	"testing"
 
 	"silentshredder/internal/addr"
+	"silentshredder/internal/cache"
 	"silentshredder/internal/memctrl"
 	"silentshredder/internal/nvm"
 	"silentshredder/internal/physmem"
 )
 
-func benchHier(b *testing.B, cores int) *Hierarchy {
+func benchHier(b *testing.B, cfg Config) *Hierarchy {
 	b.Helper()
 	dev := nvm.New(nvm.DefaultConfig())
 	mc, err := memctrl.New(memctrl.DefaultConfig(memctrl.SilentShredder), dev, physmem.New(false))
 	if err != nil {
 		b.Fatal(err)
 	}
-	return New(Table1Config(cores), mc)
+	return New(cfg, mc)
 }
 
 func BenchmarkReadL1Hit(b *testing.B) {
-	h := benchHier(b, 1)
+	h := benchHier(b, Table1Config(1))
 	h.Read(0, 0x40)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -29,7 +30,7 @@ func BenchmarkReadL1Hit(b *testing.B) {
 }
 
 func BenchmarkReadLLCMissShredded(b *testing.B) {
-	h := benchHier(b, 1)
+	h := benchHier(b, Table1Config(1))
 	mc := h.Controller()
 	for p := addr.PageNum(0); p < 1024; p++ {
 		mc.Shred(p)
@@ -44,8 +45,36 @@ func BenchmarkReadLLCMissShredded(b *testing.B) {
 	}
 }
 
+// BenchmarkReadL3Evict times reads on a two-core Table 1 hierarchy with
+// every cache scaled down 8x, as the bench workloads' machine is, over a
+// 2MB working set: twice L3, a quarter of L4. The cores take turns
+// walking it block by block, so each read misses L1, L2 and L3, hits
+// L4, and its L3 fill evicts a block last read a whole walk earlier,
+// which no private cache still holds. That is the shape of spec_timing.
+func BenchmarkReadL3Evict(b *testing.B) {
+	cfg := Table1Config(2)
+	for _, c := range []*cache.Config{&cfg.L1, &cfg.L2, &cfg.L3, &cfg.L4} {
+		c.Size /= 8
+	}
+	h := benchHier(b, cfg)
+	const blocks = 2 << 20 >> addr.BlockShift
+	for i := 0; i < blocks; i++ {
+		h.Read(i&1, addr.Phys(i)<<addr.BlockShift)
+	}
+	misses, l3ev := h.LLCMisses(), h.L3().Evictions()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Read(i&1, addr.Phys(i%blocks)<<addr.BlockShift)
+	}
+	b.StopTimer()
+	if h.LLCMisses() != misses || h.L3().Evictions()-l3ev != uint64(b.N) {
+		b.Fatalf("%d reads: %d LLC misses and %d L3 evictions, want 0 and %d",
+			b.N, h.LLCMisses()-misses, h.L3().Evictions()-l3ev, b.N)
+	}
+}
+
 func BenchmarkWriteOwned(b *testing.B) {
-	h := benchHier(b, 1)
+	h := benchHier(b, Table1Config(1))
 	h.Write(0, 0x40)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -60,7 +89,7 @@ func BenchmarkWriteOwned(b *testing.B) {
 // shreds a page an earlier one already emptied.
 func BenchmarkShredInvalidate(b *testing.B) {
 	const batch = 8 // 512 blocks: fits core 0's L1 without evictions
-	h := benchHier(b, 8)
+	h := benchHier(b, Table1Config(8))
 	for i := 0; i < b.N; i++ {
 		if i%batch == 0 {
 			b.StopTimer()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"silentshredder/internal/addr"
+	"silentshredder/internal/cache"
 	"silentshredder/internal/memctrl"
 )
 
@@ -88,4 +89,73 @@ func TestFlushPage(t *testing.T) {
 	if err := h.CheckInvariants([]addr.Phys{p.BlockAddr(0), p.BlockAddr(1), p.BlockAddr(2)}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// directConfig is tinyConfig with every level direct-mapped: each L3 or
+// L4 fill evicts whatever shares its set, so back-invalidations of
+// blocks other cores hold are frequent.
+func directConfig(cores int) Config {
+	cfg := tinyConfig(cores)
+	cfg.L1 = cache.Config{Name: "l1", Size: 256, Assoc: 1, HitLatency: 2}
+	cfg.L2 = cache.Config{Name: "l2", Size: 512, Assoc: 1, HitLatency: 8}
+	cfg.L3 = cache.Config{Name: "l3", Size: 1024, Assoc: 1, HitLatency: 25}
+	cfg.L4 = cache.Config{Name: "l4", Size: 2048, Assoc: 1, HitLatency: 35}
+	return cfg
+}
+
+// FuzzHierarchy runs a byte script of hierarchy operations and checks
+// every structural invariant (CheckAll) after each one. The first byte
+// picks the geometry (bit 0: tinyConfig or directConfig) and the core
+// count (bits 1-2: 1 to 4 cores); then every two bytes are one
+// operation:
+//
+//	op    bits 0-3: operation; bits 4-7: core (mod the core count)
+//	block the block, mod the 192 blocks of pages 0-2
+//
+// Operations 0-4 and 15 are Read, 5-9 Write, 10 WriteNonTemporal, 11
+// ShredInvalidate followed by the controller's Shred, 12 FlushPage of
+// the block's page, 13 FlushAll and 14 Crash. After FlushAll and Crash
+// nothing may stay resident or in the directory.
+func FuzzHierarchy(f *testing.F) {
+	f.Add([]byte{6, 0x00, 5, 0x10, 5, 0x20, 5, 0x35, 5, 0x00, 69, 0x0a, 5, 0x0c, 0, 0x0e, 0})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) == 0 {
+			return
+		}
+		cfg := tinyConfig(1 + int(script[0]>>1&3))
+		if script[0]&1 != 0 {
+			cfg = directConfig(cfg.Cores)
+		}
+		h, mc, _ := newHier(t, cfg, memctrl.SilentShredder)
+		script = script[1:]
+		for step := 0; len(script) >= 2; step++ {
+			op, core := script[0]&15, int(script[0]>>4)%cfg.Cores
+			a := addr.Phys(int(script[1])%(3*addr.BlocksPerPage)) << addr.BlockShift
+			script = script[2:]
+			switch op {
+			case 0, 1, 2, 3, 4, 15:
+				h.Read(core, a)
+			case 5, 6, 7, 8, 9:
+				h.Write(core, a)
+			case 10:
+				h.WriteNonTemporal(a)
+			case 11:
+				h.ShredInvalidate(a.Page())
+				mc.Shred(a.Page())
+			case 12:
+				h.FlushPage(a.Page())
+			case 13:
+				h.FlushAll()
+			case 14:
+				h.Crash()
+			}
+			if err := h.CheckAll(); err != nil {
+				t.Fatalf("step %d (op %d, core %d, %v) on %d cores, L1 %d-way: %v",
+					step, op, core, a, cfg.Cores, cfg.L1.Assoc, err)
+			}
+			if (op == 13 || op == 14) && len(h.ResidentBlocks()) != 0 {
+				t.Fatalf("step %d: blocks resident after op %d: %v", step, op, h.ResidentBlocks())
+			}
+		}
+	})
 }

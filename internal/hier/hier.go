@@ -54,55 +54,47 @@ func Table1Config(n int) Config {
 	}
 }
 
-type dirEntry struct {
-	sharers  uint64 // bit per core: block resident in that core's private caches
-	owner    int    // valid when modified
-	modified bool
-}
-
-// dirPage holds the directory entries for one page's 64 blocks. A slot
-// whose present bit is clear holds no entry, whatever its contents.
+// dirPage holds the directory state of one page's 64 blocks. sharers[i]
+// is block i's sharer mask, one bit per core whose private caches hold
+// the block, and block i has an entry exactly when that mask is
+// non-zero. Bit i of modified marks block i Modified; a Modified block's
+// owner is its only sharer, so the mask names the owner.
 type dirPage struct {
-	present uint64 // bit per block: entry exists
-	e       [addr.BlocksPerPage]dirEntry
+	modified uint64
+	sharers  [addr.BlocksPerPage]uint64
 }
 
-// directory is the two-level MESI directory: a page table of 64-entry
+// own records that core holds block bi Modified, as its only sharer.
+func (dp *dirPage) own(bi, core int) {
+	dp.sharers[bi] = 1 << core
+	dp.modified |= 1 << bi
+}
+
+// directory is the two-level MESI directory: a page table of per-page
 // chunks. A chunk, once allocated, stays for reuse.
 type directory struct {
 	pages addr.PageTable[*dirPage]
 }
 
-// lookup returns the entry for block a, or nil if none exists.
-func (d *directory) lookup(a addr.Phys) *dirEntry {
-	bi := a.BlockIndex()
-	if dp := d.pages.Get(a.Page()); dp != nil && dp.present&(1<<bi) != 0 {
-		return &dp.e[bi]
+// page returns page p's chunk, allocating it on first use.
+func (d *directory) page(p addr.PageNum) *dirPage {
+	if dp := d.pages.Get(p); dp != nil {
+		return dp
 	}
-	return nil
+	dp := new(dirPage)
+	d.pages.Set(p, dp)
+	return dp
 }
 
-// entry returns the entry for block a, creating it if needed.
-func (d *directory) entry(a addr.Phys) *dirEntry {
-	p := a.Page()
-	dp := d.pages.Get(p)
-	if dp == nil {
-		dp = &dirPage{}
-		d.pages.Set(p, dp)
-	}
-	bi := a.BlockIndex()
-	if dp.present&(1<<bi) == 0 {
-		dp.present |= 1 << bi
-		dp.e[bi] = dirEntry{owner: -1}
-	}
-	return &dp.e[bi]
-}
-
-// remove drops block a's entry. Clearing the present bit is a full
-// logical removal: entry() re-initializes a slot whose bit is clear.
-func (d *directory) remove(a addr.Phys) {
+// drop clears the sharer bits in mask from block a's entry. A Modified
+// block's only sharer is its owner, so a block left with no sharers is
+// not Modified.
+func (d *directory) drop(a addr.Phys, mask uint64) {
 	if dp := d.pages.Get(a.Page()); dp != nil {
-		dp.present &^= 1 << a.BlockIndex()
+		bi := a.BlockIndex()
+		if dp.sharers[bi] &^= mask; dp.sharers[bi] == 0 {
+			dp.modified &^= 1 << bi
+		}
 	}
 }
 
@@ -110,23 +102,13 @@ func (d *directory) remove(a addr.Phys) {
 // keeping the chunk for reuse.
 func (d *directory) removePage(p addr.PageNum) {
 	if dp := d.pages.Get(p); dp != nil {
-		dp.present = 0
+		*dp = dirPage{}
 	}
 }
 
 // reset empties the directory, retaining chunk allocations.
 func (d *directory) reset() {
-	d.pages.ForEach(func(_ addr.PageNum, dp *dirPage) { dp.present = 0 })
-}
-
-// forEach calls fn for every existing entry, in ascending address order.
-func (d *directory) forEach(fn func(a addr.Phys, de *dirEntry)) {
-	d.pages.ForEach(func(p addr.PageNum, dp *dirPage) {
-		for rem := dp.present; rem != 0; rem &= rem - 1 {
-			bi := bits.TrailingZeros64(rem)
-			fn(p.BlockAddr(bi), &dp.e[bi])
-		}
-	})
+	d.pages.ForEach(func(_ addr.PageNum, dp *dirPage) { *dp = dirPage{} })
 }
 
 // Hierarchy is the full multi-core cache system in front of the memory
@@ -181,10 +163,6 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 // Controller returns the memory controller behind the hierarchy.
 func (h *Hierarchy) Controller() *memctrl.Controller { return h.mc }
 
-func (h *Hierarchy) entry(a addr.Phys) *dirEntry {
-	return h.dir.entry(a)
-}
-
 // Read services a load from the given core for the block containing a,
 // returning the access latency the core observes.
 func (h *Hierarchy) Read(core int, a addr.Phys) clock.Cycles {
@@ -201,16 +179,16 @@ func (h *Hierarchy) Read(core int, a addr.Phys) clock.Cycles {
 	// Private miss: consult the directory for a dirty remote copy, and
 	// downgrade any remote Exclusive copy to Shared (it is no longer the
 	// sole copy once this read completes).
-	state := cache.Shared
-	if de := h.dir.lookup(a); de != nil {
-		if de.modified && de.owner != core {
-			h.intervene(a, de)
+	dp, bi := h.dir.page(a.Page()), a.BlockIndex()
+	if others := dp.sharers[bi] &^ (1 << core); others != 0 {
+		if dp.modified&(1<<bi) != 0 {
+			// The remote owner is the block's only sharer.
+			h.intervene(a, bits.TrailingZeros64(others))
+			dp.modified &^= 1 << bi
 			lat += h.cfg.CoherencePenalty
 		}
-		for c := 0; c < h.cfg.Cores; c++ {
-			if c == core || de.sharers&(1<<c) == 0 {
-				continue
-			}
+		for ; others != 0; others &= others - 1 {
+			c := bits.TrailingZeros64(others)
 			if l := h.l1[c].Probe(a); l != nil && l.State() == cache.Exclusive {
 				l.SetState(cache.Shared)
 			}
@@ -229,11 +207,11 @@ func (h *Hierarchy) Read(core int, a addr.Phys) clock.Cycles {
 		}
 		h.insertL3(a, false)
 	}
-	de := h.entry(a)
-	if de.sharers == 0 {
+	state := cache.Shared
+	if dp.sharers[bi] == 0 {
 		state = cache.Exclusive
 	}
-	de.sharers |= 1 << core
+	dp.sharers[bi] |= 1 << core
 	h.insertPrivate(core, a, state, false)
 	return lat
 }
@@ -245,34 +223,31 @@ func (h *Hierarchy) Read(core int, a addr.Phys) clock.Cycles {
 func (h *Hierarchy) Write(core int, a addr.Phys) clock.Cycles {
 	a = a.Block()
 	lat := h.cfg.L1.HitLatency
+	dp, bi := h.dir.page(a.Page()), a.BlockIndex()
 	l1Line, l1Present := h.l1[core].LookupOwned(a)
 	if l1Line != nil {
 		l1Line.SetState(cache.Modified)
 		l1Line.SetDirty(true)
-		de := h.entry(a)
-		de.modified, de.owner, de.sharers = true, core, 1<<core
+		dp.own(bi, core)
 		return lat
 	}
 
-	// Need ownership: invalidate all other private copies.
-	inheritDirty := false
-	if de := h.dir.lookup(a); de != nil {
-		for c := 0; c < h.cfg.Cores; c++ {
-			if c == core || de.sharers&(1<<c) == 0 {
-				continue
-			}
-			d1 := h.discardPrivate(c, a)
-			if de.modified && de.owner == c {
-				// Ownership migrates dirty: the remote M data is the
-				// architectural content and must not be dropped.
-				inheritDirty = true
-			}
-			inheritDirty = inheritDirty || d1
-			de.sharers &^= 1 << c
-			h.invalidations.Inc()
-			lat += h.cfg.CoherencePenalty
+	// Need ownership: invalidate all other private copies. A remote
+	// Modified copy's owner is the block's only sharer, and ownership
+	// migrates dirty: the remote M data is the architectural content and
+	// must not be dropped.
+	others := dp.sharers[bi] &^ (1 << core)
+	inheritDirty := others != 0 && dp.modified&(1<<bi) != 0
+	for m := others; m != 0; m &= m - 1 {
+		if h.discardPrivate(bits.TrailingZeros64(m), a) {
+			inheritDirty = true
 		}
+		h.invalidations.Inc()
+		lat += h.cfg.CoherencePenalty
 	}
+	// Record the new owner before the fills below: a back-invalidation
+	// they cause then sees a mask that covers every private copy.
+	dp.own(bi, core)
 
 	// The discard loop above only touches other cores' caches, so the
 	// presence result from the owned-lookup is still current.
@@ -298,8 +273,6 @@ func (h *Hierarchy) Write(core int, a addr.Phys) clock.Cycles {
 			l.SetDirty(true)
 		}
 	}
-	de := h.entry(a)
-	de.modified, de.owner, de.sharers = true, core, 1<<core
 	return lat
 }
 
@@ -311,7 +284,9 @@ func (h *Hierarchy) Write(core int, a addr.Phys) clock.Cycles {
 // queue.
 func (h *Hierarchy) WriteNonTemporal(a addr.Phys) clock.Cycles {
 	a = a.Block()
-	h.discardEverywhere(a)
+	h.backInvalidate(a)
+	h.l3.Invalidate(a)
+	h.l4.Invalidate(a)
 	h.mc.WriteBlock(a)
 	return h.cfg.NTStoreCycles
 }
@@ -334,27 +309,22 @@ func (h *Hierarchy) ShredInvalidate(p addr.PageNum) int {
 	return msgs
 }
 
-// intervene downgrades a remote dirty owner to Shared, pushing its data
-// into the shared levels (marked dirty there).
-func (h *Hierarchy) intervene(a addr.Phys, de *dirEntry) {
+// intervene downgrades core c, the dirty owner of block a, to Shared,
+// pushing its data into the shared levels (marked dirty there).
+func (h *Hierarchy) intervene(a addr.Phys, c int) {
 	h.interventions.Inc()
-	c := de.owner
-	if c >= 0 {
-		if l := h.l1[c].Probe(a); l != nil {
-			l.SetState(cache.Shared)
-			l.SetDirty(false)
-		}
-		if l := h.l2[c].Probe(a); l != nil {
-			l.SetState(cache.Shared)
-			l.SetDirty(false)
-		}
+	if l := h.l1[c].Probe(a); l != nil {
+		l.SetState(cache.Shared)
+		l.SetDirty(false)
+	}
+	if l := h.l2[c].Probe(a); l != nil {
+		l.SetState(cache.Shared)
+		l.SetDirty(false)
 	}
 	// The dirty data now lives in L3 (inclusive), marked dirty so it is
 	// eventually written back.
 	h.insertL3(a, true)
 	h.insertL4(a, false)
-	de.modified = false
-	de.owner = -1
 }
 
 // discardPrivate invalidates a from core c's private caches, returning
@@ -370,13 +340,24 @@ func (h *Hierarchy) discardPrivate(c int, a addr.Phys) bool {
 	return dirty
 }
 
-func (h *Hierarchy) discardEverywhere(a addr.Phys) {
-	for c := 0; c < h.cfg.Cores; c++ {
-		h.discardPrivate(c, a)
+// backInvalidate discards block a from the private caches of the cores
+// the directory names and drops its entry, reporting whether a discarded
+// copy was dirty. Directory coverage (invariant 3 of CheckInvariants)
+// makes the filter exact: a core the mask leaves out holds no copy.
+func (h *Hierarchy) backInvalidate(a addr.Phys) bool {
+	dp, bi := h.dir.pages.Get(a.Page()), a.BlockIndex()
+	if dp == nil || dp.sharers[bi] == 0 {
+		return false
 	}
-	h.l3.Invalidate(a)
-	h.l4.Invalidate(a)
-	h.dir.remove(a)
+	dirty := false
+	for m := dp.sharers[bi]; m != 0; m &= m - 1 {
+		if h.discardPrivate(bits.TrailingZeros64(m), a) {
+			dirty = true
+		}
+	}
+	dp.sharers[bi] = 0
+	dp.modified &^= 1 << bi
+	return dirty
 }
 
 // insertPrivate installs a into core's L2 then L1, handling inclusive
@@ -422,16 +403,7 @@ func (h *Hierarchy) evictFromL2(core int, v cache.Line) {
 			h.insertL3(a, true)
 		}
 	}
-	if de := h.dir.lookup(a); de != nil {
-		de.sharers &^= 1 << core
-		if de.owner == core {
-			de.modified = false
-			de.owner = -1
-		}
-		if de.sharers == 0 {
-			h.dir.remove(a)
-		}
-	}
+	h.dir.drop(a, 1<<core)
 }
 
 // insertL3 installs a into L3, handling the victim (back-invalidate the
@@ -442,13 +414,7 @@ func (h *Hierarchy) insertL3(a addr.Phys, dirty bool) {
 		return
 	}
 	va := v.Addr()
-	d := v.Dirty
-	for c := 0; c < h.cfg.Cores; c++ {
-		if h.discardPrivate(c, va) {
-			d = true
-		}
-	}
-	h.dir.remove(va)
+	d := h.backInvalidate(va) || v.Dirty
 	if d {
 		if l := h.l4.Probe(va); l != nil {
 			l.SetDirty(true)
@@ -466,17 +432,11 @@ func (h *Hierarchy) insertL4(a addr.Phys, dirty bool) {
 		return
 	}
 	va := v.Addr()
-	d := v.Dirty
 	// Back-invalidate everything above (inclusion).
-	for c := 0; c < h.cfg.Cores; c++ {
-		if h.discardPrivate(c, va) {
-			d = true
-		}
-	}
+	d := h.backInvalidate(va) || v.Dirty
 	if l, ok := h.l3.Invalidate(va); ok && l.Dirty {
 		d = true
 	}
-	h.dir.remove(va)
 	if d {
 		h.mc.WriteBlock(va)
 	}
@@ -489,19 +449,13 @@ func (h *Hierarchy) FlushPage(p addr.PageNum) int {
 	dirty := 0
 	for i := 0; i < addr.BlocksPerPage; i++ {
 		a := p.BlockAddr(i)
-		wasDirty := false
-		for c := 0; c < h.cfg.Cores; c++ {
-			if h.discardPrivate(c, a) {
-				wasDirty = true
-			}
-		}
+		wasDirty := h.backInvalidate(a)
 		if l, ok := h.l3.Invalidate(a); ok && l.Dirty {
 			wasDirty = true
 		}
 		if l, ok := h.l4.Invalidate(a); ok && l.Dirty {
 			wasDirty = true
 		}
-		h.dir.remove(a)
 		if wasDirty {
 			h.mc.WriteBlock(a)
 			dirty++

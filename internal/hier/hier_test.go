@@ -303,4 +303,23 @@ func TestInvariantSweep(t *testing.T) {
 	if err := h.CheckInvariants([]addr.Phys{0x080}); err == nil {
 		t.Fatal("broken inclusion must fail the sweep")
 	}
+
+	// The directory derives a Modified block's owner from its sharer
+	// mask, so CheckAll must reject page-0 directory states that break
+	// that layout, each planted behind core 1's Modified block 0x080.
+	for _, c := range []struct {
+		name  string
+		plant func(dp *dirPage)
+	}{
+		{"Modified with two sharers", func(dp *dirPage) { dp.sharers[2] |= 1 }},
+		{"Modified bit without sharers", func(dp *dirPage) { dp.modified |= 1 << 3 }},
+		{"sharer beyond the last core", func(dp *dirPage) { dp.sharers[4] = 1 << 2 }},
+	} {
+		h, _, _ := newHier(t, tinyConfig(2), memctrl.Baseline)
+		h.Write(1, 0x080)
+		c.plant(h.dir.pages.Get(0))
+		if err := h.CheckAll(); err == nil {
+			t.Errorf("%s: CheckAll accepted the directory", c.name)
+		}
+	}
 }

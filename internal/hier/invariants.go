@@ -17,12 +17,12 @@ import (
 //  2. L1/L2 pairing — a block in a core's L1 is also in that core's L2;
 //  3. directory coverage — every private copy is recorded in the
 //     directory's sharer mask, and every recorded sharer holds a copy;
-//  4. single writer — at most one core holds a block in Modified state,
-//     and while one does, no other core holds any copy.
+//  4. single owner — at most one core holds a block Modified or
+//     Exclusive, and while one does, no other core holds any copy.
 func (h *Hierarchy) CheckInvariants(blocks []addr.Phys) error {
 	for _, a := range blocks {
 		a = a.Block()
-		var holders uint64
+		var holders, owners uint64
 		modifiedOwner := -1
 		for c := 0; c < h.cfg.Cores; c++ {
 			l1 := h.l1[c].Probe(a)
@@ -40,29 +40,35 @@ func (h *Hierarchy) CheckInvariants(blocks []addr.Phys) error {
 				}
 			}
 			for _, l := range []*cache.Way{l1, l2} {
-				if l != nil && l.State() == cache.Modified {
-					if modifiedOwner >= 0 && modifiedOwner != c {
-						return fmt.Errorf("hier: %v Modified in cores %d and %d", a, modifiedOwner, c)
-					}
+				if l == nil {
+					continue
+				}
+				switch l.State() {
+				case cache.Modified:
 					modifiedOwner = c
+					owners |= 1 << c
+				case cache.Exclusive:
+					owners |= 1 << c
 				}
 			}
 		}
-		if modifiedOwner >= 0 && holders&^(1<<modifiedOwner) != 0 {
-			return fmt.Errorf("hier: %v Modified in core %d but shared by mask %b", a, modifiedOwner, holders)
+		if owners != 0 && holders != owners || owners&(owners-1) != 0 {
+			return fmt.Errorf("hier: %v owned (Modified or Exclusive) by mask %b but held by mask %b", a, owners, holders)
 		}
-		if de := h.dir.lookup(a); de != nil {
-			if de.sharers&^holders != 0 {
-				return fmt.Errorf("hier: %v directory sharers %b exceed actual holders %b", a, de.sharers, holders)
-			}
-			if holders&^de.sharers != 0 {
-				return fmt.Errorf("hier: %v holders %b missing from directory %b", a, holders, de.sharers)
-			}
-			if de.modified && de.owner != modifiedOwner {
-				return fmt.Errorf("hier: %v directory owner %d but Modified line in %d", a, de.owner, modifiedOwner)
-			}
-		} else if holders != 0 {
+		var sharers uint64
+		modified := false
+		if dp := h.dir.pages.Get(a.Page()); dp != nil {
+			sharers, modified = dp.sharers[a.BlockIndex()], dp.modified&(1<<a.BlockIndex()) != 0
+		}
+		switch {
+		case sharers == 0 && holders != 0:
 			return fmt.Errorf("hier: %v held by mask %b but absent from directory", a, holders)
+		case sharers&^holders != 0:
+			return fmt.Errorf("hier: %v directory sharers %b exceed actual holders %b", a, sharers, holders)
+		case holders&^sharers != 0:
+			return fmt.Errorf("hier: %v holders %b missing from directory %b", a, holders, sharers)
+		case modified != (modifiedOwner >= 0) || modified && sharers != 1<<modifiedOwner:
+			return fmt.Errorf("hier: %v directory Modified=%v with sharers %b, but Modified line in core %d", a, modified, sharers, modifiedOwner)
 		}
 	}
 	return nil
@@ -83,7 +89,13 @@ func (h *Hierarchy) ResidentBlocks() []addr.Phys {
 	}
 	collect(h.l3)
 	collect(h.l4)
-	h.dir.forEach(func(a addr.Phys, _ *dirEntry) { seen[a] = true })
+	h.dir.pages.ForEach(func(p addr.PageNum, dp *dirPage) {
+		for bi, m := range dp.sharers {
+			if m != 0 {
+				seen[p.BlockAddr(bi)] = true
+			}
+		}
+	})
 	out := make([]addr.Phys, 0, len(seen))
 	for a := range seen {
 		out = append(out, a)
@@ -106,32 +118,30 @@ func (h *Hierarchy) ResidentAny(a addr.Phys) bool {
 }
 
 // CheckAll runs CheckInvariants over every resident block plus the
-// directory-level structural rules that are not per-block: a directory
-// entry claiming a modified owner must name a live core, and every
-// directory entry must track at least one sharer (empty entries are
-// deleted eagerly; a lingering one indicates a bookkeeping leak).
+// directory-level structural rules that are not per-block: a sharer mask
+// names only live cores, a Modified entry's mask is exactly its owner's
+// bit (the layout derives the owner from it), and no block without
+// sharers is marked Modified (a lingering bit is a bookkeeping leak).
 func (h *Hierarchy) CheckAll() error {
 	blocks := h.ResidentBlocks()
 	if err := h.CheckInvariants(blocks); err != nil {
 		return err
 	}
 	var err error
-	h.dir.forEach(func(a addr.Phys, de *dirEntry) {
-		if err != nil {
-			return
-		}
-		if de.modified {
-			if de.owner < 0 || de.owner >= h.cfg.Cores {
-				err = fmt.Errorf("hier: %v directory modified with invalid owner %d", a, de.owner)
+	h.dir.pages.ForEach(func(p addr.PageNum, dp *dirPage) {
+		for bi, m := range dp.sharers {
+			a := p.BlockAddr(bi)
+			switch {
+			case err != nil:
 				return
+			case m>>h.cfg.Cores != 0:
+				err = fmt.Errorf("hier: %v directory sharers %b name a core beyond %d", a, m, h.cfg.Cores-1)
+			case dp.modified&(1<<bi) == 0:
+			case m == 0:
+				err = fmt.Errorf("hier: %v directory marks a block with no sharers Modified (bookkeeping leak)", a)
+			case m&(m-1) != 0:
+				err = fmt.Errorf("hier: %v directory Modified with sharers %b, not one owner's bit", a, m)
 			}
-			if de.sharers&(1<<de.owner) == 0 {
-				err = fmt.Errorf("hier: %v directory owner %d not in sharer mask %b", a, de.owner, de.sharers)
-				return
-			}
-		}
-		if de.sharers == 0 {
-			err = fmt.Errorf("hier: %v directory entry with no sharers (bookkeeping leak)", a)
 		}
 	})
 	return err

@@ -173,7 +173,7 @@ type TLB struct {
 	setMask uint64
 	clock   uint64
 
-	hits, misses, flushes stats.Counter
+	hits, misses stats.Counter
 }
 
 // NewTLB creates a TLB. Entries/Assoc must give a power-of-two set count.
@@ -244,7 +244,6 @@ func (t *TLB) Invalidate(asid int, vpn addr.VPageNum) {
 
 // FlushASID drops all translations of one address space (process exit).
 func (t *TLB) FlushASID(asid int) {
-	t.flushes.Inc()
 	for _, set := range t.sets {
 		for i := range set {
 			if set[i].asid == asid {
@@ -275,7 +274,6 @@ func (t *TLB) MissRate() float64 {
 func (t *TLB) ResetStats() {
 	t.hits.Reset()
 	t.misses.Reset()
-	t.flushes.Reset()
 }
 
 // StatsSet exposes TLB statistics under the given name.
