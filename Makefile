@@ -105,18 +105,20 @@ telemetry:
 		rm -f $$tmp
 
 # Bounded fuzzing pass over the fuzz targets (seed corpora are committed
-# under testdata/fuzz). FUZZTIME bounds each target's run.
+# under testdata/fuzz). FUZZTIME bounds each target's run. Minimizing a
+# new input is bounded to 1s: at go's default of 60s, a target that finds
+# one spends the rest of its FUZZTIME minimizing it instead of fuzzing.
 FUZZTIME ?= 20s
 fuzz:
-	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzTraceCodec -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/oracle -run='^$$' -fuzz=FuzzOracleDifferential -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzCrashRecovery -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/ctr -run='^$$' -fuzz=FuzzPadEquivalence -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/oracle -run='^$$' -fuzz=FuzzBankSchedule -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/integrity -run='^$$' -fuzz=FuzzEngineEquivalence -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/cache -run='^$$' -fuzz=FuzzCacheReference -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/hier -run='^$$' -fuzz=FuzzHierarchy -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/addr -run='^$$' -fuzz=FuzzPageTable -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzTraceCodec -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/oracle -run='^$$' -fuzz=FuzzOracleDifferential -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzCrashRecovery -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/ctr -run='^$$' -fuzz=FuzzPadEquivalence -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/oracle -run='^$$' -fuzz=FuzzBankSchedule -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/integrity -run='^$$' -fuzz=FuzzEngineEquivalence -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/cache -run='^$$' -fuzz=FuzzCacheReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/hier -run='^$$' -fuzz=FuzzHierarchy -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/addr -run='^$$' -fuzz=FuzzPageTable -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 
 # Coverage over all packages; prints the per-function summary tail and
 # leaves cover.out for `go tool cover -html=cover.out`. The recorded

@@ -26,13 +26,12 @@ import (
 	"silentshredder/internal/memctrl"
 	"silentshredder/internal/obs"
 	"silentshredder/internal/obscli"
-	"silentshredder/internal/sim"
 	"silentshredder/internal/stats"
 )
 
 func main() {
 	var o exper.Options
-	flag.IntVar(&o.Cores, "cores", 8, "simulated cores (one workload instance per core)")
+	flag.IntVar(&o.Cores, "cores", 8, "simulated cores, 1 to 8 (one workload instance per core)")
 	flag.IntVar(&o.Scale, "scale", 8, "divide Table 1 cache capacities by this factor")
 	flag.BoolVar(&o.Quick, "quick", false, "shrink workloads for a fast smoke run")
 	flag.IntVar(&o.Parallel, "parallel", runtime.GOMAXPROCS(0),
@@ -70,8 +69,8 @@ func main() {
 		os.Exit(2)
 	}
 	o.IntegrityEngine = engine
-	if err := sim.ScaledConfig(memctrl.SilentShredder, kernel.ZeroShred, o.Scale).ValidateCaches(); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: -scale %d: %v\n", o.Scale, err)
+	if err := exper.CheckMachine(o.Cores, o.Scale); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -35,13 +35,17 @@ func main() {
 		addr     = flag.String("addr", ":9121", "listen address for /metrics and /healthz")
 		workload = flag.String("workload", "pagerank", "workload(s) to loop, comma-separated")
 		mode     = flag.String("mode", "ss", "memory controller: ss | baseline")
-		cores    = flag.Int("cores", 2, "simulated cores per run")
+		cores    = flag.Int("cores", 2, "simulated cores per run, 1 to 8")
 		scale    = flag.Int("scale", 64, "divide Table 1 cache capacities by this factor")
 		quick    = flag.Bool("quick", false, "shrink the workloads")
 		rounds   = flag.Int("rounds", 0, "stop after this many rounds over the workload list (0 = run until interrupted)")
 		spans    = flag.Bool("spans", true, "attach a span recorder per run and export the latency-provenance metrics")
 	)
 	flag.Parse()
+	if err := exper.CheckMachine(*cores, *scale); err != nil {
+		fmt.Fprintf(os.Stderr, "shredmon: %v\n", err)
+		os.Exit(2)
+	}
 
 	mcMode, zm := memctrl.SilentShredder, kernel.ZeroShred
 	switch *mode {

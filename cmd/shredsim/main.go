@@ -43,7 +43,7 @@ func main() {
 		workload = flag.String("workload", "pagerank", "workload(s) to run, comma-separated (see -list)")
 		mode     = flag.String("mode", "ss", "memory controller: ss | baseline")
 		zeroing  = flag.String("zeroing", "", "kernel zeroing: shred | non-temporal | temporal (default matches -mode)")
-		cores    = flag.Int("cores", 8, "cores (one workload instance each)")
+		cores    = flag.Int("cores", 8, "cores, 1 to 8 (one workload instance each)")
 		scale    = flag.Int("scale", 8, "divide Table 1 cache capacities by this factor")
 		quick    = flag.Bool("quick", false, "shrink the workload")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines when running several workloads (1 = sequential)")
@@ -328,26 +328,19 @@ func report(name string, mcMode memctrl.Mode, zm kernel.ZeroMode, cores, scale i
 }
 
 // checkMachine rejects a machine shredsim cannot run as asked: a -cores
-// or -scale below 1, which exper.Options would run at its default size
-// while the report printed the rejected value, and a -scale or
-// -counter-cache that leaves a cache with a geometry the simulator
-// cannot build (a -scale that is not a power of two, or a counter-cache
-// size that is not a power-of-two number of 512-byte sets).
+// or -scale exper.CheckMachine rejects (below 1, which exper.Options
+// would run at its default size while the report printed the rejected
+// value; more than 8 cores; a -scale that is not a power of two), and a
+// -counter-cache size that is not a power-of-two number of 512-byte
+// sets.
 func checkMachine(cores, scale, counterCache int) error {
-	if cores < 1 {
-		return fmt.Errorf("-cores must be at least 1, got %d", cores)
-	}
-	if scale < 1 {
-		return fmt.Errorf("-scale must be at least 1, got %d", scale)
+	if err := exper.CheckMachine(cores, scale); err != nil || counterCache <= 0 {
+		return err
 	}
 	cfg := sim.ScaledConfig(memctrl.SilentShredder, kernel.ZeroShred, scale)
-	flags := fmt.Sprintf("-scale %d", scale)
-	if counterCache > 0 {
-		cfg.MemCtrl.CounterCache.Size = counterCache
-		flags += fmt.Sprintf(" with -counter-cache %d", counterCache)
-	}
-	if err := cfg.ValidateCaches(); err != nil {
-		return fmt.Errorf("%s: %w", flags, err)
+	cfg.MemCtrl.CounterCache.Size = counterCache
+	if err := cfg.MemCtrl.CounterCache.Tags().Validate(); err != nil {
+		return fmt.Errorf("-scale %d with -counter-cache %d: %w", scale, counterCache, err)
 	}
 	return nil
 }

@@ -17,6 +17,9 @@ func TestCheckMachine(t *testing.T) {
 		{8, 0, 0, false},
 		{8, -4, 0, false},
 		{0, 0, 0, false},
+		// The directory tracks at most 8 cores.
+		{9, 8, 0, false},
+		{65, 64, 0, false},
 		// Scales that are not powers of two leave caches with
 		// fractional or non-power-of-two set counts.
 		{2, 3, 0, false},

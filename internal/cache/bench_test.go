@@ -21,9 +21,10 @@ func BenchmarkInsertWithEvictions(b *testing.B) {
 	}
 }
 
-// BenchmarkInvalidatePageCount times the shred path's page invalidation
-// on a cache the size of the trace-replay benchmark's L4 (Table 1's 64MB
-// at cache scale 8), with every other block of the page resident. Each
+// BenchmarkInvalidatePageCount times a whole-page invalidation, which
+// probes the set of each of the page's 64 blocks, on a cache the size of
+// the trace-replay benchmark's L4 (Table 1's 64MB at cache scale 8), with
+// every other block of the page resident. Each
 // batch of pages is refilled with the timer stopped, so every timed call
 // removes 32 lines rather than re-invalidating an emptied page.
 func BenchmarkInvalidatePageCount(b *testing.B) {

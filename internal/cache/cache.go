@@ -16,13 +16,14 @@
 //   - Lookup, LookupHit: the set's line plus its LRU rank word (2).
 //   - Probe, and a state or dirty update through the returned *Way: the
 //     set's line (1); LookupOwned adds the rank word on an owned hit.
-//   - Insert: the set's line, the rank word and the residency word of
-//     the new block's page, plus the victim page's word on an eviction
-//     (3 or 4).
-//   - Invalidate: the set's line and the page's residency word (2).
-//   - InvalidatePageCount: the page's residency word plus one set line
-//     per block the cache actually holds (1 to 65), however large the
-//     cache.
+//   - Insert: the set's line and the rank word (2).
+//   - Invalidate: the set's line (1).
+//   - InvalidatePageCount: one set line per block of the page (64),
+//     however many of them the cache holds.
+//
+// The store keeps no per-page state. The hierarchy's coherence
+// directory records which blocks of a page the caches hold, and a shred
+// invalidates exactly those blocks with Invalidate.
 package cache
 
 import (
@@ -144,19 +145,10 @@ func (w Way) line() Line { return Line{Tag: uint64(w & tagMask), State: w.State(
 // instead of a clock array 8x the size. Hit/miss outcomes, LRU order,
 // victim choice and all statistics are identical to the obvious
 // array-of-structs scan.
-//
-// resident keeps, per page, a mask of the blocks this cache holds, so a
-// page invalidation probes only the sets of blocks that are actually
-// here. The masks are exact by construction: a way's tag changes only
-// inside Cache methods (Insert, Invalidate, InvalidatePageCount,
-// FlushAll), and each of them updates the mask in the same step. A *Way
-// handed to a caller can change the line's state and dirty bit, never
-// its tag.
 type Cache struct {
 	cfg      Config
 	ways     []Way
 	rank     []uint64 // one recency-rank word per set
-	resident BlockSet
 	assoc    int
 	setMask  uint64
 	bodyMask uint64 // rank-word bytes that correspond to real ways
@@ -381,12 +373,8 @@ func (c *Cache) Insert(a addr.Phys, st State, dirty bool) (victim Line, evicted 
 		if victim.Dirty {
 			c.dirtyEvictions.Inc()
 		}
-		c.resident.remove(victim.Tag)
 	}
 	ways[vi] = packWay(tag, st, dirty)
-	if !c.resident.addHeld(tag) {
-		c.resident.add(tag)
-	}
 	c.touch(si, vi)
 	return victim, evicted
 }
@@ -398,30 +386,23 @@ func (c *Cache) Invalidate(a addr.Phys) (Line, bool) {
 	if i := c.probeWay(a); i >= 0 {
 		old := c.ways[i].line()
 		c.ways[i] = emptyWay
-		c.resident.remove(old.Tag)
 		return old, true
 	}
 	return Line{}, false
 }
 
 // InvalidatePageCount removes every block of page p and returns how many
-// were present. Shred commands use it (paper Figure 6, step 2): the
-// invalidated contents are dead, so only the count matters for timing.
-// It probes only the sets of blocks the residency mask says are here.
+// were present, probing the set of each of the page's 64 blocks. The
+// hierarchy's shred path does not use it: it invalidates only the blocks
+// its directory records as cached.
 func (c *Cache) InvalidatePageCount(p addr.PageNum) int {
-	m := c.resident.takePage(p)
-	tag0 := uint64(p) << pageShift
-	for rem := m; rem != 0; rem &= rem - 1 {
-		tag := tag0 + uint64(bits.TrailingZeros64(rem))
-		ways, _ := c.set(tag)
-		for i, w := range ways {
-			if w&tagMask == Way(tag) {
-				ways[i] = emptyWay
-				break
-			}
+	n := 0
+	for i := 0; i < addr.BlocksPerPage; i++ {
+		if _, ok := c.Invalidate(p.BlockAddr(i)); ok {
+			n++
 		}
 	}
-	return bits.OnesCount64(m)
+	return n
 }
 
 // FlushAll invalidates every line, returning the dirty ones (their
@@ -438,7 +419,6 @@ func (c *Cache) FlushAll() []Line {
 	for i := range c.rank {
 		c.rank[i] = c.initRank
 	}
-	c.resident.reset()
 	return dirty
 }
 

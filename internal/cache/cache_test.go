@@ -221,38 +221,3 @@ func TestStatsSet(t *testing.T) {
 		t.Fatalf("stats name = %q", s.Name())
 	}
 }
-
-func TestBlockSet(t *testing.T) {
-	var s BlockSet
-	region := addr.Phys(1 << 46)          // the counter region: map side
-	far := addr.PageNum(300).BlockAddr(3) // grows the slice twice over
-	for _, tc := range []struct {
-		a    addr.Phys
-		want bool
-	}{
-		{0x40, true}, {0x7f, false}, // same block
-		{far, true}, {far, false},
-		{region, true}, {region + 0x40, true}, {region + 0x3f, false},
-	} {
-		if got := s.Add(tc.a); got != tc.want {
-			t.Fatalf("Add(%v) = %v, want %v", tc.a, got, tc.want)
-		}
-	}
-	if got := s.pages.Get(far.Page()); got != 1<<3 {
-		t.Fatalf("mask of %v = %#x, want %#x", far.Page(), got, 1<<3)
-	}
-	// A page past the slice but below the table's dense bound is empty;
-	// removing from it is a no-op.
-	gap := addr.PageNum(1<<22 - 1)
-	s.remove(uint64(gap) << pageShift)
-	if s.pages.Get(gap) != 0 || s.takePage(gap) != 0 {
-		t.Fatal("page beyond the slice must read empty")
-	}
-	if got := s.takePage(region.Page()); got != 0b11 || s.pages.Get(region.Page()) != 0 {
-		t.Fatalf("takePage(region) = %#b, leaving %#b", got, s.pages.Get(region.Page()))
-	}
-	s.reset()
-	if !s.Add(0x40) || !s.Add(far) {
-		t.Fatal("reset must empty the set")
-	}
-}

@@ -18,9 +18,9 @@ type refWay struct {
 }
 
 // refCache is the reference tag store FuzzCacheReference checks Cache
-// against. It keeps no rank words, packed ways or residency masks: a
-// probe scans the set, a victim is the first invalid way or else the
-// least recently touched one, and a page invalidation scans every way.
+// against. It keeps no rank words or packed ways: a probe scans the set,
+// a victim is the first invalid way or else the least recently touched
+// one, and a page invalidation scans every way.
 type refCache struct {
 	assoc, nsets                            int
 	ways                                    []refWay
@@ -164,10 +164,10 @@ var refGeometries = []Config{
 	{Name: "pageset", Size: 64 * 8 * 64, Assoc: 8},
 }
 
-// refPages are the pages scripts address: three low frames, on the
-// slice side of the residency masks, and thirteen pages of the counter
-// region (countercache.RegionBase, 2^46), on the map side. Sixteen pages
-// give the 64-set geometry sets with more blocks than ways.
+// refPages are the pages scripts address: three low frames and
+// thirteen pages of the counter region (countercache.RegionBase, 2^46),
+// whose tags use the high bits of a way's tag field. Sixteen pages give
+// the 64-set geometry sets with more blocks than ways.
 var refPages = func() []addr.PageNum {
 	ps := []addr.PageNum{0, 1, 2}
 	region := addr.Phys(1 << 46).Page()
@@ -188,7 +188,7 @@ var refPages = func() []addr.PageNum {
 //	block bits 0-5: block index; bits 6-7: the state
 //
 // After every operation it compares the return values, the victim, the
-// four counters, the contents of every way and the residency masks.
+// four counters and the contents of every way.
 func FuzzCacheReference(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
@@ -285,8 +285,7 @@ func checkLines(t *testing.T, where string, got, want []Line) {
 	}
 }
 
-// checkAgainstRef compares the counters and every way with the model,
-// then checks that the residency masks hold exactly the resident blocks.
+// checkAgainstRef compares the counters and every way with the model.
 func checkAgainstRef(t *testing.T, where string, c *Cache, r *refCache) {
 	t.Helper()
 	if c.Hits() != r.hits || c.Misses() != r.misses || c.Evictions() != r.evictions || c.DirtyEvictions() != r.dirtyEvictions {
@@ -294,7 +293,6 @@ func checkAgainstRef(t *testing.T, where string, c *Cache, r *refCache) {
 			c.Hits(), c.Misses(), c.Evictions(), c.DirtyEvictions(),
 			r.hits, r.misses, r.evictions, r.dirtyEvictions)
 	}
-	want := map[uint64]uint64{}
 	for i, w := range c.ways {
 		rw := r.ways[i]
 		if w&tagMask == emptyWay {
@@ -307,16 +305,5 @@ func checkAgainstRef(t *testing.T, where string, c *Cache, r *refCache) {
 			t.Fatalf("%s: way %d holds %v, want empty", where, i, w.Addr())
 		}
 		checkWay(t, fmt.Sprintf("%s: way %d", where, i), &c.ways[i], &r.ways[i])
-		want[uint64(w&tagMask)>>pageShift] |= blockBit(uint64(w & tagMask))
-	}
-	got := map[uint64]uint64{}
-	c.resident.pages.ForEach(func(p addr.PageNum, m uint64) { got[uint64(p)] = m })
-	if len(got) != len(want) {
-		t.Fatalf("%s: residency masks %v, want %v", where, got, want)
-	}
-	for p, m := range want {
-		if got[p] != m {
-			t.Fatalf("%s: residency mask of page %#x = %#x, want %#x", where, p, got[p], m)
-		}
 	}
 }

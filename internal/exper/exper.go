@@ -80,6 +80,23 @@ func (o Options) normalized() Options {
 	return o
 }
 
+// CheckMachine reports why a command line's -cores and -scale do not
+// name a machine that runs as given: a value below 1, which Options
+// replaces with its default, or a machine sim.New rejects (more than
+// hier.MaxCores cores, or a scale that leaves a cache geometry the
+// simulator cannot build).
+func CheckMachine(cores, scale int) error {
+	if cores < 1 || scale < 1 {
+		return fmt.Errorf("-cores %d -scale %d: both must be at least 1", cores, scale)
+	}
+	cfg := sim.ScaledConfig(memctrl.SilentShredder, kernel.ZeroShred, scale)
+	cfg.Hier.Cores = cores
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("-cores %d -scale %d: %w", cores, scale, err)
+	}
+	return nil
+}
+
 // graphWorkloads are the PowerGraph applications of Figures 8-11.
 var graphWorkloads = []string{"pagerank", "simple_coloring", "kcore"}
 

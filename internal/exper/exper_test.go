@@ -17,6 +17,23 @@ func TestAllWorkloadsList(t *testing.T) {
 	}
 }
 
+// CheckMachine accepts 1 to 8 cores at a power-of-two scale, and rejects
+// a value Options would replace with its default or a machine sim.New
+// refuses.
+func TestCheckMachine(t *testing.T) {
+	for _, tc := range []struct {
+		cores, scale int
+		ok           bool
+	}{
+		{1, 1, true}, {8, 64, true},
+		{0, 8, false}, {9, 8, false}, {8, 0, false}, {8, 3, false},
+	} {
+		if err := CheckMachine(tc.cores, tc.scale); (err == nil) != tc.ok {
+			t.Errorf("CheckMachine(%d, %d) = %v, want ok=%v", tc.cores, tc.scale, err, tc.ok)
+		}
+	}
+}
+
 func TestUnknownWorkloadPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -8,9 +8,8 @@ import (
 	"silentshredder/internal/memctrl"
 )
 
-// The tag-store operations on the shred path, and the shred itself,
-// allocate nothing once the caches' residency masks have grown to cover
-// the pages in use.
+// The tag-store operations allocate nothing, and neither does a shred
+// once the directory records of the pages in use exist.
 func TestShredPathZeroAllocs(t *testing.T) {
 	const runs = 200
 	zero := func(name string, f func()) {
@@ -20,8 +19,7 @@ func TestShredPathZeroAllocs(t *testing.T) {
 		}
 	}
 
-	// 64 pages of blocks over a 1024-way cache: filling it evicts, and
-	// grows the masks over every page the calls below touch.
+	// 64 pages of blocks over a 1024-way cache: filling it evicts.
 	const pages = 64
 	c := cache.New(cache.Config{Name: "c", Size: 64 << 10, Assoc: 8})
 	blk := func(i int) addr.Phys {
@@ -57,7 +55,7 @@ func TestShredPathZeroAllocs(t *testing.T) {
 	if removed != runs+1 {
 		t.Fatalf("Invalidate removed %d of %d freshly inserted blocks", removed, runs+1)
 	}
-	c.FlushAll() // empties the masks but keeps their storage
+	c.FlushAll()
 	removed = 0
 	zero("InvalidatePageCount", func() {
 		p := addr.PageNum(i % pages)
@@ -90,8 +88,7 @@ func TestShredPathZeroAllocs(t *testing.T) {
 	// their chunk pointers off the heap. Core 0 walks four pages round a
 	// two-core tiny hierarchy whose L4 holds one page, so every read
 	// misses every level and its L3 and L4 fills evict; one walk first
-	// allocates the directory chunks and residency masks the timed reads
-	// use.
+	// allocates the directory chunks the timed reads use.
 	th, _, _ := newHier(t, tinyConfig(2), memctrl.SilentShredder)
 	const walk = 4 * addr.BlocksPerPage
 	for j := 0; j < walk; j++ {

@@ -114,7 +114,9 @@ func directConfig(cores int) Config {
 //
 // Operations 0-4 and 15 are Read, 5-9 Write, 10 WriteNonTemporal, 11
 // ShredInvalidate followed by the controller's Shred, 12 FlushPage of
-// the block's page, 13 FlushAll and 14 Crash. After FlushAll and Crash
+// the block's page, 13 FlushAll and 14 Crash. A shred must return the
+// number of the page's L1 and L2 lines probed just before it and leave
+// none of the page's blocks at any level. After FlushAll and Crash
 // nothing may stay resident or in the directory.
 func FuzzHierarchy(f *testing.F) {
 	f.Add([]byte{6, 0x00, 5, 0x10, 5, 0x20, 5, 0x35, 5, 0x00, 69, 0x0a, 5, 0x0c, 0, 0x0e, 0})
@@ -140,8 +142,26 @@ func FuzzHierarchy(f *testing.F) {
 			case 10:
 				h.WriteNonTemporal(a)
 			case 11:
-				h.ShredInvalidate(a.Page())
-				mc.Shred(a.Page())
+				p, want := a.Page(), 0
+				for c := 0; c < cfg.Cores; c++ {
+					for i := 0; i < addr.BlocksPerPage; i++ {
+						if h.L1(c).Probe(p.BlockAddr(i)) != nil {
+							want++
+						}
+						if h.L2(c).Probe(p.BlockAddr(i)) != nil {
+							want++
+						}
+					}
+				}
+				if got := h.ShredInvalidate(p); got != want {
+					t.Fatalf("step %d: ShredInvalidate(%v) = %d, want the %d private lines it held", step, p, got, want)
+				}
+				for i := 0; i < addr.BlocksPerPage; i++ {
+					if h.ResidentAny(p.BlockAddr(i)) {
+						t.Fatalf("step %d: block %d of shredded page %v still resident", step, i, p)
+					}
+				}
+				mc.Shred(p)
 			case 12:
 				h.FlushPage(a.Page())
 			case 13:

@@ -6,8 +6,9 @@
 // commands (Figure 6, step 2).
 //
 // The hierarchy is inclusive: every block in a private cache is also in
-// L3 and L4. Timing is additive lookup latency down the hierarchy; an LLC
-// (L4) miss is serviced by the secure memory controller.
+// L3, and every block in L3 is also in L4. Timing is additive lookup
+// latency down the hierarchy; an LLC (L4) miss is serviced by the secure
+// memory controller.
 package hier
 
 import (
@@ -41,6 +42,19 @@ type Config struct {
 	NTStoreCycles clock.Cycles
 }
 
+// MaxCores is the most cores a hierarchy has: the paper's machine has 8,
+// and a directory sharer mask is one byte.
+const MaxCores = 8
+
+// Validate reports whether cfg has a core count New accepts: 1 to
+// MaxCores.
+func (cfg Config) Validate() error {
+	if cfg.Cores < 1 || cfg.Cores > MaxCores {
+		return fmt.Errorf("hier: %d cores, want 1 to %d", cfg.Cores, MaxCores)
+	}
+	return nil
+}
+
 // Table1Config returns the paper's Table 1 hierarchy for n cores.
 func Table1Config(n int) Config {
 	return Config{
@@ -54,14 +68,16 @@ func Table1Config(n int) Config {
 	}
 }
 
-// dirPage holds the directory state of one page's 64 blocks. sharers[i]
-// is block i's sharer mask, one bit per core whose private caches hold
-// the block, and block i has an entry exactly when that mask is
-// non-zero. Bit i of modified marks block i Modified; a Modified block's
-// owner is its only sharer, so the mask names the owner.
+// dirPage holds the directory state of one page's 64 blocks, and is the
+// hierarchy's only record of which of them are cached. Bit i of held
+// marks block i as held in L4, so by inclusion it covers every level.
+// sharers[i] is block i's sharer mask, one bit per core whose private
+// caches hold the block, and block i has an entry exactly when that
+// mask is non-zero. Bit i of modified marks block i Modified; a Modified
+// block's owner is its only sharer, so the mask names the owner.
 type dirPage struct {
-	modified uint64
-	sharers  [addr.BlocksPerPage]uint64
+	modified, held uint64
+	sharers        [addr.BlocksPerPage]uint8
 }
 
 // own records that core holds block bi Modified, as its only sharer.
@@ -89,20 +105,12 @@ func (d *directory) page(p addr.PageNum) *dirPage {
 // drop clears the sharer bits in mask from block a's entry. A Modified
 // block's only sharer is its owner, so a block left with no sharers is
 // not Modified.
-func (d *directory) drop(a addr.Phys, mask uint64) {
+func (d *directory) drop(a addr.Phys, mask uint8) {
 	if dp := d.pages.Get(a.Page()); dp != nil {
 		bi := a.BlockIndex()
 		if dp.sharers[bi] &^= mask; dp.sharers[bi] == 0 {
 			dp.modified &^= 1 << bi
 		}
-	}
-}
-
-// removePage drops every entry of page p at once (the shred path),
-// keeping the chunk for reuse.
-func (d *directory) removePage(p addr.PageNum) {
-	if dp := d.pages.Get(p); dp != nil {
-		*dp = dirPage{}
 	}
 }
 
@@ -133,13 +141,11 @@ type Hierarchy struct {
 // SetBus attaches the observability event bus (nil disables).
 func (h *Hierarchy) SetBus(b *obs.Bus) { h.bus = b }
 
-// New creates a hierarchy in front of mc.
+// New creates a hierarchy in front of mc. It panics on a core count
+// Validate rejects, since the hierarchy is static configuration.
 func New(cfg Config, mc *memctrl.Controller) *Hierarchy {
-	if cfg.Cores <= 0 {
-		panic("hier: need at least one core")
-	}
-	if cfg.Cores > 64 {
-		panic("hier: directory bitmask supports at most 64 cores")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	h := &Hierarchy{
 		cfg: cfg,
@@ -183,12 +189,12 @@ func (h *Hierarchy) Read(core int, a addr.Phys) clock.Cycles {
 	if others := dp.sharers[bi] &^ (1 << core); others != 0 {
 		if dp.modified&(1<<bi) != 0 {
 			// The remote owner is the block's only sharer.
-			h.intervene(a, bits.TrailingZeros64(others))
+			h.intervene(dp, a, bits.TrailingZeros8(others))
 			dp.modified &^= 1 << bi
 			lat += h.cfg.CoherencePenalty
 		}
 		for ; others != 0; others &= others - 1 {
-			c := bits.TrailingZeros64(others)
+			c := bits.TrailingZeros8(others)
 			if l := h.l1[c].Probe(a); l != nil && l.State() == cache.Exclusive {
 				l.SetState(cache.Shared)
 			}
@@ -203,7 +209,7 @@ func (h *Hierarchy) Read(core int, a addr.Phys) clock.Cycles {
 		if !h.l4.LookupHit(a) {
 			h.llcMisses.Inc()
 			lat += h.mc.ReadBlock(a, nil)
-			h.insertL4(a, false)
+			h.insertL4(dp, a)
 		}
 		h.insertL3(a, false)
 	}
@@ -239,7 +245,7 @@ func (h *Hierarchy) Write(core int, a addr.Phys) clock.Cycles {
 	others := dp.sharers[bi] &^ (1 << core)
 	inheritDirty := others != 0 && dp.modified&(1<<bi) != 0
 	for m := others; m != 0; m &= m - 1 {
-		if h.discardPrivate(bits.TrailingZeros64(m), a) {
+		if h.discardPrivate(bits.TrailingZeros8(m), a) {
 			inheritDirty = true
 		}
 		h.invalidations.Inc()
@@ -262,7 +268,7 @@ func (h *Hierarchy) Write(core int, a addr.Phys) clock.Cycles {
 			if !h.l4.LookupHit(a) {
 				h.llcMisses.Inc()
 				lat += h.mc.ReadBlock(a, nil)
-				h.insertL4(a, false)
+				h.insertL4(dp, a)
 			}
 			h.insertL3(a, false)
 		}
@@ -284,8 +290,7 @@ func (h *Hierarchy) Write(core int, a addr.Phys) clock.Cycles {
 // queue.
 func (h *Hierarchy) WriteNonTemporal(a addr.Phys) clock.Cycles {
 	a = a.Block()
-	h.backInvalidate(a)
-	h.l3.Invalidate(a)
+	h.uncache(a)
 	h.l4.Invalidate(a)
 	h.mc.WriteBlock(a)
 	return h.cfg.NTStoreCycles
@@ -293,25 +298,42 @@ func (h *Hierarchy) WriteNonTemporal(a addr.Phys) clock.Cycles {
 
 // ShredInvalidate removes every block of page p from every cache level
 // without writing anything back (the contents are dead once the page is
-// shredded). It returns the number of invalidation messages, which the
-// kernel's shred path charges time for.
+// shredded), and empties the page's directory record. It returns the
+// number of invalidation messages, one per private L1 or L2 line
+// removed, which the kernel's shred path charges time for. It visits
+// only the blocks the record holds in L4, which by inclusion are all
+// the page's cached blocks, and their private copies only in the cores
+// the sharer masks name (directory coverage, invariant 3 of
+// CheckInvariants).
 func (h *Hierarchy) ShredInvalidate(p addr.PageNum) int {
 	h.pageInvals.Inc()
 	msgs := 0
-	for c := 0; c < h.cfg.Cores; c++ {
-		msgs += h.l1[c].InvalidatePageCount(p)
-		msgs += h.l2[c].InvalidatePageCount(p)
+	if dp := h.dir.pages.Get(p); dp != nil {
+		for held := dp.held; held != 0; held &= held - 1 {
+			bi := bits.TrailingZeros64(held)
+			a := p.BlockAddr(bi)
+			for m := dp.sharers[bi]; m != 0; m &= m - 1 {
+				c := bits.TrailingZeros8(m)
+				if _, ok := h.l1[c].Invalidate(a); ok {
+					msgs++
+				}
+				if _, ok := h.l2[c].Invalidate(a); ok {
+					msgs++
+				}
+			}
+			h.l3.Invalidate(a)
+			h.l4.Invalidate(a)
+		}
+		*dp = dirPage{}
 	}
-	h.l3.InvalidatePageCount(p)
-	h.l4.InvalidatePageCount(p)
-	h.dir.removePage(p)
 	h.bus.Emit(obs.EvPageInval, uint64(p.Addr()), uint64(msgs))
 	return msgs
 }
 
-// intervene downgrades core c, the dirty owner of block a, to Shared,
-// pushing its data into the shared levels (marked dirty there).
-func (h *Hierarchy) intervene(a addr.Phys, c int) {
+// intervene downgrades core c, the dirty owner of block a (of dp's
+// page), to Shared, pushing its data into the shared levels (marked
+// dirty there).
+func (h *Hierarchy) intervene(dp *dirPage, a addr.Phys, c int) {
 	h.interventions.Inc()
 	if l := h.l1[c].Probe(a); l != nil {
 		l.SetState(cache.Shared)
@@ -324,7 +346,7 @@ func (h *Hierarchy) intervene(a addr.Phys, c int) {
 	// The dirty data now lives in L3 (inclusive), marked dirty so it is
 	// eventually written back.
 	h.insertL3(a, true)
-	h.insertL4(a, false)
+	h.insertL4(dp, a)
 }
 
 // discardPrivate invalidates a from core c's private caches, returning
@@ -341,22 +363,39 @@ func (h *Hierarchy) discardPrivate(c int, a addr.Phys) bool {
 }
 
 // backInvalidate discards block a from the private caches of the cores
-// the directory names and drops its entry, reporting whether a discarded
-// copy was dirty. Directory coverage (invariant 3 of CheckInvariants)
-// makes the filter exact: a core the mask leaves out holds no copy.
-func (h *Hierarchy) backInvalidate(a addr.Phys) bool {
-	dp, bi := h.dir.pages.Get(a.Page()), a.BlockIndex()
+// its page record dp names and drops its entry, reporting whether a
+// discarded copy was dirty. dp is nil for a page the directory has no
+// record of. Directory coverage (invariant 3 of CheckInvariants) makes
+// the filter exact: a core the mask leaves out holds no copy.
+func (h *Hierarchy) backInvalidate(dp *dirPage, a addr.Phys) bool {
+	bi := a.BlockIndex()
 	if dp == nil || dp.sharers[bi] == 0 {
 		return false
 	}
 	dirty := false
 	for m := dp.sharers[bi]; m != 0; m &= m - 1 {
-		if h.discardPrivate(bits.TrailingZeros64(m), a) {
+		if h.discardPrivate(bits.TrailingZeros8(m), a) {
 			dirty = true
 		}
 	}
 	dp.sharers[bi] = 0
 	dp.modified &^= 1 << bi
+	return dirty
+}
+
+// uncache removes block a from every level above L4 and clears its held
+// bit, for a caller that takes it out of L4, reporting whether a removed
+// copy was dirty. A page without a record (the hierarchy never filled
+// it) has no bit to clear.
+func (h *Hierarchy) uncache(a addr.Phys) bool {
+	dp := h.dir.pages.Get(a.Page())
+	if dp != nil {
+		dp.held &^= 1 << a.BlockIndex()
+	}
+	dirty := h.backInvalidate(dp, a)
+	if l, ok := h.l3.Invalidate(a); ok && l.Dirty {
+		dirty = true
+	}
 	return dirty
 }
 
@@ -370,21 +409,16 @@ func (h *Hierarchy) insertPrivate(core int, a addr.Phys, st cache.State, dirty b
 }
 
 func (h *Hierarchy) insertL1(core int, a addr.Phys, st cache.State, dirty bool) {
-	if v, ev := h.l1[core].Insert(a, st, dirty); ev {
-		// L1 victim folds into L2 (inclusive: it must be there).
-		if v.Dirty {
-			if l := h.l2[core].Probe(v.Addr()); l != nil {
-				l.SetDirty(true)
-				// A dirty fold carries ownership: the L1 copy was
-				// Modified (possibly via a silent E->M upgrade the L2
-				// never saw).
-				l.SetState(cache.Modified)
-			} else {
-				// Inclusion was broken by an L2 eviction that raced
-				// ahead; push dirtiness to the shared levels.
-				h.insertL3(v.Addr(), true)
-			}
+	if v, ev := h.l1[core].Insert(a, st, dirty); ev && v.Dirty {
+		// A dirty L1 victim folds into L2, which holds it (inclusion).
+		l := h.l2[core].Probe(v.Addr())
+		if l == nil {
+			panic(fmt.Sprintf("hier: dirty L1.%d victim %v is not in L2.%d (inclusion)", core, v.Addr(), core))
 		}
+		l.SetDirty(true)
+		// A dirty fold carries ownership: the L1 copy was Modified
+		// (possibly via a silent E->M upgrade the L2 never saw).
+		l.SetState(cache.Modified)
 	}
 }
 
@@ -397,11 +431,11 @@ func (h *Hierarchy) evictFromL2(core int, v cache.Line) {
 		dirty = true
 	}
 	if dirty {
-		if l := h.l3.Probe(a); l != nil {
-			l.SetDirty(true)
-		} else {
-			h.insertL3(a, true)
+		l := h.l3.Probe(a)
+		if l == nil {
+			panic(fmt.Sprintf("hier: dirty L2.%d victim %v is not in L3 (inclusion)", core, a))
 		}
+		l.SetDirty(true)
 	}
 	h.dir.drop(a, 1<<core)
 }
@@ -414,30 +448,25 @@ func (h *Hierarchy) insertL3(a addr.Phys, dirty bool) {
 		return
 	}
 	va := v.Addr()
-	d := h.backInvalidate(va) || v.Dirty
-	if d {
-		if l := h.l4.Probe(va); l != nil {
-			l.SetDirty(true)
-		} else {
-			// Inclusion hole: write back directly.
-			h.mc.WriteBlock(va)
+	if h.backInvalidate(h.dir.pages.Get(va.Page()), va) || v.Dirty {
+		l := h.l4.Probe(va)
+		if l == nil {
+			panic(fmt.Sprintf("hier: dirty L3 victim %v is not in L4 (inclusion)", va))
 		}
+		l.SetDirty(true)
 	}
 }
 
-// insertL4 installs a into L4; a dirty victim is written back to NVM.
-func (h *Hierarchy) insertL4(a addr.Phys, dirty bool) {
-	v, ev := h.l4.Insert(a, cache.Shared, dirty)
+// insertL4 installs a, a block of dp's page, into L4 and sets its held
+// bit. A victim leaves every level above (inclusion) and is written back
+// to NVM if any copy of it was dirty.
+func (h *Hierarchy) insertL4(dp *dirPage, a addr.Phys) {
+	v, ev := h.l4.Insert(a, cache.Shared, false)
+	dp.held |= 1 << a.BlockIndex()
 	if !ev {
 		return
 	}
-	va := v.Addr()
-	// Back-invalidate everything above (inclusion).
-	d := h.backInvalidate(va) || v.Dirty
-	if l, ok := h.l3.Invalidate(va); ok && l.Dirty {
-		d = true
-	}
-	if d {
+	if va := v.Addr(); h.uncache(va) || v.Dirty {
 		h.mc.WriteBlock(va)
 	}
 }
@@ -449,10 +478,7 @@ func (h *Hierarchy) FlushPage(p addr.PageNum) int {
 	dirty := 0
 	for i := 0; i < addr.BlocksPerPage; i++ {
 		a := p.BlockAddr(i)
-		wasDirty := h.backInvalidate(a)
-		if l, ok := h.l3.Invalidate(a); ok && l.Dirty {
-			wasDirty = true
-		}
+		wasDirty := h.uncache(a)
 		if l, ok := h.l4.Invalidate(a); ok && l.Dirty {
 			wasDirty = true
 		}
@@ -469,10 +495,10 @@ func (h *Hierarchy) FlushPage(p addr.PageNum) int {
 // is written once, at its first dirty copy in the order below; the NVM
 // banks' timing depends on that order.
 func (h *Hierarchy) FlushAll() {
-	var written cache.BlockSet
+	var written blockSet
 	flush := func(lines []cache.Line) {
 		for _, l := range lines {
-			if written.Add(l.Addr()) {
+			if written.add(l.Addr()) {
 				h.mc.WriteBlock(l.Addr())
 			}
 		}
@@ -484,6 +510,20 @@ func (h *Hierarchy) FlushAll() {
 	flush(h.l3.FlushAll())
 	flush(h.l4.FlushAll())
 	h.dir.reset()
+}
+
+// blockSet is a set of block addresses kept as one 64-bit mask per
+// page in a page table. The zero value is an empty set.
+type blockSet struct {
+	pages addr.PageTable[uint64]
+}
+
+// add inserts block a, reporting whether it was absent.
+func (s *blockSet) add(a addr.Phys) bool {
+	p, bit := a.Page(), uint64(1)<<a.BlockIndex()
+	m := s.pages.Get(p)
+	s.pages.Set(p, m|bit)
+	return m&bit == 0
 }
 
 // Crash drops all cache contents without writing anything back, modeling

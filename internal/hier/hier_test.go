@@ -44,7 +44,10 @@ func TestTable1Config(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	for _, cores := range []int{0, 65} {
+	for _, cores := range []int{0, 9} {
+		if tinyConfig(cores).Validate() == nil {
+			t.Errorf("cores=%d: Validate accepted it", cores)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -53,6 +56,12 @@ func TestConfigValidation(t *testing.T) {
 			}()
 			newHier(t, tinyConfig(cores), memctrl.Baseline)
 		}()
+	}
+	if err := tinyConfig(8).Validate(); err != nil {
+		t.Fatalf("cores=8: %v", err)
+	}
+	if h, _, _ := newHier(t, tinyConfig(8), memctrl.Baseline); len(h.l1) != 8 {
+		t.Fatalf("8-core hierarchy has %d L1 caches", len(h.l1))
 	}
 }
 
@@ -305,21 +314,50 @@ func TestInvariantSweep(t *testing.T) {
 	}
 
 	// The directory derives a Modified block's owner from its sharer
-	// mask, so CheckAll must reject page-0 directory states that break
-	// that layout, each planted behind core 1's Modified block 0x080.
+	// mask, and a shred visits only the blocks the held bits name,
+	// relying on inclusion down to L4. CheckAll must reject each state
+	// below that breaks one of these, planted behind core 1's Modified
+	// block 0x080 (block 2 of page 0).
 	for _, c := range []struct {
 		name  string
-		plant func(dp *dirPage)
+		plant func(h *Hierarchy, dp *dirPage)
 	}{
-		{"Modified with two sharers", func(dp *dirPage) { dp.sharers[2] |= 1 }},
-		{"Modified bit without sharers", func(dp *dirPage) { dp.modified |= 1 << 3 }},
-		{"sharer beyond the last core", func(dp *dirPage) { dp.sharers[4] = 1 << 2 }},
+		{"Modified with two sharers", func(_ *Hierarchy, dp *dirPage) { dp.sharers[2] |= 1 }},
+		{"Modified bit without sharers", func(_ *Hierarchy, dp *dirPage) { dp.modified |= 1 << 3 }},
+		{"sharer beyond the last core", func(_ *Hierarchy, dp *dirPage) { dp.sharers[4] = 1 << 2 }},
+		{"L3 line missing from L4", func(h *Hierarchy, _ *dirPage) { h.l3.Insert(0x0C0, cache.Shared, false) }},
+		{"held bit without an L4 line", func(_ *Hierarchy, dp *dirPage) { dp.held |= 1 << 5 }},
+		{"L4 line without its held bit", func(_ *Hierarchy, dp *dirPage) { dp.held &^= 1 << 2 }},
 	} {
 		h, _, _ := newHier(t, tinyConfig(2), memctrl.Baseline)
 		h.Write(1, 0x080)
-		c.plant(h.dir.pages.Get(0))
+		c.plant(h, h.dir.pages.Get(0))
 		if err := h.CheckAll(); err == nil {
 			t.Errorf("%s: CheckAll accepted the directory", c.name)
 		}
+	}
+}
+
+func TestBlockSet(t *testing.T) {
+	var s blockSet
+	region := addr.Phys(1 << 46)          // the counter region: map side
+	far := addr.PageNum(300).BlockAddr(3) // grows the slice twice over
+	for _, tc := range []struct {
+		a    addr.Phys
+		want bool
+	}{
+		{0x40, true}, {0x7f, false}, // same block
+		{far, true}, {far, false},
+		{region, true}, {region + 0x40, true}, {region + 0x3f, false},
+	} {
+		if got := s.add(tc.a); got != tc.want {
+			t.Fatalf("add(%v) = %v, want %v", tc.a, got, tc.want)
+		}
+	}
+	if got := s.pages.Get(far.Page()); got != 1<<3 {
+		t.Fatalf("mask of %v = %#x, want %#x", far.Page(), got, 1<<3)
+	}
+	if got := s.pages.Get(region.Page()); got != 0b11 {
+		t.Fatalf("mask of %v = %#b, want 0b11", region.Page(), got)
 	}
 }

@@ -13,16 +13,22 @@ import (
 // debugging: a correct run never violates any of
 //
 //  1. inclusion — a block valid in any private L1/L2 is also valid in the
-//     shared L3 and L4;
+//     shared L3, and a block valid in L3 is also valid in L4;
 //  2. L1/L2 pairing — a block in a core's L1 is also in that core's L2;
 //  3. directory coverage — every private copy is recorded in the
 //     directory's sharer mask, and every recorded sharer holds a copy;
 //  4. single owner — at most one core holds a block Modified or
-//     Exclusive, and while one does, no other core holds any copy.
+//     Exclusive, and while one does, no other core holds any copy;
+//  5. L4 residency — a block is valid in L4 exactly when its page's
+//     directory record has the block's held bit set.
 func (h *Hierarchy) CheckInvariants(blocks []addr.Phys) error {
 	for _, a := range blocks {
 		a = a.Block()
-		var holders, owners uint64
+		inL3, inL4 := h.l3.Probe(a) != nil, h.l4.Probe(a) != nil
+		if inL3 && !inL4 {
+			return fmt.Errorf("hier: %v in L3 but not L4 (inclusion)", a)
+		}
+		var holders, owners uint8
 		modifiedOwner := -1
 		for c := 0; c < h.cfg.Cores; c++ {
 			l1 := h.l1[c].Probe(a)
@@ -32,11 +38,8 @@ func (h *Hierarchy) CheckInvariants(blocks []addr.Phys) error {
 			}
 			if l1 != nil || l2 != nil {
 				holders |= 1 << c
-				if h.l3.Probe(a) == nil {
+				if !inL3 {
 					return fmt.Errorf("hier: %v in private caches of core %d but not L3 (inclusion)", a, c)
-				}
-				if h.l4.Probe(a) == nil {
-					return fmt.Errorf("hier: %v in private caches of core %d but not L4 (inclusion)", a, c)
 				}
 			}
 			for _, l := range []*cache.Way{l1, l2} {
@@ -55,12 +58,15 @@ func (h *Hierarchy) CheckInvariants(blocks []addr.Phys) error {
 		if owners != 0 && holders != owners || owners&(owners-1) != 0 {
 			return fmt.Errorf("hier: %v owned (Modified or Exclusive) by mask %b but held by mask %b", a, owners, holders)
 		}
-		var sharers uint64
-		modified := false
+		var sharers uint8
+		modified, held := false, false
 		if dp := h.dir.pages.Get(a.Page()); dp != nil {
-			sharers, modified = dp.sharers[a.BlockIndex()], dp.modified&(1<<a.BlockIndex()) != 0
+			bit := uint64(1) << a.BlockIndex()
+			sharers, modified, held = dp.sharers[a.BlockIndex()], dp.modified&bit != 0, dp.held&bit != 0
 		}
 		switch {
+		case held != inL4:
+			return fmt.Errorf("hier: %v in L4 = %v, but its directory held bit = %v", a, inL4, held)
 		case sharers == 0 && holders != 0:
 			return fmt.Errorf("hier: %v held by mask %b but absent from directory", a, holders)
 		case sharers&^holders != 0:
@@ -75,7 +81,8 @@ func (h *Hierarchy) CheckInvariants(blocks []addr.Phys) error {
 }
 
 // ResidentBlocks returns every block address currently valid in any cache
-// level or tracked by the directory, sorted and deduplicated. It is the
+// level or tracked by the directory (a sharer mask or a held bit), sorted
+// and deduplicated. It is the
 // universe a machine-wide invariant sweep must cover: a block resident
 // nowhere trivially satisfies every structural invariant.
 func (h *Hierarchy) ResidentBlocks() []addr.Phys {
@@ -91,7 +98,7 @@ func (h *Hierarchy) ResidentBlocks() []addr.Phys {
 	collect(h.l4)
 	h.dir.pages.ForEach(func(p addr.PageNum, dp *dirPage) {
 		for bi, m := range dp.sharers {
-			if m != 0 {
+			if m != 0 || dp.held&(1<<bi) != 0 {
 				seen[p.BlockAddr(bi)] = true
 			}
 		}
@@ -117,11 +124,13 @@ func (h *Hierarchy) ResidentAny(a addr.Phys) bool {
 	return h.l3.Probe(a) != nil || h.l4.Probe(a) != nil
 }
 
-// CheckAll runs CheckInvariants over every resident block plus the
-// directory-level structural rules that are not per-block: a sharer mask
-// names only live cores, a Modified entry's mask is exactly its owner's
-// bit (the layout derives the owner from it), and no block without
-// sharers is marked Modified (a lingering bit is a bookkeeping leak).
+// CheckAll runs CheckInvariants over every resident block, so it checks
+// the held bits both ways: each set bit names an L4 line, and each L4
+// line has its bit. It adds the directory-level structural rules that
+// are not per-block: a sharer mask names only live cores, a Modified
+// entry's mask is exactly its owner's bit (the layout derives the owner
+// from it), and no block without sharers is marked Modified (a
+// lingering bit is a bookkeeping leak).
 func (h *Hierarchy) CheckAll() error {
 	blocks := h.ResidentBlocks()
 	if err := h.CheckInvariants(blocks); err != nil {

@@ -122,12 +122,16 @@ func ScaledConfig(mode memctrl.Mode, zm kernel.ZeroMode, scale int) Config {
 	return cfg
 }
 
-// ValidateCaches reports the first cache of the machine — L1 to L4, then
-// the counter cache — whose geometry cache.New would reject. A
-// ScaledConfig scale that is not a power of two leaves a cache with a
-// fractional or non-power-of-two set count, and so does an odd
-// counter-cache size.
-func (c Config) ValidateCaches() error {
+// Validate reports what New would reject in the machine's shape: a core
+// count hier.Config.Validate rejects (1 to hier.MaxCores), then the
+// first cache — L1 to L4, then the counter cache — whose geometry
+// cache.New would reject. A ScaledConfig scale that is not a power of
+// two leaves a cache with a fractional or non-power-of-two set count,
+// and so does an odd counter-cache size.
+func (c Config) Validate() error {
+	if err := c.Hier.Validate(); err != nil {
+		return err
+	}
 	for _, cc := range []cache.Config{c.Hier.L1, c.Hier.L2, c.Hier.L3, c.Hier.L4, c.MemCtrl.CounterCache.Tags()} {
 		if err := cc.Validate(); err != nil {
 			return err
@@ -161,7 +165,7 @@ type Machine struct {
 
 // New builds a machine from cfg.
 func New(cfg Config) (*Machine, error) {
-	if err := cfg.ValidateCaches(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	if cfg.CheckOracle {

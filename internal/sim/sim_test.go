@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"silentshredder/internal/addr"
+	"silentshredder/internal/hier"
 	"silentshredder/internal/kernel"
 	"silentshredder/internal/memctrl"
 )
@@ -49,9 +50,9 @@ func TestScaledConfigFloors(t *testing.T) {
 func TestValidateCachesScales(t *testing.T) {
 	for scale := 1; scale <= 128; scale++ {
 		cfg := ScaledConfig(memctrl.SilentShredder, kernel.ZeroShred, scale)
-		err := cfg.ValidateCaches()
+		err := cfg.Validate()
 		if pow2 := scale&(scale-1) == 0; (err == nil) != pow2 {
-			t.Errorf("scale %d: ValidateCaches() = %v, want ok=%v", scale, err, pow2)
+			t.Errorf("scale %d: Validate() = %v, want ok=%v", scale, err, pow2)
 		}
 		if err == nil {
 			continue
@@ -59,7 +60,24 @@ func TestValidateCachesScales(t *testing.T) {
 		cfg.Hier.Cores = 1
 		cfg.MemPages = 64
 		if _, err := New(cfg); err == nil {
-			t.Errorf("scale %d: New accepted a geometry ValidateCaches rejects", scale)
+			t.Errorf("scale %d: New accepted a geometry Validate rejects", scale)
+		}
+	}
+}
+
+// New returns an error, rather than panicking inside hier.New, for a
+// core count outside 1 to hier.MaxCores.
+func TestNewRejectsCoreCount(t *testing.T) {
+	for _, cores := range []int{-1, 0, 1, hier.MaxCores, hier.MaxCores + 1, 64} {
+		cfg := ScaledConfig(memctrl.SilentShredder, kernel.ZeroShred, 64)
+		cfg.Hier.Cores = cores
+		cfg.MemPages = 64
+		want := cores >= 1 && cores <= hier.MaxCores
+		if err := cfg.Validate(); (err == nil) != want {
+			t.Errorf("cores %d: Validate() = %v, want ok=%v", cores, err, want)
+		}
+		if _, err := New(cfg); (err == nil) != want {
+			t.Errorf("cores %d: New error = %v, want ok=%v", cores, err, want)
 		}
 	}
 }
