@@ -1,27 +1,26 @@
 // Command experiments regenerates every table and figure in the paper's
-// evaluation, plus the design-choice ablations. Each subcommand prints an
+// evaluation, plus the design-choice ablations. Each experiment prints an
 // aligned text table with the paper's reference numbers in the title.
 //
 // Usage:
 //
 //	experiments [flags] <experiment>...
 //
-// Experiments: table1 table2 fig4 fig5 fig8 fig9 fig10 fig11 fig12
-// ablation-iv ablation-dcw ablation-deuce ablation-wt ablation-merkle
-// banks faults crash adversary merkle latency energy export summary
-// timeseries all
+// `experiments -h` lists the experiments and the flags.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 
 	"silentshredder/internal/adversary"
 	"silentshredder/internal/exper"
-	"silentshredder/internal/integrity"
 	"silentshredder/internal/kernel"
 	"silentshredder/internal/memctrl"
 	"silentshredder/internal/obs"
@@ -30,223 +29,226 @@ import (
 )
 
 func main() {
-	var o exper.Options
-	flag.IntVar(&o.Cores, "cores", 8, "simulated cores, 1 to 8 (one workload instance per core)")
-	flag.IntVar(&o.Scale, "scale", 8, "divide Table 1 cache capacities by this factor")
-	flag.BoolVar(&o.Quick, "quick", false, "shrink workloads for a fast smoke run")
-	flag.IntVar(&o.Parallel, "parallel", runtime.GOMAXPROCS(0),
-		"worker goroutines for independent simulation runs (1 = sequential; output is byte-identical either way)")
-	flag.BoolVar(&o.Check, "check", false,
-		"run every machine under the architectural oracle and invariant sweeps (slow; violations abort the run)")
-	flag.IntVar(&o.Banks, "banks", 0, "NVM banks per channel (0 keeps Table 1's 8)")
-	flag.IntVar(&o.BankQueueDepth, "bank-queue", 0,
-		"per-bank posted-write queue depth; > 0 enables the banked drain-scheduler device model")
-	flag.IntVar(&o.BankDrainBatch, "bank-drain", 0,
-		"writes drained back-to-back when a bank queue fills (0 = default batch)")
-	integrityEngine := flag.String("integrity-engine", "eager",
-		"Merkle tree update scheme for machines with the tree enabled: eager | cached (merkle runs both either way and adversary prints the same matrix; cached changes latency's mmu, integrity and other cells and its merkle_flush means)")
-	var workloads string
-	flag.StringVar(&workloads, "workloads", "", "comma-separated subset for fig8-fig11 (default: all 29)")
-	var format string
-	flag.StringVar(&format, "format", "text", "output for the comparison data: text | csv | json")
-	obsPhase := flag.Bool("obs-phase", false, "print host wall-time phase/run timings to stderr after the sweeps")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// session is one invocation's state, shared by the experiments it runs.
+type session struct {
+	o         exper.Options
+	workloads []string // -workloads; nil means each experiment's default
+	format    string
+	obs       *obscli.Flags
+	stdout    io.Writer
+	stderr    io.Writer
+	results   []exper.Result // the Figure 8-11 comparison, once run
+}
+
+// comparison runs the baseline vs Silent Shredder sweep that fig8-fig11,
+// energy, summary and export share, on first use only.
+func (s *session) comparison() []exper.Result {
+	if s.results == nil {
+		n := len(s.workloads)
+		if n == 0 {
+			n = len(exper.AllWorkloads())
+		}
+		fmt.Fprintf(s.stderr, "running baseline vs Silent Shredder comparison (%d workloads x %d cores x 2 modes, %d sweep workers)...\n",
+			n, s.o.Cores, s.o.Parallel)
+		s.results = exper.CompareAll(s.o, s.workloads)
+	}
+	return s.results
+}
+
+// print writes each table on stdout, each followed by a newline.
+func (s *session) print(tables ...*stats.Table) error {
+	for _, t := range tables {
+		fmt.Fprintln(s.stdout, t)
+	}
+	return nil
+}
+
+// experiment is one entry of the registry: the name given on the command
+// line, its usage text, whether `all` runs it, and what it prints.
+type experiment struct {
+	name, help string
+	inAll      bool
+	run        func(s *session) error
+}
+
+// registry lists every experiment; `all` runs the inAll entries in this
+// order.
+var registry = []experiment{
+	{"table1", "simulated system configuration", true, func(s *session) error { return s.print(exper.Table1(s.o)) }},
+	{"table2", "initialization-technique comparison (measured)", true, func(s *session) error { return s.print(exper.Table2Format(exper.Table2(s.o))) }},
+	{"fig4", "kernel-zeroing share of memset time (64MB-1GB)", true, func(s *session) error { return s.print(exper.Fig4Table(exper.Fig4(s.o, nil))) }},
+	{"fig5", "relative writes by kernel zeroing strategy (PowerGraph)", true, func(s *session) error { return s.print(exper.Fig5Table(exper.Fig5(s.o))) }},
+	{"fig8", "per-benchmark main-memory write savings", true, func(s *session) error { return s.print(exper.Fig8Table(s.comparison())) }},
+	{"fig9", "per-benchmark read-traffic savings", true, func(s *session) error { return s.print(exper.Fig9Table(s.comparison())) }},
+	{"fig10", "per-benchmark memory read speedup", true, func(s *session) error { return s.print(exper.Fig10Table(s.comparison())) }},
+	{"fig11", "per-benchmark relative IPC", true, func(s *session) error { return s.print(exper.Fig11Table(s.comparison())) }},
+	{"fig12", "counter-cache size vs miss rate", true, func(s *session) error { return s.print(exper.Fig12Table(s.o, exper.Fig12(s.o, nil))) }},
+	{"ablation-iv", "the three 4.2 shred encodings", true, func(s *session) error { return s.print(exper.AblationIVTable(exper.AblationIV(s.o))) }},
+	{"ablation-dcw", "encryption diffusion vs DCW/Flip-N-Write", true, func(s *session) error { return s.print(exper.AblationDCWTable(exper.AblationDCW(s.o))) }},
+	{"ablation-deuce", "Silent Shredder composed with DEUCE", true, func(s *session) error { return s.print(exper.AblationDeuceTable(exper.AblationDeuce(s.o))) }},
+	{"ablation-wt", "write-back vs write-through counter cache", true, func(s *session) error { return s.print(exper.AblationWTTable(exper.AblationWT(s.o))) }},
+	{"ablation-writeq", "zeroing write bursts blocking reads", true, func(s *session) error { return s.print(exper.AblationWQTable(exper.AblationWQ(s.o))) }},
+	{"ablation-merkle", "Bonsai Merkle integrity overhead", true, func(s *session) error { return s.print(exper.AblationMerkleTable(exper.AblationMerkle(s.o))) }},
+	{"banks", "bank/queue geometry sweep under the banked device model\n(per-bank write queues, drain batching, read-around;\n-banks/-bank-queue/-bank-drain)", true, func(s *session) error { return s.print(exper.BanksTable(exper.Banks(s.o))) }},
+	{"merkle", "integrity-engine comparison: eager vs cached/coalesced\nhash traffic per tree level over one checked workload", true, func(s *session) error {
+		rows, err := exper.MerkleSweep(s.o, 42, s.obs.Ring)
+		if err != nil {
+			return err
+		}
+		return s.print(exper.MerkleTable(rows), exper.MerkleLevelTable(rows))
+	}},
+	{"latency", "latency provenance: per-op mean cycles split by layer\n(mmu/cache/counter/pad/integrity/bank/device) for the\nbaseline's NT-zero clear vs Silent Shredder's shred", true, func(s *session) error {
+		rows, err := exper.LatencySweep(s.o)
+		if err != nil {
+			return err
+		}
+		return s.print(exper.LatencyTable(rows))
+	}},
+	{"adversary", "persistence-attack matrix: remanence / scavenger / replay\nattackers vs every (personality, shred-policy) cell", true, func(s *session) error {
+		rows, err := exper.AdversaryMatrix(s.o, 42, adversary.AllAttackers())
+		if err != nil {
+			return err
+		}
+		return s.print(exper.AdversaryTable(rows))
+	}},
+	{"energy", "NVM energy savings (the paper's power-reduction claim)", true, func(s *session) error { return s.print(exper.EnergyTable(s.comparison())) }},
+	{"summary", "averages vs the paper's headline numbers", true, func(s *session) error { return s.print(summaryTable(s.comparison())) }},
+	{"faults", "ECC corrections and retirements vs injected fault rate", false, func(s *session) error {
+		rows, err := exper.FaultSweep(s.o, "lbm", 42, []float64{1, 4, 16})
+		if err != nil {
+			return err
+		}
+		return s.print(exper.FaultSweepTable(rows))
+	}},
+	{"crash", "crash-anywhere recovery validation sweep", false, func(s *session) error {
+		rows, err := exper.CrashSweep(s.o, 42, 16)
+		if err != nil {
+			return err
+		}
+		return s.print(exper.CrashSweepTable(rows))
+	}},
+	{"export", "comparison data as text/csv/json (see -format)", false, runExport},
+	{"timeseries", "time-resolved shred/zero-fill/counter-cache series\n(-obs-epoch interval, -obs-epoch-out CSV/JSON,\n-obs-trace Chrome trace; workloads from -workloads)", false, runTimeseries},
+}
+
+// run is the testable entry point: it parses args, rejects any bad
+// name or value before a machine is built, runs the named experiments
+// in order, and returns the exit code (0 ok, 1 run failure, 2 usage
+// error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o := exper.DefaultOptions()
+	o.Parallel = runtime.GOMAXPROCS(0)
+	o.RegisterFlags(fs)
+	workloads := fs.String("workloads", "", "comma-separated subset for fig8-fig11 (default: all 29)")
+	format := fs.String("format", "text", "output for the comparison data: text | csv | json")
+	obsPhase := fs.Bool("obs-phase", false, "print host wall-time phase/run timings to stderr after the sweeps")
 	var obsFlags obscli.Flags
-	obsFlags.Register(flag.CommandLine)
+	obsFlags.Register(fs)
 	var profCfg obs.ProfileConfig
-	profCfg.RegisterFlags(flag.CommandLine)
-	flag.Usage = usage
-	flag.Parse()
-
-	args := flag.Args()
-	if len(args) == 0 {
-		usage()
-		os.Exit(2)
+	profCfg.RegisterFlags(fs)
+	fs.Usage = func() { usage(fs) }
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() == 0 {
+		fs.Usage()
+		return 2
 	}
 
-	engine, err := integrity.ParseEngine(*integrityEngine)
+	var todo []experiment
+	for _, name := range fs.Args() {
+		if name == "all" {
+			for _, e := range registry {
+				if e.inAll {
+					todo = append(todo, e)
+				}
+			}
+			continue
+		}
+		i := slices.IndexFunc(registry, func(e experiment) bool { return e.name == name })
+		if i < 0 {
+			hint := ""
+			if strings.HasPrefix(name, "-") {
+				hint = " (flags go before experiment names)"
+			}
+			fmt.Fprintf(stderr, "experiments: unknown experiment %q%s; -h lists them\n", name, hint)
+			return 2
+		}
+		todo = append(todo, registry[i])
+	}
+	switch *format {
+	case "text", "csv", "json":
+	default:
+		fmt.Fprintf(stderr, "experiments: unknown -format %q (want text, csv or json)\n", *format)
+		return 2
+	}
+	names, err := exper.ParseWorkloads(*workloads)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "experiments: -workloads: %v\n", err)
+		return 2
 	}
-	o.IntegrityEngine = engine
-	if err := exper.CheckMachine(o.Cores, o.Scale); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
+	err = o.CheckFlags()
+	if err == nil {
+		err = exper.CheckMachine(o.Cores, o.Scale)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return 2
 	}
 
 	stopProf, err := profCfg.Start()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return 2
 	}
 	defer stopProf()
 	if *obsPhase {
 		o.Profile = exper.NewSweepProfile()
 		defer func() {
 			o.Profile.Finish()
-			fmt.Fprint(os.Stderr, o.Profile.Report())
+			fmt.Fprint(stderr, o.Profile.Report())
 		}()
 	}
 
-	names := splitList(workloads)
-
-	// fig8-fig11 share one comparison sweep; run it lazily and once.
-	var results []exper.Result
-	comparison := func() []exper.Result {
-		if results == nil {
-			fmt.Fprintf(os.Stderr, "running baseline vs Silent Shredder comparison (%d workloads x %d cores x 2 modes, %d sweep workers)...\n",
-				lenOr(names, 29), o.Cores, o.Parallel)
-			results = exper.CompareAll(o, names)
-		}
-		return results
-	}
-
-	for _, cmd := range args {
-		o.Profile.StartPhase(cmd) // nil-safe: no-op without -obs-phase
-		switch cmd {
-		case "timeseries":
-			if err := runTimeseries(o, names, &obsFlags); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-		case "table1":
-			fmt.Println(exper.Table1(o))
-		case "table2":
-			fmt.Println(exper.Table2Format(exper.Table2(o)))
-		case "fig4":
-			fmt.Println(exper.Fig4Table(exper.Fig4(o, nil)))
-		case "fig5":
-			fmt.Println(exper.Fig5Table(exper.Fig5(o)))
-		case "fig8":
-			fmt.Println(exper.Fig8Table(comparison()))
-		case "fig9":
-			fmt.Println(exper.Fig9Table(comparison()))
-		case "fig10":
-			fmt.Println(exper.Fig10Table(comparison()))
-		case "fig11":
-			fmt.Println(exper.Fig11Table(comparison()))
-		case "fig12":
-			fmt.Println(exper.Fig12Table(o, exper.Fig12(o, nil)))
-		case "ablation-iv":
-			fmt.Println(exper.AblationIVTable(exper.AblationIV(o)))
-		case "ablation-dcw":
-			fmt.Println(exper.AblationDCWTable(exper.AblationDCW(o)))
-		case "ablation-deuce":
-			fmt.Println(exper.AblationDeuceTable(exper.AblationDeuce(o)))
-		case "ablation-writeq":
-			fmt.Println(exper.AblationWQTable(exper.AblationWQ(o)))
-		case "ablation-wt":
-			fmt.Println(exper.AblationWTTable(exper.AblationWT(o)))
-		case "ablation-merkle":
-			fmt.Println(exper.AblationMerkleTable(exper.AblationMerkle(o)))
-		case "banks":
-			fmt.Println(exper.BanksTable(exper.Banks(o)))
-		case "faults":
-			rows, err := exper.FaultSweep(o, "lbm", 42, []float64{1, 4, 16})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Println(exper.FaultSweepTable(rows))
-		case "crash":
-			rows, err := exper.CrashSweep(o, 42, 16)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Println(exper.CrashSweepTable(rows))
-		case "adversary":
-			rows, err := exper.AdversaryMatrix(o, 42, adversary.AllAttackers())
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Println(exper.AdversaryTable(rows))
-		case "merkle":
-			rows, err := exper.MerkleSweep(o, 42, obsFlags.Ring)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(exper.MerkleTable(rows))
-			fmt.Println(exper.MerkleLevelTable(rows))
-		case "latency":
-			rows, err := exper.LatencySweep(o)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(exper.LatencyTable(rows))
-		case "energy":
-			fmt.Println(exper.EnergyTable(comparison()))
-		case "summary":
-			printSummary(comparison())
-		case "export":
-			switch format {
-			case "csv":
-				out, err := exper.ResultsCSV(comparison())
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Print(out)
-			case "json":
-				out, err := exper.ResultsJSON(comparison())
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Println(string(out))
-			default:
-				fmt.Println(exper.Fig8Table(comparison()))
-				fmt.Println(exper.Fig9Table(comparison()))
-				fmt.Println(exper.Fig10Table(comparison()))
-				fmt.Println(exper.Fig11Table(comparison()))
-			}
-		case "all":
-			fmt.Println(exper.Table1(o))
-			fmt.Println(exper.Table2Format(exper.Table2(o)))
-			fmt.Println(exper.Fig4Table(exper.Fig4(o, nil)))
-			fmt.Println(exper.Fig5Table(exper.Fig5(o)))
-			fmt.Println(exper.Fig8Table(comparison()))
-			fmt.Println(exper.Fig9Table(comparison()))
-			fmt.Println(exper.Fig10Table(comparison()))
-			fmt.Println(exper.Fig11Table(comparison()))
-			fmt.Println(exper.Fig12Table(o, exper.Fig12(o, nil)))
-			fmt.Println(exper.AblationIVTable(exper.AblationIV(o)))
-			fmt.Println(exper.AblationDCWTable(exper.AblationDCW(o)))
-			fmt.Println(exper.AblationDeuceTable(exper.AblationDeuce(o)))
-			fmt.Println(exper.AblationWTTable(exper.AblationWT(o)))
-			fmt.Println(exper.AblationWQTable(exper.AblationWQ(o)))
-			fmt.Println(exper.AblationMerkleTable(exper.AblationMerkle(o)))
-			fmt.Println(exper.BanksTable(exper.Banks(o)))
-			if rows, err := exper.MerkleSweep(o, 42, obsFlags.Ring); err == nil {
-				fmt.Println(exper.MerkleTable(rows))
-				fmt.Println(exper.MerkleLevelTable(rows))
-			} else {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			if rows, err := exper.LatencySweep(o); err == nil {
-				fmt.Println(exper.LatencyTable(rows))
-			} else {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			if rows, err := exper.AdversaryMatrix(o, 42, adversary.AllAttackers()); err == nil {
-				fmt.Println(exper.AdversaryTable(rows))
-			} else {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Println(exper.EnergyTable(comparison()))
-			printSummary(comparison())
-		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n\n", cmd)
-			usage()
-			os.Exit(2)
+	s := &session{o: o, workloads: names, format: *format, obs: &obsFlags, stdout: stdout, stderr: stderr}
+	for _, e := range todo {
+		o.Profile.StartPhase(e.name) // nil-safe: no-op without -obs-phase
+		if err := e.run(s); err != nil {
+			fmt.Fprintf(stderr, "experiments: %s: %v\n", e.name, err)
+			return 1
 		}
 	}
+	return 0
+}
+
+// runExport prints the comparison data in the -format encoding.
+func runExport(s *session) error {
+	switch s.format {
+	case "csv":
+		out, err := exper.ResultsCSV(s.comparison())
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(s.stdout, out)
+	case "json":
+		out, err := exper.ResultsJSON(s.comparison())
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(s.stdout, string(out))
+	default:
+		r := s.comparison()
+		return s.print(exper.Fig8Table(r), exper.Fig9Table(r), exper.Fig10Table(r), exper.Fig11Table(r))
+	}
+	return nil
 }
 
 // runTimeseries is the time-resolved observability recipe: run each
@@ -255,10 +257,12 @@ func main() {
 // merged epoch series / Chrome trace. The sweep is fanned out like every
 // other experiment; captures merge in workload order, so output is
 // byte-identical for any -parallel.
-func runTimeseries(o exper.Options, names []string, f *obscli.Flags) error {
+func runTimeseries(s *session) error {
+	names := s.workloads
 	if len(names) == 0 {
 		names = []string{"pagerank"}
 	}
+	f := s.obs
 	if f.Epoch == 0 {
 		f.Epoch = 1 << 20 // ~0.5ms of machine time per epoch
 	}
@@ -266,13 +270,9 @@ func runTimeseries(o exper.Options, names []string, f *obscli.Flags) error {
 		cap obscli.Capture
 		err error
 	}
-	parallel := o.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	outs := exper.RunIndexed(parallel, len(names), exper.ProfiledJob(o.Profile, func(i int) out {
+	outs := exper.RunIndexed(s.o.Parallel, len(names), exper.ProfiledJob(s.o.Profile, func(i int) out {
 		bus := f.NewBus()
-		m, err := exper.RunWorkloadTweaked(o, names[i], memctrl.SilentShredder, kernel.ZeroShred,
+		m, err := exper.RunWorkloadTweaked(s.o, names[i], memctrl.SilentShredder, kernel.ZeroShred,
 			exper.MachineTweaks{Bus: bus, EpochEvery: f.Epoch})
 		if err != nil {
 			return out{err: err}
@@ -286,10 +286,12 @@ func runTimeseries(o exper.Options, names []string, f *obscli.Flags) error {
 		}
 		caps[i] = r.cap
 	}
-	return f.Write(caps)
+	return f.Write(s.stdout, caps)
 }
 
-func printSummary(results []exper.Result) {
+// summaryTable sets the comparison's averages beside the paper's
+// headline numbers.
+func summaryTable(results []exper.Result) *stats.Table {
 	var ws, rs, sp, ipc []float64
 	for _, r := range results {
 		ws = append(ws, r.WriteSavings)
@@ -304,72 +306,21 @@ func printSummary(results []exper.Result) {
 	t.AddRow("read traffic savings (fig 9)", ref.AvgReadSavings, stats.ArithMean(rs))
 	t.AddRow("memory read speedup (fig 10)", ref.AvgReadSpeedup, stats.GeoMean(sp))
 	t.AddRow("relative IPC (fig 11)", 1+ref.AvgIPCGain, stats.GeoMean(ipc))
-	fmt.Println(t)
+	return t
 }
 
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
+// usage prints the registry and the flags.
+func usage(fs *flag.FlagSet) {
+	w := fs.Output()
+	fmt.Fprint(w, "usage: experiments [flags] <experiment>...\n\n"+
+		"Regenerates the paper's evaluation tables and figures on the simulator.\n\nexperiments:\n")
+	var notInAll []string
+	for _, e := range registry {
+		fmt.Fprintf(w, "  %-16s %s\n", e.name, strings.ReplaceAll(e.help, "\n", "\n"+strings.Repeat(" ", 19)))
+		if !e.inAll {
+			notInAll = append(notInAll, e.name)
 		}
 	}
-	return out
-}
-
-func lenOr(s []string, def int) int {
-	if len(s) == 0 {
-		return def
-	}
-	return len(s)
-}
-
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: experiments [flags] <experiment>...
-
-Regenerates the paper's evaluation tables and figures on the simulator.
-
-experiments:
-  table1           simulated system configuration
-  table2           initialization-technique comparison (measured)
-  fig4             kernel-zeroing share of memset time (64MB-1GB)
-  fig5             relative writes by kernel zeroing strategy (PowerGraph)
-  fig8             per-benchmark main-memory write savings
-  fig9             per-benchmark read-traffic savings
-  fig10            per-benchmark memory read speedup
-  fig11            per-benchmark relative IPC
-  fig12            counter-cache size vs miss rate
-  ablation-iv      the three 4.2 shred encodings
-  ablation-dcw     encryption diffusion vs DCW/Flip-N-Write
-  ablation-deuce   Silent Shredder composed with DEUCE
-  ablation-wt      write-back vs write-through counter cache
-  ablation-writeq  zeroing write bursts blocking reads
-  ablation-merkle  Bonsai Merkle integrity overhead
-  banks            bank/queue geometry sweep under the banked device model
-                   (per-bank write queues, drain batching, read-around;
-                   -banks/-bank-queue/-bank-drain)
-  faults           ECC corrections and retirements vs injected fault rate
-  crash            crash-anywhere recovery validation sweep
-  adversary        persistence-attack matrix: remanence / scavenger / replay
-                   attackers vs every (personality, shred-policy) cell
-  merkle           integrity-engine comparison: eager vs cached/coalesced
-                   hash traffic per tree level over one checked workload
-  latency          latency provenance: per-op mean cycles split by layer
-                   (mmu/cache/counter/pad/integrity/bank/device) for the
-                   baseline's NT-zero clear vs Silent Shredder's shred
-  energy           NVM energy savings (the paper's power-reduction claim)
-  export           comparison data as text/csv/json (see -format)
-  summary          averages vs the paper's headline numbers
-  timeseries       time-resolved shred/zero-fill/counter-cache series
-                   (-obs-epoch interval, -obs-epoch-out CSV/JSON,
-                   -obs-trace Chrome trace; workloads from -workloads)
-  all              everything above
-
-flags:
-`)
-	flag.PrintDefaults()
+	fmt.Fprintf(w, "  %-16s every experiment above, in order, except %s\n\nflags:\n", "all", strings.Join(notInAll, ", "))
+	fs.PrintDefaults()
 }

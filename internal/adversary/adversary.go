@@ -164,7 +164,7 @@ type Config struct {
 	// integrity tree (integrity.Config.DirtyCacheNodes): 0, the
 	// default, is the eager tree. A lazy tree must detect every attack
 	// the eager one does — the matrix output is the same for any
-	// capacity, which exper.TestIntegrityGoldens pins.
+	// capacity, which cmd/experiments TestGoldens pins.
 	Engine int
 	// Bus, when non-nil, receives attack_attempt / attack_detected /
 	// attack_leak events in engine program order.

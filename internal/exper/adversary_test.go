@@ -10,7 +10,7 @@ import (
 
 // TestAdversaryMatrixParallelDeterminism: the matrix must come back in
 // canonical row order with identical contents for any worker count —
-// the property the `make adversary` golden gate relies on.
+// the property the adversary rows of cmd/experiments TestGoldens rely on.
 func TestAdversaryMatrixParallelDeterminism(t *testing.T) {
 	attacks := []adversary.Attacker{adversary.AttackReplay}
 	seq, err := AdversaryMatrix(Options{Parallel: 1}, 42, attacks)

@@ -105,7 +105,7 @@ func Banks(o Options) []BanksRow {
 // BanksTable formats the bank/queue geometry sweep.
 func BanksTable(rows []BanksRow) *stats.Table {
 	t := stats.NewTable(
-		"Banked device: per-bank write queues under zeroing traffic (banks x depth, concurrent controller)",
+		"Banked device: per-bank write queues under zeroing traffic (banks x depth)",
 		"configuration", "bank_conflicts", "drain_stalls", "read_arounds", "occ_mean", "mean_read_lat_cy")
 	for _, r := range rows {
 		t.AddRow(r.Config, r.BankConflicts, r.DrainStalls, r.ReadArounds, r.OccMean, r.MeanReadLat)

@@ -6,11 +6,14 @@
 package exper
 
 import (
+	"flag"
 	"fmt"
+	"strings"
 
 	"silentshredder/internal/addr"
 	"silentshredder/internal/apprt"
 	"silentshredder/internal/fault"
+	"silentshredder/internal/integrity"
 	"silentshredder/internal/kernel"
 	"silentshredder/internal/memctrl"
 	"silentshredder/internal/obs"
@@ -64,6 +67,10 @@ type Options struct {
 	// Options value (the `-obs-phase` flag). Host-time measurement only:
 	// its report is nondeterministic and is never part of golden output.
 	Profile *SweepProfile
+
+	// engine is the -integrity-engine spelling RegisterFlags parses
+	// into; CheckFlags resolves it to IntegrityEngine.
+	engine string
 }
 
 // DefaultOptions returns the standard experiment scale: the paper's 8
@@ -94,6 +101,39 @@ func CheckMachine(cores, scale int) error {
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("-cores %d -scale %d: %w", cores, scale, err)
 	}
+	return nil
+}
+
+// RegisterFlags declares on fs the machine flags that every command
+// building experiment machines shares, each defaulting to o's current
+// value. After fs.Parse, call CheckFlags, then CheckMachine.
+func (o *Options) RegisterFlags(fs *flag.FlagSet) {
+	fs.IntVar(&o.Cores, "cores", o.Cores, "simulated cores, 1 to 8 (one workload instance per core)")
+	fs.IntVar(&o.Scale, "scale", o.Scale, "divide Table 1 cache capacities by this factor")
+	fs.BoolVar(&o.Quick, "quick", o.Quick, "shrink workloads for a fast smoke run")
+	fs.IntVar(&o.Parallel, "parallel", o.Parallel,
+		"worker goroutines for independent simulation runs (1 = sequential; output is byte-identical either way)")
+	fs.BoolVar(&o.Check, "check", o.Check,
+		"run every machine under the architectural oracle and invariant sweeps (slow; violations abort the run)")
+	fs.IntVar(&o.Banks, "banks", o.Banks, "NVM banks per channel (0 keeps Table 1's 8)")
+	fs.IntVar(&o.BankQueueDepth, "bank-queue", o.BankQueueDepth,
+		"per-bank posted-write queue depth; > 0 enables the banked drain-scheduler device model")
+	fs.IntVar(&o.BankDrainBatch, "bank-drain", o.BankDrainBatch,
+		"writes drained back-to-back when a bank queue fills (0 = default batch)")
+	fs.StringVar(&o.engine, "integrity-engine", integrity.EngineName(o.IntegrityEngine),
+		"Merkle tree update scheme for machines with the tree enabled: eager | cached (cached moves hash work, flush stats and latency, never detection outcomes)")
+}
+
+// CheckFlags resolves what RegisterFlags parsed: the -integrity-engine
+// name, which it rejects unless eager or cached, and a -parallel below 1,
+// which means GOMAXPROCS.
+func (o *Options) CheckFlags() error {
+	engine, err := integrity.ParseEngine(o.engine)
+	if err != nil {
+		return err
+	}
+	o.IntegrityEngine = engine
+	o.Parallel = o.workers()
 	return nil
 }
 
@@ -234,6 +274,10 @@ func runInstance(o Options, rt *apprt.Runtime, name string, seed int64) {
 // holds a baton for a fixed number of operations (the per-op trace hook
 // is the yield point) and then hands it to the next live instance, so
 // exactly one goroutine ever touches the machine at a time.
+//
+// An instance that panics ends there and passes the baton on; once every
+// instance has finished, the first panic is re-raised in the caller's
+// goroutine, where RunIndexed or the command can recover it.
 func runConcurrent(o Options, m *sim.Machine, name string) {
 	n := o.Cores
 	if n == 1 {
@@ -247,6 +291,7 @@ func runConcurrent(o Options, m *sim.Machine, name string) {
 	}
 	done := make([]bool, n)
 	finished := make(chan struct{})
+	var panicked any // only the baton holder writes it
 
 	pass := func(from int) {
 		for k := 1; k <= n; k++ {
@@ -271,23 +316,26 @@ func runConcurrent(o Options, m *sim.Machine, name string) {
 		})
 		go func() {
 			<-batons[i]
+			defer func() {
+				if p := recover(); p != nil && panicked == nil {
+					panicked = p
+				}
+				done[i] = true
+				pass(i)
+			}()
 			runInstance(o, rt, name, int64(i+1))
-			done[i] = true
-			pass(i)
 		}()
 	}
 	batons[0] <- struct{}{}
 	<-finished
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
 // runMachine runs one instance per core (rate mode, like the paper's
 // multiprogrammed SPEC runs) and returns the machine for inspection.
 func runMachine(o Options, name string, mode memctrl.Mode, zm kernel.ZeroMode) *sim.Machine {
-	if !KnownWorkload(name) {
-		// Validate here, in the caller's goroutine: runConcurrent's
-		// workers cannot usefully propagate a panic.
-		panic(fmt.Sprintf("exper: unknown workload %q", name))
-	}
 	m := machineFor(o, name, mode, zm)
 	runConcurrent(o, m, name)
 	// Drain dirty data so write counts reflect everything the phase
@@ -303,6 +351,22 @@ func KnownWorkload(name string) bool {
 		return true
 	}
 	return isGraph(name)
+}
+
+// ParseWorkloads splits a comma-separated workload list, dropping blank
+// names, and rejects a name KnownWorkload does not know.
+func ParseWorkloads(list string) ([]string, error) {
+	var names []string
+	for _, n := range strings.Split(list, ",") {
+		if n = strings.TrimSpace(n); n == "" {
+			continue
+		}
+		if !KnownWorkload(n) {
+			return nil, fmt.Errorf("unknown workload %q", n)
+		}
+		names = append(names, n)
+	}
+	return names, nil
 }
 
 // RunWorkload runs one named workload (an instance per core) on a machine
@@ -449,15 +513,6 @@ func Compare(o Options, name string) Result {
 func CompareAll(o Options, names []string) []Result {
 	if len(names) == 0 {
 		names = AllWorkloads()
-	}
-	for _, n := range names {
-		if !KnownWorkload(n) {
-			// Validate before fanning out: a panic inside a worker is
-			// re-raised by the pool, but failing fast in the caller keeps
-			// the error attached to the offending name before any
-			// simulation time is spent.
-			panic(fmt.Sprintf("exper: unknown workload %q", n))
-		}
 	}
 	return runSweep(o, len(names), func(i int) Result {
 		return Compare(o, names[i])

@@ -1,8 +1,13 @@
 package exper
 
 import (
+	"flag"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+
+	"silentshredder/internal/integrity"
 )
 
 func quickOpts() Options { return Options{Cores: 2, Scale: 64, Quick: true} }
@@ -31,6 +36,43 @@ func TestCheckMachine(t *testing.T) {
 		if err := CheckMachine(tc.cores, tc.scale); (err == nil) != tc.ok {
 			t.Errorf("CheckMachine(%d, %d) = %v, want ok=%v", tc.cores, tc.scale, err, tc.ok)
 		}
+	}
+}
+
+// TestRegisterFlags: the machine flags default to the receiver's fields,
+// and CheckFlags resolves what they parse or names a bad engine.
+func TestRegisterFlags(t *testing.T) {
+	parse := func(args ...string) (Options, error) {
+		o := Options{Cores: 4, Scale: 16, Parallel: 3, IntegrityEngine: integrity.DefaultDirtyCacheNodes}
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		o.RegisterFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return o, o.CheckFlags()
+	}
+	o, err := parse()
+	if err != nil || o.Cores != 4 || o.Scale != 16 || o.Parallel != 3 || o.IntegrityEngine != integrity.DefaultDirtyCacheNodes {
+		t.Fatalf("defaults parsed to %+v, %v", o, err)
+	}
+	o, err = parse("-cores", "2", "-scale", "64", "-quick", "-parallel", "0", "-banks", "4", "-integrity-engine", "eager")
+	if err != nil || o.Cores != 2 || o.Scale != 64 || !o.Quick || o.Parallel != runtime.GOMAXPROCS(0) || o.Banks != 4 || o.IntegrityEngine != 0 {
+		t.Fatalf("flags parsed to %+v, %v", o, err)
+	}
+	if _, err := parse("-integrity-engine", "lazy"); err == nil || !strings.Contains(err.Error(), `"lazy"`) {
+		t.Errorf("CheckFlags = %v, want an error naming the engine", err)
+	}
+}
+
+func TestParseWorkloads(t *testing.T) {
+	if got, err := ParseWorkloads(" gcc, ,pagerank,"); err != nil || !slices.Equal(got, []string{"gcc", "pagerank"}) {
+		t.Errorf("ParseWorkloads = %q, %v", got, err)
+	}
+	if got, err := ParseWorkloads(""); err != nil || got != nil {
+		t.Errorf("empty list = %q, %v, want nil", got, err)
+	}
+	if _, err := ParseWorkloads("gcc,mfc"); err == nil || !strings.Contains(err.Error(), `"mfc"`) {
+		t.Errorf("unknown workload: err = %v", err)
 	}
 }
 

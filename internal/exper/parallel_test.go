@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"sync/atomic"
 	"testing"
+
+	"silentshredder/internal/kernel"
+	"silentshredder/internal/memctrl"
 )
 
 func TestRunIndexedPreservesOrder(t *testing.T) {
@@ -158,4 +161,18 @@ func TestCompareAllUnknownWorkloadPanics(t *testing.T) {
 			CompareAll(o, []string{"gcc", "not-a-benchmark"})
 		}()
 	}
+}
+
+// A panic inside one core's instance reaches runConcurrent's caller once
+// every instance has finished, instead of killing the process from the
+// instance's goroutine.
+func TestRunConcurrentReraisesInstancePanic(t *testing.T) {
+	o := quickOpts()
+	m := machineFor(o, "gcc", memctrl.SilentShredder, kernel.ZeroShred)
+	defer func() {
+		if p := recover(); p != `exper: unknown workload "not-a-benchmark"` {
+			t.Fatalf("recovered %v, want the instance's unknown-workload panic", p)
+		}
+	}()
+	runConcurrent(o, m, "not-a-benchmark")
 }

@@ -143,24 +143,40 @@ func DefaultColumns(extra []string) []stats.EpochColumn {
 }
 
 // Write renders the merged artifacts for the captures of one sweep, in
-// order. It is a no-op for disabled flags.
-func (f *Flags) Write(captures []Capture) error {
+// order; an epoch series or span breakdown sent to "-" goes to stdout.
+// It is a no-op for disabled flags.
+func (f *Flags) Write(stdout io.Writer, captures []Capture) error {
 	if f.Trace != "" {
 		if err := f.writeTrace(captures); err != nil {
 			return err
 		}
 	}
 	if f.Epoch > 0 {
-		if err := f.writeEpochs(captures); err != nil {
+		if err := writeTo(f.EpochOut, stdout, func(w io.Writer) error { return f.writeEpochs(w, captures) }); err != nil {
 			return err
 		}
 	}
 	if f.Spans != "" {
-		if err := f.writeSpans(captures); err != nil {
-			return err
-		}
+		return writeTo(f.Spans, stdout, func(w io.Writer) error { return f.writeSpans(w, captures) })
 	}
 	return nil
+}
+
+// writeTo runs write on stdout when path is "-" or empty, and otherwise
+// on the file it creates at path.
+func writeTo(path string, stdout io.Writer, write func(io.Writer) error) error {
+	if path == "-" || path == "" {
+		return write(stdout)
+	}
+	file, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(file); err != nil {
+		file.Close()
+		return err
+	}
+	return file.Close()
 }
 
 func (f *Flags) writeTrace(captures []Capture) error {
@@ -189,18 +205,7 @@ func (f *Flags) writeTrace(captures []Capture) error {
 	return out.Close()
 }
 
-func (f *Flags) writeEpochs(captures []Capture) error {
-	var w io.Writer = os.Stdout
-	var file *os.File
-	if f.EpochOut != "-" && f.EpochOut != "" {
-		var err error
-		file, err = os.Create(f.EpochOut)
-		if err != nil {
-			return err
-		}
-		defer file.Close()
-		w = file
-	}
+func (f *Flags) writeEpochs(w io.Writer, captures []Capture) error {
 	// Columns come from the first run with tracked-histogram names; all
 	// runs of one sweep share a machine configuration, so the sets agree.
 	var extra []string
@@ -212,32 +217,26 @@ func (f *Flags) writeEpochs(captures []Capture) error {
 	}
 	cols := DefaultColumns(extra)
 	if strings.HasSuffix(f.EpochOut, ".json") {
-		if err := writeEpochJSON(w, captures, cols); err != nil {
+		return writeEpochJSON(w, captures, cols)
+	}
+	if err := stats.EpochCSVHeader(w, cols); err != nil {
+		return err
+	}
+	for _, c := range captures {
+		if err := stats.EpochCSVRows(w, c.Name, c.Epochs, cols); err != nil {
 			return err
 		}
-	} else {
-		if err := stats.EpochCSVHeader(w, cols); err != nil {
-			return err
-		}
-		for _, c := range captures {
-			if err := stats.EpochCSVRows(w, c.Name, c.Epochs, cols); err != nil {
+	}
+	// Footer: announce wrapped event rings so a series built from a
+	// truncated event window is visibly truncated. Comment lines only —
+	// absent entirely when nothing dropped, so intact exports are
+	// byte-identical to pre-footer output.
+	for _, c := range captures {
+		if c.Dropped > 0 {
+			if _, err := fmt.Fprintf(w, "# dropped run=%s events=%d\n", c.Name, c.Dropped); err != nil {
 				return err
 			}
 		}
-		// Footer: announce wrapped event rings so a series built from a
-		// truncated event window is visibly truncated. Comment lines
-		// only — absent entirely when nothing dropped, so intact
-		// exports are byte-identical to pre-footer output.
-		for _, c := range captures {
-			if c.Dropped > 0 {
-				if _, err := fmt.Fprintf(w, "# dropped run=%s events=%d\n", c.Name, c.Dropped); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if file != nil {
-		return file.Close()
 	}
 	return nil
 }
@@ -245,47 +244,30 @@ func (f *Flags) writeEpochs(captures []Capture) error {
 // writeSpans renders the merged latency-provenance breakdown for the
 // captures of one sweep, in order: one CSV/JSON document, runs in
 // submission order — byte-identical for any -parallel value.
-func (f *Flags) writeSpans(captures []Capture) error {
-	var w io.Writer = os.Stdout
-	var file *os.File
-	if f.Spans != "-" && f.Spans != "" {
-		var err error
-		file, err = os.Create(f.Spans)
-		if err != nil {
-			return err
-		}
-		defer file.Close()
-		w = file
-	}
+func (f *Flags) writeSpans(w io.Writer, captures []Capture) error {
 	if strings.HasSuffix(f.Spans, ".json") {
 		runs := make([]span.NamedAgg, len(captures))
 		for i, c := range captures {
 			runs[i] = span.NamedAgg{Run: c.Name, Agg: c.SpanAgg}
 		}
-		if err := span.WriteBreakdownJSONRuns(w, runs); err != nil {
+		return span.WriteBreakdownJSONRuns(w, runs)
+	}
+	header := true
+	for _, c := range captures {
+		if c.SpanAgg == nil {
+			continue
+		}
+		if err := c.SpanAgg.WriteBreakdownCSV(w, c.Name, header); err != nil {
 			return err
 		}
-	} else {
-		header := true
-		for _, c := range captures {
-			if c.SpanAgg == nil {
-				continue
-			}
-			if err := c.SpanAgg.WriteBreakdownCSV(w, c.Name, header); err != nil {
+		header = false
+	}
+	for _, c := range captures {
+		if c.SpanDropped > 0 {
+			if _, err := fmt.Fprintf(w, "# dropped run=%s spans=%d\n", c.Name, c.SpanDropped); err != nil {
 				return err
 			}
-			header = false
 		}
-		for _, c := range captures {
-			if c.SpanDropped > 0 {
-				if _, err := fmt.Fprintf(w, "# dropped run=%s spans=%d\n", c.Name, c.SpanDropped); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if file != nil {
-		return file.Close()
 	}
 	return nil
 }

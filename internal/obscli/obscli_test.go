@@ -43,7 +43,7 @@ func sweepArtifacts(t *testing.T, parallel int) (trace, epochs []byte) {
 		}
 		return f.Capture(names[i], bus, m)
 	})
-	if err := f.Write(caps); err != nil {
+	if err := f.Write(os.Stdout, caps); err != nil {
 		t.Fatal(err)
 	}
 	trace, err := os.ReadFile(f.Trace)
@@ -138,7 +138,7 @@ func TestRunIndexedMergeOrdering(t *testing.T) {
 	// The rendered artifact inherits that order.
 	out := filepath.Join(t.TempDir(), "spans.csv")
 	f := Flags{Spans: out}
-	if err := f.Write(caps); err != nil {
+	if err := f.Write(os.Stdout, caps); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(out)
@@ -178,7 +178,7 @@ func TestEpochDroppedFooter(t *testing.T) {
 		t.Helper()
 		out := filepath.Join(t.TempDir(), "epochs.csv")
 		f := Flags{Epoch: 100, EpochOut: out}
-		if err := f.Write(caps); err != nil {
+		if err := f.Write(os.Stdout, caps); err != nil {
 			t.Fatal(err)
 		}
 		raw, err := os.ReadFile(out)
@@ -205,7 +205,7 @@ func TestEpochDroppedFooter(t *testing.T) {
 	// the document must stay one valid array.
 	out := filepath.Join(t.TempDir(), "epochs.json")
 	f := Flags{Epoch: 100, EpochOut: out}
-	if err := f.Write([]Capture{epochsOf("a", 0), epochsOf("b", 3)}); err != nil {
+	if err := f.Write(os.Stdout, []Capture{epochsOf("a", 0), epochsOf("b", 3)}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(out)
@@ -241,7 +241,7 @@ func TestSpanExportWrite(t *testing.T) {
 
 	dir := t.TempDir()
 	f := Flags{Spans: filepath.Join(dir, "spans.csv")}
-	if err := f.Write(caps); err != nil {
+	if err := f.Write(os.Stdout, caps); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(f.Spans)
@@ -266,7 +266,7 @@ func TestSpanExportWrite(t *testing.T) {
 	}
 
 	fj := Flags{Spans: filepath.Join(dir, "spans.json")}
-	if err := fj.Write(caps); err != nil {
+	if err := fj.Write(os.Stdout, caps); err != nil {
 		t.Fatal(err)
 	}
 	raw, err = os.ReadFile(fj.Spans)
@@ -295,7 +295,7 @@ func TestFlagsDisabledIsInert(t *testing.T) {
 		t.Fatal("disabled Flags allocates a bus")
 	}
 	// Write with everything off must not create files or touch stdout.
-	if err := f.Write([]Capture{{Name: "x"}}); err != nil {
+	if err := f.Write(os.Stdout, []Capture{{Name: "x"}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -335,7 +335,7 @@ func TestSpillTraceWriteRoundTrips(t *testing.T) {
 		{Name: "a", Events: []obs.Event{{Seq: 0, TS: 10, Kind: obs.EvShred, Addr: 0x40}}},
 		{Name: "b", Events: []obs.Event{{Seq: 0, TS: 20, Kind: obs.EvCtrMiss, Core: 1}}},
 	}
-	if err := f.Write(caps); err != nil {
+	if err := f.Write(os.Stdout, caps); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(f.Trace)
@@ -369,7 +369,7 @@ func TestEpochJSONOutput(t *testing.T) {
 	}
 	dir := t.TempDir()
 	f := Flags{Epoch: 100, EpochOut: filepath.Join(dir, "epochs.json")}
-	if err := f.Write([]Capture{epochsOf("a", 3), epochsOf("b", 5)}); err != nil {
+	if err := f.Write(os.Stdout, []Capture{epochsOf("a", 3), epochsOf("b", 5)}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(f.EpochOut)

@@ -153,6 +153,57 @@ func TestCheckpointMidWorkloadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointBytesDeterministic: a checkpoint is a function of the
+// machine's state, so two saves of one state, and the saves of two
+// machines that ran the same workload, are identical byte for byte and
+// load back to that state.
+func TestCheckpointBytesDeterministic(t *testing.T) {
+	w := oracle.Generate(oracle.DefaultGenConfig(5))
+	cfg := testConfig(memctrl.SilentShredder, kernel.ZeroShred)
+	save := func(m *Machine) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := m.SaveMemoryState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var saves [][]byte
+	var last *Machine
+	for range 2 {
+		m := MustNew(cfg)
+		rt := m.Runtime(0)
+		for i, op := range w.Ops {
+			if err := trace.Replay(rt, op); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+		}
+		saves = append(saves, save(m), save(m))
+		last = m
+	}
+	for i, b := range saves[1:] {
+		if !bytes.Equal(b, saves[0]) {
+			t.Fatalf("save %d differs from save 0 (%d vs %d bytes)", i+1, len(b), len(saves[0]))
+		}
+	}
+	if st := last.Dev.Snapshot(); len(st.Pages) < 2 || len(st.Wear) < 2 {
+		t.Fatalf("workload left %d device pages and %d worn blocks; the test needs several of each", len(st.Pages), len(st.Wear))
+	}
+
+	restored := MustNew(cfg)
+	if err := restored.LoadMemoryState(bytes.NewReader(saves[0])); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(restored.Dev.Snapshot(), last.Dev.Snapshot()) ||
+		!reflect.DeepEqual(restored.MC.CounterCache().SnapshotRegion(), last.MC.CounterCache().SnapshotRegion()) ||
+		!reflect.DeepEqual(restored.Img.Snapshot(), last.Img.Snapshot()) {
+		t.Fatal("restored state differs from the saved machine's")
+	}
+	if again := save(restored); !bytes.Equal(again, saves[0]) {
+		t.Fatal("re-saving a restored machine changed the bytes")
+	}
+}
+
 func TestCheckpointTimingOnlyIntoFunctional(t *testing.T) {
 	// A timing-only machine's checkpoint has no image; restoring into a
 	// functional machine reconstructs contents from the (absent)
