@@ -11,9 +11,11 @@ build:
 	$(GO) build ./...
 
 # Static gate: go vet plus the gofmt check — the tree must be gofmt-clean
-# (gofmt -l prints offending files; any output fails the target).
+# (gofmt -l prints offending files; any output fails the target). bench/
+# is a module of its own, so ./... skips it and it is vetted on its own.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 

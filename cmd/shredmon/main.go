@@ -16,12 +16,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
-	"strings"
 
 	"silentshredder/internal/exper"
 	"silentshredder/internal/kernel"
@@ -31,49 +32,72 @@ import (
 )
 
 func main() {
-	var (
-		addr     = flag.String("addr", ":9121", "listen address for /metrics and /healthz")
-		workload = flag.String("workload", "pagerank", "workload(s) to loop, comma-separated")
-		mode     = flag.String("mode", "ss", "memory controller: ss | baseline")
-		cores    = flag.Int("cores", 2, "simulated cores per run, 1 to 8")
-		scale    = flag.Int("scale", 64, "divide Table 1 cache capacities by this factor")
-		quick    = flag.Bool("quick", false, "shrink the workloads")
-		rounds   = flag.Int("rounds", 0, "stop after this many rounds over the workload list (0 = run until interrupted)")
-		spans    = flag.Bool("spans", true, "attach a span recorder per run and export the latency-provenance metrics")
-	)
-	flag.Parse()
-	if err := exper.CheckMachine(*cores, *scale); err != nil {
-		fmt.Fprintf(os.Stderr, "shredmon: %v\n", err)
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the testable entry point: it parses args and rejects any bad
+// value before it listens, then serves while it runs the rounds, and
+// returns the exit code (0 after -rounds rounds, 1 on a listen, serve or
+// run failure, 2 on a usage error). The listener is closed on return.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("shredmon", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr     = fs.String("addr", ":9121", "listen address for /metrics and /healthz")
+		workload = fs.String("workload", "pagerank", "workload(s) to loop, comma-separated")
+		mode     = fs.String("mode", "ss", "memory controller: ss | baseline")
+		cores    = fs.Int("cores", 2, "simulated cores per run, 1 to 8")
+		scale    = fs.Int("scale", 64, "divide Table 1 cache capacities by this factor")
+		quick    = fs.Bool("quick", false, "shrink the workloads")
+		rounds   = fs.Int("rounds", 0, "stop after this many rounds over the workload list (0 = run until interrupted)")
+		spans    = fs.Bool("spans", true, "attach a span recorder per run and export the latency-provenance metrics")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usageErr := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "shredmon: "+format+"\n", a...)
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return usageErr("unexpected argument %q (workloads go in -workload, flags before any argument)", fs.Arg(0))
+	}
+	if err := exper.CheckMachine(*cores, *scale); err != nil {
+		return usageErr("%v", err)
+	}
+	if *rounds < 0 {
+		return usageErr("-rounds %d: want 0 or more", *rounds)
+	}
 	mcMode, zm := memctrl.SilentShredder, kernel.ZeroShred
 	switch *mode {
 	case "ss", "silent-shredder":
 	case "baseline":
 		mcMode, zm = memctrl.Baseline, kernel.ZeroNonTemporal
 	default:
-		fmt.Fprintf(os.Stderr, "shredmon: unknown mode %q\n", *mode)
-		os.Exit(2)
+		return usageErr("unknown mode %q", *mode)
 	}
-	names := strings.Split(*workload, ",")
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
+	names, err := exper.ParseWorkloads(*workload)
+	if err != nil {
+		return usageErr("%v", err)
+	}
+	if len(names) == 0 {
+		return usageErr("no workload given")
 	}
 
 	var pub telemetry.Publisher
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "shredmon: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "shredmon: %v\n", err)
+		return 1
 	}
-	go func() {
-		if err := http.Serve(ln, telemetry.Handler(&pub)); err != nil {
-			fmt.Fprintf(os.Stderr, "shredmon: %v\n", err)
-			os.Exit(1)
-		}
-	}()
-	fmt.Fprintf(os.Stderr, "shredmon: serving /metrics and /healthz on http://%s\n", ln.Addr())
+	srv := &http.Server{Handler: telemetry.Handler(&pub)}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer srv.Close()
+	fmt.Fprintf(stderr, "shredmon: serving /metrics and /healthz on http://%s\n", ln.Addr())
 
 	o := exper.Options{Cores: *cores, Scale: *scale, Quick: *quick, Parallel: 1}
 	samples := make([]telemetry.Sample, len(names))
@@ -85,8 +109,8 @@ func main() {
 			}
 			m, err := exper.RunWorkloadTweaked(o, name, mcMode, zm, exper.MachineTweaks{Spans: rec})
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "shredmon: %s: %v\n", name, err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "shredmon: %s: %v\n", name, err)
+				return 1
 			}
 			s := telemetry.Sample{
 				Run: name, Cycles: m.MaxCycles(), Instructions: m.TotalInstructions(),
@@ -99,7 +123,14 @@ func main() {
 			// Publish a fresh slice each time: the previous one may be
 			// mid-render in a scrape handler.
 			pub.Publish(append([]telemetry.Sample(nil), samples...))
+			select {
+			case err := <-served:
+				fmt.Fprintf(stderr, "shredmon: %v\n", err)
+				return 1
+			default:
+			}
 		}
-		fmt.Fprintf(os.Stderr, "shredmon: round %d done (%d runs published)\n", round+1, len(names))
+		fmt.Fprintf(stderr, "shredmon: round %d done (%d runs published)\n", round+1, len(names))
 	}
+	return 0
 }

@@ -16,7 +16,8 @@
 //   - Lookup, LookupHit: the set's line plus its LRU rank word (2).
 //   - Probe, and a state or dirty update through the returned *Way: the
 //     set's line (1); LookupOwned adds the rank word on an owned hit.
-//   - Insert: the set's line and the rank word (2).
+//   - Insert, Fill: the set's line and the rank word (2).
+//   - Miss: no line (0).
 //   - Invalidate: the set's line (1).
 //   - InvalidatePageCount: one set line per block of the page (64),
 //     however many of them the cache holds.
@@ -315,22 +316,20 @@ func (c *Cache) LookupHit(a addr.Phys) bool {
 // LookupOwned is the store fast path: it returns the line caching block
 // a only when this cache already owns it (Modified or Exclusive),
 // counting a hit and refreshing LRU exactly as Lookup would on that
-// line. In every other case no statistics change; present reports
-// whether the block was cached at all (in any state), saving the caller
-// a second probe.
-func (c *Cache) LookupOwned(a addr.Phys) (w *Way, present bool) {
+// line. In every other case it returns nil and no statistics change.
+func (c *Cache) LookupOwned(a addr.Phys) *Way {
 	i := c.probeWay(a)
 	if i < 0 {
-		return nil, false
+		return nil
 	}
-	w = &c.ways[i]
+	w := &c.ways[i]
 	if st := w.State(); st != Modified && st != Exclusive {
-		return nil, true
+		return nil
 	}
 	c.hits.Inc()
 	si := tagOf(a) & c.setMask
 	c.touch(si, i-int(si)*c.assoc)
-	return w, true
+	return w
 }
 
 // Probe finds the line caching block a without touching statistics or LRU
@@ -342,30 +341,38 @@ func (c *Cache) Probe(a addr.Phys) *Way {
 	return nil
 }
 
+// Miss counts a lookup of a block the caller knows is absent, exactly
+// as a Lookup or LookupHit that misses counts it, without probing.
+func (c *Cache) Miss() { c.misses.Inc() }
+
 // Insert allocates a line for block a in the given state, evicting the LRU
 // line of the set if necessary. It returns the evicted line metadata (for
 // writeback handling) and whether an eviction happened. Inserting a block
 // that is already present just updates its state.
 func (c *Cache) Insert(a addr.Phys, st State, dirty bool) (victim Line, evicted bool) {
+	i := c.probeWay(a)
+	if i < 0 {
+		return c.Fill(a, st, dirty)
+	}
+	c.ways[i] = packWay(tagOf(a), st, dirty || c.ways[i].Dirty())
+	si := tagOf(a) & c.setMask
+	c.touch(si, i-int(si)*c.assoc)
+	return Line{}, false
+}
+
+// Fill is Insert for a block the caller knows is absent: it takes the
+// victim way by Insert's rule, the first empty way in index order or
+// else the least recently used, without comparing tags. Filling a
+// present block would hold it twice.
+func (c *Cache) Fill(a addr.Phys, st State, dirty bool) (victim Line, evicted bool) {
 	tag := tagOf(a)
 	ways, si := c.set(tag)
-	// One fused pass: find the block if present, else the victim way —
-	// first empty way in index order, otherwise least-recently-used.
-	// Identical outcomes to probing and then scanning separately.
-	vi := -1
+	vi := c.lruWay(si)
 	for i, w := range ways {
-		t := w & tagMask
-		if t == Way(tag) {
-			ways[i] = packWay(tag, st, dirty || w.Dirty())
-			c.touch(si, i)
-			return Line{}, false
-		}
-		if vi < 0 && t == emptyWay {
+		if w&tagMask == emptyWay {
 			vi = i
+			break
 		}
-	}
-	if vi < 0 {
-		vi = c.lruWay(si)
 	}
 	if old := ways[vi]; old&tagMask != emptyWay {
 		victim, evicted = old.line(), true

@@ -44,9 +44,9 @@ func TestLookupHitMatchesLookup(t *testing.T) {
 func TestLookupOwned(t *testing.T) {
 	c := tiny()
 
-	// Absent block: no line, not present, no statistics.
-	if l, present := c.LookupOwned(0x40); l != nil || present {
-		t.Fatalf("absent block: LookupOwned = %v, %v", l, present)
+	// Absent block: no line, no statistics.
+	if l := c.LookupOwned(0x40); l != nil {
+		t.Fatalf("absent block: LookupOwned = %v", l)
 	}
 	if c.Hits() != 0 || c.Misses() != 0 {
 		t.Fatalf("absent block must not count: %d/%d", c.Hits(), c.Misses())
@@ -54,8 +54,8 @@ func TestLookupOwned(t *testing.T) {
 
 	// Shared line: present but not owned, still no statistics.
 	c.Insert(0x40, Shared, false)
-	if l, present := c.LookupOwned(0x40); l != nil || !present {
-		t.Fatalf("shared block: LookupOwned = %v, %v", l, present)
+	if l := c.LookupOwned(0x40); l != nil {
+		t.Fatalf("shared block: LookupOwned = %v", l)
 	}
 	if c.Hits() != 0 {
 		t.Fatal("unowned lookup must not count a hit")
@@ -64,16 +64,16 @@ func TestLookupOwned(t *testing.T) {
 	// Owned (Exclusive, then Modified): line returned, hit counted,
 	// and the line made MRU — verified by who survives the next evictions.
 	c.Insert(0x140, Exclusive, false) // same set as 0x40 (2 sets, 2 ways)
-	l, present := c.LookupOwned(0x140)
-	if l == nil || !present || l.State() != Exclusive {
-		t.Fatalf("exclusive block: LookupOwned = %v, %v", l, present)
+	l := c.LookupOwned(0x140)
+	if l == nil || l.State() != Exclusive {
+		t.Fatalf("exclusive block: LookupOwned = %v", l)
 	}
 	if c.Hits() != 1 {
 		t.Fatalf("owned lookup must count one hit, got %d", c.Hits())
 	}
 	l.SetState(Modified)
 	l.SetDirty(true)
-	if l2, _ := c.LookupOwned(0x140); l2 != l || l2.State() != Modified || !l2.Dirty() {
+	if l2 := c.LookupOwned(0x140); l2 != l || l2.State() != Modified || !l2.Dirty() {
 		t.Fatalf("modified block: LookupOwned = %v", l2)
 	}
 	// 0x140 was touched most recently, so 0x40 must be the victim.

@@ -65,17 +65,14 @@ func (r *refCache) lookup(a addr.Phys) *refWay {
 	return w
 }
 
-func (r *refCache) lookupOwned(a addr.Phys) (*refWay, bool) {
+func (r *refCache) lookupOwned(a addr.Phys) *refWay {
 	w := r.find(a)
-	if w == nil {
-		return nil, false
-	}
-	if w.state != Modified && w.state != Exclusive {
-		return nil, true
+	if w == nil || w.state != Modified && w.state != Exclusive {
+		return nil
 	}
 	r.hits++
 	r.touch(w)
-	return w, true
+	return w
 }
 
 func (r *refCache) insert(a addr.Phys, st State, dirty bool) (Line, bool) {
@@ -181,16 +178,19 @@ var refPages = func() []addr.PageNum {
 // by side. The first byte picks a geometry; then every three bytes are
 // one operation:
 //
-//	op    bits 0-6: operation (mod 9); bit 7: LookupOwned and Probe
+//	op    bits 0-6: operation (mod 11); bit 7: LookupOwned and Probe
 //	      also set the returned line's state and dirty bit
 //	page  bits 0-3: page index; bits 4-6: byte offset within the block
 //	      (in 8-byte steps); bit 7: the dirty flag
 //	block bits 0-5: block index; bits 6-7: the state
 //
-// After every operation it compares the return values, the victim, the
-// four counters and the contents of every way.
+// Operation 9, Fill, runs only when the model holds no copy of the
+// block: its contract is a block the caller knows is absent. After every
+// operation it compares the return values, the victim, the four
+// counters and the contents of every way.
 func FuzzCacheReference(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 0, 0, 0, 0})
+	f.Add([]byte{1, 9, 0, 0, 10, 0, 0, 9, 0x81, 0x41, 9, 0, 0, 1, 0, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) == 0 {
 			return
@@ -204,7 +204,7 @@ func FuzzCacheReference(f *testing.F) {
 			p := refPages[int(pb&15)%len(refPages)]
 			a := p.BlockAddr(int(bb&63)) + addr.Phys(pb>>4&7)<<3
 			st, dirty := State(bb>>6), pb&0x80 != 0
-			kind := (op & 0x7f) % 9
+			kind := (op & 0x7f) % 11
 			where := func() string { return fmt.Sprintf("%s step %d op %d %v", cfg.Name, step, kind, a) }
 			switch kind {
 			case 0:
@@ -215,11 +215,7 @@ func FuzzCacheReference(f *testing.F) {
 					t.Fatalf("%s: LookupHit = %v, want %v", where(), got, want)
 				}
 			case 2:
-				got, present := c.LookupOwned(a)
-				want, wantPresent := r.lookupOwned(a)
-				if present != wantPresent {
-					t.Fatalf("%s: LookupOwned present = %v, want %v", where(), present, wantPresent)
-				}
+				got, want := c.LookupOwned(a), r.lookupOwned(a)
 				checkWay(t, where(), got, want)
 				if got != nil && op&0x80 != 0 {
 					got.SetState(st)
@@ -256,6 +252,17 @@ func FuzzCacheReference(f *testing.F) {
 				var got []Line
 				c.ForEachLine(func(l Line) { got = append(got, l) })
 				checkLines(t, where()+" ForEachLine", got, r.lines(false))
+			case 9:
+				if r.find(a) == nil {
+					v, ev := c.Fill(a, st, dirty)
+					wv, wev := r.insert(a, st, dirty)
+					if v != wv || ev != wev {
+						t.Fatalf("%s: Fill = %+v/%v, want %+v/%v", where(), v, ev, wv, wev)
+					}
+				}
+			case 10:
+				c.Miss()
+				r.misses++
 			}
 			checkAgainstRef(t, where(), c, r)
 		}

@@ -192,9 +192,10 @@ func (c *Cache) Get(p addr.PageNum) (*ctr.CounterBlock, clock.Cycles, bool) {
 	return c.cached.Get(p), lat, false
 }
 
-// install inserts page p's counter block, handling victim writeback.
+// install inserts page p's counter block, which the tag store does not
+// hold, handling victim writeback.
 func (c *Cache) install(p addr.PageNum, cb *ctr.CounterBlock, dirty bool) {
-	victim, evicted := c.tags.Insert(ctrAddr(p), cache.Exclusive, dirty)
+	victim, evicted := c.tags.Fill(ctrAddr(p), cache.Exclusive, dirty)
 	if evicted {
 		vp := pageOfCtrAddr(victim.Addr())
 		if victim.Dirty {

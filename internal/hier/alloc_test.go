@@ -94,18 +94,40 @@ func TestShredPathZeroAllocs(t *testing.T) {
 	for j := 0; j < walk; j++ {
 		th.Read(0, addr.Phys(j)<<addr.BlockShift)
 	}
-	j, misses, l3ev := walk, th.LLCMisses(), th.L3().Evictions()
+	j, misses, l3ev := walk, th.llcMisses.Value(), th.L3().Evictions()
 	zero("Read missing every level", func() { th.Read(0, addr.Phys(j%walk)<<addr.BlockShift); j++ })
-	if th.LLCMisses()-misses != runs+1 || th.L3().Evictions()-l3ev != runs+1 {
+	if th.llcMisses.Value()-misses != runs+1 || th.L3().Evictions()-l3ev != runs+1 {
 		t.Fatalf("reads missed the LLC %d times and evicted from L3 %d times, want %d each",
-			th.LLCMisses()-misses, th.L3().Evictions()-l3ev, runs+1)
+			th.llcMisses.Value()-misses, th.L3().Evictions()-l3ev, runs+1)
+	}
+	// Core 1 reads sixteen blocks: its L2 holds all of them, and its L1,
+	// four sets of two ways, only the last two of each set, so reading
+	// them again in order misses L1 and hits L2 every time.
+	for j := 0; j < 16; j++ {
+		th.Read(1, addr.Phys(j)<<addr.BlockShift)
+	}
+	j, l2hits := 0, th.L2(1).Hits()
+	zero("Read hitting L2", func() { th.Read(1, addr.Phys(j%16)<<addr.BlockShift); j++ })
+	if got := th.L2(1).Hits() - l2hits; got != runs+1 {
+		t.Fatalf("reads hit L2 %d times, want %d", got, runs+1)
+	}
+	// Core 0 writes the four pages it walked: each write finds the block
+	// in neither private cache and write-allocates from NVM, evicting
+	// dirty lines. One walk first dirties every level.
+	for j := 0; j < walk; j++ {
+		th.Write(0, addr.Phys(j)<<addr.BlockShift)
+	}
+	j, misses = 0, th.llcMisses.Value()
+	zero("Write allocating", func() { th.Write(0, addr.Phys(j%walk)<<addr.BlockShift); j++ })
+	if got := th.llcMisses.Value() - misses; got != runs+1 {
+		t.Fatalf("writes missed the LLC %d times, want %d", got, runs+1)
 	}
 	th.Write(1, 0x40)
 	zero("owned Write", func() { th.Write(1, 0x40) })
 	th.Write(1, 0x80)
-	k, inv := 0, th.Invalidations()
+	k, inv := 0, th.invalidations.Value()
 	zero("Write taking ownership", func() { th.Write(k&1, 0x80); k++ })
-	if got := th.Invalidations() - inv; got != runs+1 {
+	if got := th.invalidations.Value() - inv; got != runs+1 {
 		t.Fatalf("ownership-taking writes sent %d invalidations, want %d", got, runs+1)
 	}
 }

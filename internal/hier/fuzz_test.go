@@ -1,6 +1,7 @@
 package hier
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -114,10 +115,12 @@ func directConfig(cores int) Config {
 //
 // Operations 0-4 and 15 are Read, 5-9 Write, 10 WriteNonTemporal, 11
 // ShredInvalidate followed by the controller's Shred, 12 FlushPage of
-// the block's page, 13 FlushAll and 14 Crash. A shred must return the
-// number of the page's L1 and L2 lines probed just before it and leave
-// none of the page's blocks at any level. After FlushAll and Crash
-// nothing may stay resident or in the directory.
+// the block's page, 13 FlushAll and 14 Crash. A read or write must move
+// every cache's hits and misses by exactly the lookups that lookups
+// predicts. A shred must return the number of the page's L1 and L2
+// lines probed just before it and leave none of the page's blocks at
+// any level. After FlushAll and Crash nothing may stay resident or in
+// the directory.
 func FuzzHierarchy(f *testing.F) {
 	f.Add([]byte{6, 0x00, 5, 0x10, 5, 0x20, 5, 0x35, 5, 0x00, 69, 0x0a, 5, 0x0c, 0, 0x0e, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
@@ -134,10 +137,13 @@ func FuzzHierarchy(f *testing.F) {
 			op, core := script[0]&15, int(script[0]>>4)%cfg.Cores
 			a := addr.Phys(int(script[1])%(3*addr.BlocksPerPage)) << addr.BlockShift
 			script = script[2:]
+			var want lookupCounts
 			switch op {
 			case 0, 1, 2, 3, 4, 15:
+				want = lookups(h, core, a, false)
 				h.Read(core, a)
 			case 5, 6, 7, 8, 9:
+				want = lookups(h, core, a, true)
 				h.Write(core, a)
 			case 10:
 				h.WriteNonTemporal(a)
@@ -169,6 +175,14 @@ func FuzzHierarchy(f *testing.F) {
 			case 14:
 				h.Crash()
 			}
+			if got := counts(h); want != nil && !maps.Equal(got, want) {
+				for c, n := range got {
+					if n != want[c] {
+						t.Fatalf("step %d (op %d, core %d, %v): %s hits/misses %v, want %v",
+							step, op, core, a, c.Config().Name, n, want[c])
+					}
+				}
+			}
 			if err := h.CheckAll(); err != nil {
 				t.Fatalf("step %d (op %d, core %d, %v) on %d cores, L1 %d-way: %v",
 					step, op, core, a, cfg.Cores, cfg.L1.Assoc, err)
@@ -178,4 +192,50 @@ func FuzzHierarchy(f *testing.F) {
 			}
 		}
 	})
+}
+
+// lookupCounts holds each cache's hits and misses.
+type lookupCounts map[*cache.Cache][2]uint64
+
+// counts returns the hits and misses of every cache of h.
+func counts(h *Hierarchy) lookupCounts {
+	n := lookupCounts{}
+	for _, c := range append(append([]*cache.Cache{h.l3, h.l4}, h.l1...), h.l2...) {
+		n[c] = [2]uint64{c.Hits(), c.Misses()}
+	}
+	return n
+}
+
+// lookups returns the counts a read (or a write) by core of block a
+// must leave, found with Probe, which counts nothing. The hierarchy
+// settles some lookups from its directory without probing, and must
+// count each as the probe would have. A read looks up L1, L2, L3 and L4
+// in turn, stopping at the first level that holds the block. A write
+// counts one L1 hit on an L1 copy in M or E; when neither private cache
+// holds the block it counts write-allocate's L3 lookup, then L4's on an
+// L3 miss; any other write counts nothing.
+func lookups(h *Hierarchy, core int, a addr.Phys, write bool) lookupCounts {
+	want := counts(h)
+	look := func(levels ...*cache.Cache) {
+		for _, c := range levels {
+			n := want[c]
+			if c.Probe(a) != nil {
+				n[0]++
+				want[c] = n
+				return
+			}
+			n[1]++
+			want[c] = n
+		}
+	}
+	l1, l2 := h.l1[core], h.l2[core]
+	switch w := l1.Probe(a); {
+	case !write:
+		look(l1, l2, h.l3, h.l4)
+	case w != nil && (w.State() == cache.Modified || w.State() == cache.Exclusive):
+		look(l1)
+	case w == nil && l2.Probe(a) == nil:
+		look(h.l3, h.l4)
+	}
+	return want
 }

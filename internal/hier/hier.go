@@ -102,18 +102,6 @@ func (d *directory) page(p addr.PageNum) *dirPage {
 	return dp
 }
 
-// drop clears the sharer bits in mask from block a's entry. A Modified
-// block's only sharer is its owner, so a block left with no sharers is
-// not Modified.
-func (d *directory) drop(a addr.Phys, mask uint8) {
-	if dp := d.pages.Get(a.Page()); dp != nil {
-		bi := a.BlockIndex()
-		if dp.sharers[bi] &^= mask; dp.sharers[bi] == 0 {
-			dp.modified &^= 1 << bi
-		}
-	}
-}
-
 // reset empties the directory, retaining chunk allocations.
 func (d *directory) reset() {
 	d.pages.ForEach(func(_ addr.PageNum, dp *dirPage) { *dp = dirPage{} })
@@ -177,19 +165,24 @@ func (h *Hierarchy) Read(core int, a addr.Phys) clock.Cycles {
 	if h.l1[core].LookupHit(a) {
 		return lat
 	}
+	// The core's sharer bit is set exactly when its L2 holds the block
+	// (invariant 3 of CheckInvariants), so a clear bit is an L2 miss.
 	lat += h.cfg.L2.HitLatency
-	if l := h.l2[core].Lookup(a); l != nil {
-		h.insertL1(core, a, l.State(), false)
+	dp, bi := h.dir.page(a.Page()), a.BlockIndex()
+	if dp.sharers[bi]&(1<<core) != 0 {
+		if v, ev := h.l1[core].Fill(a, h.l2[core].Lookup(a).State(), false); ev {
+			h.evictFromL1(core, v)
+		}
 		return lat
 	}
+	h.l2[core].Miss()
 	// Private miss: consult the directory for a dirty remote copy, and
 	// downgrade any remote Exclusive copy to Shared (it is no longer the
 	// sole copy once this read completes).
-	dp, bi := h.dir.page(a.Page()), a.BlockIndex()
 	if others := dp.sharers[bi] &^ (1 << core); others != 0 {
 		if dp.modified&(1<<bi) != 0 {
 			// The remote owner is the block's only sharer.
-			h.intervene(dp, a, bits.TrailingZeros8(others))
+			h.intervene(a, bits.TrailingZeros8(others))
 			dp.modified &^= 1 << bi
 			lat += h.cfg.CoherencePenalty
 		}
@@ -203,22 +196,13 @@ func (h *Hierarchy) Read(core int, a addr.Phys) clock.Cycles {
 			}
 		}
 	}
-	lat += h.cfg.L3.HitLatency
-	if !h.l3.LookupHit(a) {
-		lat += h.cfg.L4.HitLatency
-		if !h.l4.LookupHit(a) {
-			h.llcMisses.Inc()
-			lat += h.mc.ReadBlock(a, nil)
-			h.insertL4(dp, a)
-		}
-		h.insertL3(a, false)
-	}
+	lat += h.fetchShared(dp, a)
 	state := cache.Shared
 	if dp.sharers[bi] == 0 {
 		state = cache.Exclusive
 	}
 	dp.sharers[bi] |= 1 << core
-	h.insertPrivate(core, a, state, false)
+	h.fillPrivate(core, a, state, false)
 	return lat
 }
 
@@ -230,12 +214,14 @@ func (h *Hierarchy) Write(core int, a addr.Phys) clock.Cycles {
 	a = a.Block()
 	lat := h.cfg.L1.HitLatency
 	dp, bi := h.dir.page(a.Page()), a.BlockIndex()
-	l1Line, l1Present := h.l1[core].LookupOwned(a)
-	if l1Line != nil {
-		l1Line.SetState(cache.Modified)
-		l1Line.SetDirty(true)
-		dp.own(bi, core)
-		return lat
+	private := dp.sharers[bi]&(1<<core) != 0 // the core's L2 holds the block
+	if private {
+		if l := h.l1[core].LookupOwned(a); l != nil {
+			l.SetState(cache.Modified)
+			l.SetDirty(true)
+			dp.own(bi, core)
+			return lat
+		}
 	}
 
 	// Need ownership: invalidate all other private copies. A remote
@@ -255,27 +241,60 @@ func (h *Hierarchy) Write(core int, a addr.Phys) clock.Cycles {
 	// they cause then sees a mask that covers every private copy.
 	dp.own(bi, core)
 
-	// The discard loop above only touches other cores' caches, so the
-	// presence result from the owned-lookup is still current.
-	if l1Present || h.l2[core].Probe(a) != nil {
-		// Upgrade in place.
-		h.insertPrivate(core, a, cache.Modified, true)
+	if private {
+		// Upgrade in place. L2 holds the block, so its Insert evicts
+		// nothing; L1 may have lost it.
+		h.l2[core].Insert(a, cache.Modified, true)
+		if v, ev := h.l1[core].Insert(a, cache.Modified, true); ev {
+			h.evictFromL1(core, v)
+		}
 	} else {
 		// Write-allocate: fetch the block, then modify.
-		lat += h.cfg.L2.HitLatency + h.cfg.L3.HitLatency
-		if !h.l3.LookupHit(a) {
-			lat += h.cfg.L4.HitLatency
-			if !h.l4.LookupHit(a) {
-				h.llcMisses.Inc()
-				lat += h.mc.ReadBlock(a, nil)
-				h.insertL4(dp, a)
-			}
-			h.insertL3(a, false)
-		}
-		h.insertPrivate(core, a, cache.Modified, true)
+		lat += h.cfg.L2.HitLatency + h.fetchShared(dp, a)
+		h.fillPrivate(core, a, cache.Modified, true)
 	}
 	if inheritDirty {
 		if l := h.l1[core].Probe(a); l != nil {
+			l.SetDirty(true)
+		}
+	}
+	return lat
+}
+
+// fetchShared brings block a of dp's page into L3 for a private miss,
+// returning the latency from L3 down. L4 holds the block exactly when its
+// held bit is set (invariant 5), and L3 holds only blocks L4 holds: a
+// clear bit settles both lookups as misses, a set one L4's as a hit.
+func (h *Hierarchy) fetchShared(dp *dirPage, a addr.Phys) clock.Cycles {
+	lat := h.cfg.L3.HitLatency + h.cfg.L4.HitLatency
+	if bit := uint64(1) << a.BlockIndex(); dp.held&bit != 0 {
+		if h.l3.LookupHit(a) {
+			return h.cfg.L3.HitLatency
+		}
+		h.l4.LookupHit(a)
+	} else {
+		h.l3.Miss()
+		h.l4.Miss()
+		h.llcMisses.Inc()
+		lat += h.mc.ReadBlock(a, nil)
+		dp.held |= bit
+		// An L4 victim leaves every level above (inclusion) and is
+		// written back to NVM if any copy of it was dirty.
+		if v, ev := h.l4.Fill(a, cache.Shared, false); ev {
+			if va := v.Addr(); h.uncache(h.dir.pages.Get(va.Page()), va) || v.Dirty {
+				h.mc.WriteBlock(va)
+			}
+		}
+	}
+	// An L3 victim leaves the private caches, and its dirtiness folds
+	// into L4.
+	if v, ev := h.l3.Fill(a, cache.Shared, false); ev {
+		va := v.Addr()
+		if h.backInvalidate(h.dir.pages.Get(va.Page()), va) || v.Dirty {
+			l := h.l4.Probe(va)
+			if l == nil {
+				panic(fmt.Sprintf("hier: dirty L3 victim %v is not in L4 (inclusion)", va))
+			}
 			l.SetDirty(true)
 		}
 	}
@@ -290,8 +309,10 @@ func (h *Hierarchy) Write(core int, a addr.Phys) clock.Cycles {
 // queue.
 func (h *Hierarchy) WriteNonTemporal(a addr.Phys) clock.Cycles {
 	a = a.Block()
-	h.uncache(a)
-	h.l4.Invalidate(a)
+	if dp := h.dir.pages.Get(a.Page()); dp != nil && dp.held&(1<<a.BlockIndex()) != 0 {
+		h.uncache(dp, a)
+		h.l4.Invalidate(a)
+	}
 	h.mc.WriteBlock(a)
 	return h.cfg.NTStoreCycles
 }
@@ -330,10 +351,11 @@ func (h *Hierarchy) ShredInvalidate(p addr.PageNum) int {
 	return msgs
 }
 
-// intervene downgrades core c, the dirty owner of block a (of dp's
-// page), to Shared, pushing its data into the shared levels (marked
-// dirty there).
-func (h *Hierarchy) intervene(dp *dirPage, a addr.Phys, c int) {
+// intervene downgrades core c, the dirty owner of block a, to Shared,
+// pushing its data into the shared levels (marked dirty there). Core c's
+// copy keeps the block in L3 and L4 (inclusion), so their Inserts evict
+// nothing.
+func (h *Hierarchy) intervene(a addr.Phys, c int) {
 	h.interventions.Inc()
 	if l := h.l1[c].Probe(a); l != nil {
 		l.SetState(cache.Shared)
@@ -343,10 +365,8 @@ func (h *Hierarchy) intervene(dp *dirPage, a addr.Phys, c int) {
 		l.SetState(cache.Shared)
 		l.SetDirty(false)
 	}
-	// The dirty data now lives in L3 (inclusive), marked dirty so it is
-	// eventually written back.
-	h.insertL3(a, true)
-	h.insertL4(dp, a)
+	h.l3.Insert(a, cache.Shared, true)
+	h.l4.Insert(a, cache.Shared, false)
 }
 
 // discardPrivate invalidates a from core c's private caches, returning
@@ -383,12 +403,11 @@ func (h *Hierarchy) backInvalidate(dp *dirPage, a addr.Phys) bool {
 	return dirty
 }
 
-// uncache removes block a from every level above L4 and clears its held
-// bit, for a caller that takes it out of L4, reporting whether a removed
-// copy was dirty. A page without a record (the hierarchy never filled
-// it) has no bit to clear.
-func (h *Hierarchy) uncache(a addr.Phys) bool {
-	dp := h.dir.pages.Get(a.Page())
+// uncache removes block a, of dp's page, from every level above L4 and
+// clears its held bit, for a caller that takes it out of L4, reporting
+// whether a removed copy was dirty. dp is nil for a page without a
+// record (the trace-replay benchmark's ladder fills L4 directly).
+func (h *Hierarchy) uncache(dp *dirPage, a addr.Phys) bool {
 	if dp != nil {
 		dp.held &^= 1 << a.BlockIndex()
 	}
@@ -399,27 +418,31 @@ func (h *Hierarchy) uncache(a addr.Phys) bool {
 	return dirty
 }
 
-// insertPrivate installs a into core's L2 then L1, handling inclusive
-// evictions.
-func (h *Hierarchy) insertPrivate(core int, a addr.Phys, st cache.State, dirty bool) {
-	if v, ev := h.l2[core].Insert(a, st, dirty); ev {
+// fillPrivate installs a, which core's private caches do not hold, into
+// its L2 then L1.
+func (h *Hierarchy) fillPrivate(core int, a addr.Phys, st cache.State, dirty bool) {
+	if v, ev := h.l2[core].Fill(a, st, dirty); ev {
 		h.evictFromL2(core, v)
 	}
-	h.insertL1(core, a, st, dirty)
+	if v, ev := h.l1[core].Fill(a, st, dirty); ev {
+		h.evictFromL1(core, v)
+	}
 }
 
-func (h *Hierarchy) insertL1(core int, a addr.Phys, st cache.State, dirty bool) {
-	if v, ev := h.l1[core].Insert(a, st, dirty); ev && v.Dirty {
-		// A dirty L1 victim folds into L2, which holds it (inclusion).
-		l := h.l2[core].Probe(v.Addr())
-		if l == nil {
-			panic(fmt.Sprintf("hier: dirty L1.%d victim %v is not in L2.%d (inclusion)", core, v.Addr(), core))
-		}
-		l.SetDirty(true)
-		// A dirty fold carries ownership: the L1 copy was Modified
-		// (possibly via a silent E->M upgrade the L2 never saw).
-		l.SetState(cache.Modified)
+// evictFromL1 handles an L1 victim of core: a dirty one folds into L2,
+// which holds it (inclusion).
+func (h *Hierarchy) evictFromL1(core int, v cache.Line) {
+	if !v.Dirty {
+		return
 	}
+	l := h.l2[core].Probe(v.Addr())
+	if l == nil {
+		panic(fmt.Sprintf("hier: dirty L1.%d victim %v is not in L2.%d (inclusion)", core, v.Addr(), core))
+	}
+	l.SetDirty(true)
+	// A dirty fold carries ownership: the L1 copy was Modified
+	// (possibly via a silent E->M upgrade the L2 never saw).
+	l.SetState(cache.Modified)
 }
 
 // evictFromL2 handles an L2 victim: back-invalidate L1 (inclusion),
@@ -437,48 +460,27 @@ func (h *Hierarchy) evictFromL2(core int, v cache.Line) {
 		}
 		l.SetDirty(true)
 	}
-	h.dir.drop(a, 1<<core)
-}
-
-// insertL3 installs a into L3, handling the victim (back-invalidate the
-// private caches, fold dirtiness into L4).
-func (h *Hierarchy) insertL3(a addr.Phys, dirty bool) {
-	v, ev := h.l3.Insert(a, cache.Shared, dirty)
-	if !ev {
-		return
-	}
-	va := v.Addr()
-	if h.backInvalidate(h.dir.pages.Get(va.Page()), va) || v.Dirty {
-		l := h.l4.Probe(va)
-		if l == nil {
-			panic(fmt.Sprintf("hier: dirty L3 victim %v is not in L4 (inclusion)", va))
-		}
-		l.SetDirty(true)
-	}
-}
-
-// insertL4 installs a, a block of dp's page, into L4 and sets its held
-// bit. A victim leaves every level above (inclusion) and is written back
-// to NVM if any copy of it was dirty.
-func (h *Hierarchy) insertL4(dp *dirPage, a addr.Phys) {
-	v, ev := h.l4.Insert(a, cache.Shared, false)
-	dp.held |= 1 << a.BlockIndex()
-	if !ev {
-		return
-	}
-	if va := v.Addr(); h.uncache(va) || v.Dirty {
-		h.mc.WriteBlock(va)
+	// A Modified block's only sharer is its owner, so a block left with
+	// no sharers is not Modified.
+	dp, bi := h.dir.pages.Get(a.Page()), a.BlockIndex()
+	if dp.sharers[bi] &^= 1 << core; dp.sharers[bi] == 0 {
+		dp.modified &^= 1 << bi
 	}
 }
 
 // FlushPage writes back and invalidates every block of page p (the
-// clwb/clflush loop + fence a persistent-memory commit uses). Returns the
-// number of dirty blocks written back.
+// clwb/clflush loop + fence a persistent-memory commit uses), visiting
+// the blocks its held bits name in ascending order. Returns the number
+// of dirty blocks written back.
 func (h *Hierarchy) FlushPage(p addr.PageNum) int {
+	dp := h.dir.pages.Get(p)
+	if dp == nil {
+		return 0
+	}
 	dirty := 0
-	for i := 0; i < addr.BlocksPerPage; i++ {
-		a := p.BlockAddr(i)
-		wasDirty := h.uncache(a)
+	for held := dp.held; held != 0; held &= held - 1 {
+		a := p.BlockAddr(bits.TrailingZeros64(held))
+		wasDirty := h.uncache(dp, a)
 		if l, ok := h.l4.Invalidate(a); ok && l.Dirty {
 			wasDirty = true
 		}
@@ -493,13 +495,16 @@ func (h *Hierarchy) FlushPage(p addr.PageNum) int {
 // FlushAll writes every dirty block back through the memory controller
 // and empties all caches (clean shutdown / explicit wbinvd). Each block
 // is written once, at its first dirty copy in the order below; the NVM
-// banks' timing depends on that order.
+// banks' timing depends on that order. Every cached block has its held
+// bit set (inclusion and invariant 5), so clearing it marks the block
+// written.
 func (h *Hierarchy) FlushAll() {
-	var written blockSet
 	flush := func(lines []cache.Line) {
 		for _, l := range lines {
-			if written.add(l.Addr()) {
-				h.mc.WriteBlock(l.Addr())
+			a := l.Addr()
+			if dp, bit := h.dir.pages.Get(a.Page()), uint64(1)<<a.BlockIndex(); dp.held&bit != 0 {
+				dp.held &^= bit
+				h.mc.WriteBlock(a)
 			}
 		}
 	}
@@ -510,20 +515,6 @@ func (h *Hierarchy) FlushAll() {
 	flush(h.l3.FlushAll())
 	flush(h.l4.FlushAll())
 	h.dir.reset()
-}
-
-// blockSet is a set of block addresses kept as one 64-bit mask per
-// page in a page table. The zero value is an empty set.
-type blockSet struct {
-	pages addr.PageTable[uint64]
-}
-
-// add inserts block a, reporting whether it was absent.
-func (s *blockSet) add(a addr.Phys) bool {
-	p, bit := a.Page(), uint64(1)<<a.BlockIndex()
-	m := s.pages.Get(p)
-	s.pages.Set(p, m|bit)
-	return m&bit == 0
 }
 
 // Crash drops all cache contents without writing anything back, modeling
@@ -549,15 +540,6 @@ func (h *Hierarchy) L3() *cache.Cache { return h.l3 }
 
 // L4 returns the shared L4 (last-level) cache.
 func (h *Hierarchy) L4() *cache.Cache { return h.l4 }
-
-// LLCMisses returns the number of L4 misses serviced by the controller.
-func (h *Hierarchy) LLCMisses() uint64 { return h.llcMisses.Value() }
-
-// Invalidations returns coherence invalidation messages sent.
-func (h *Hierarchy) Invalidations() uint64 { return h.invalidations.Value() }
-
-// Interventions returns dirty-owner interventions.
-func (h *Hierarchy) Interventions() uint64 { return h.interventions.Value() }
 
 // ResetStats clears hierarchy and cache statistics.
 func (h *Hierarchy) ResetStats() {

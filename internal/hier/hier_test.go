@@ -75,8 +75,8 @@ func TestReadMissThenHitLatency(t *testing.T) {
 	if second != 2 {
 		t.Fatalf("L1 hit latency = %d, want 2", second)
 	}
-	if h.LLCMisses() != 1 {
-		t.Fatalf("LLCMisses = %d", h.LLCMisses())
+	if h.llcMisses.Value() != 1 {
+		t.Fatalf("LLCMisses = %d", h.llcMisses.Value())
 	}
 }
 
@@ -135,8 +135,8 @@ func TestCoherenceIntervention(t *testing.T) {
 	h, _, _ := newHier(t, tinyConfig(2), memctrl.Baseline)
 	h.Write(0, 0x40) // core 0 holds M
 	lat := h.Read(1, 0x40)
-	if h.Interventions() != 1 {
-		t.Fatalf("interventions = %d, want 1", h.Interventions())
+	if h.interventions.Value() != 1 {
+		t.Fatalf("interventions = %d, want 1", h.interventions.Value())
 	}
 	if lat <= 2+8 {
 		t.Fatalf("intervention read latency = %d, too cheap", lat)
@@ -144,7 +144,7 @@ func TestCoherenceIntervention(t *testing.T) {
 	// Core 0's copy must be downgraded: a fresh write by core 0 needs
 	// ownership again (invalidating core 1).
 	h.Write(0, 0x40)
-	if h.Invalidations() == 0 {
+	if h.invalidations.Value() == 0 {
 		t.Fatal("write after downgrade must invalidate the other sharer")
 	}
 }
@@ -155,8 +155,8 @@ func TestWriteInvalidatesRemoteSharers(t *testing.T) {
 		h.Read(c, 0x40)
 	}
 	h.Write(0, 0x40)
-	if h.Invalidations() != 3 {
-		t.Fatalf("invalidations = %d, want 3", h.Invalidations())
+	if h.invalidations.Value() != 3 {
+		t.Fatalf("invalidations = %d, want 3", h.invalidations.Value())
 	}
 	// Remote cores must re-fetch (L1/L2 miss, but the block is still in
 	// shared L3).
@@ -170,7 +170,7 @@ func TestExclusiveUpgradeIsSilent(t *testing.T) {
 	h, _, _ := newHier(t, tinyConfig(2), memctrl.Baseline)
 	h.Read(0, 0x40) // sole reader: Exclusive
 	h.Write(0, 0x40)
-	if h.Invalidations() != 0 {
+	if h.invalidations.Value() != 0 {
 		t.Fatal("E->M upgrade must not send invalidations")
 	}
 	if lat := h.Write(0, 0x40); lat != 2 {
@@ -191,9 +191,9 @@ func TestShredInvalidateDiscardsEverywhere(t *testing.T) {
 		t.Fatal("shred invalidation must not write back dead data")
 	}
 	// Both cores must now miss past L4.
-	before := h.LLCMisses()
+	before := h.llcMisses.Value()
 	h.Read(0, p.BlockAddr(0))
-	if h.LLCMisses() != before+1 {
+	if h.llcMisses.Value() != before+1 {
 		t.Fatal("post-shred read must miss to the controller")
 	}
 }
@@ -209,9 +209,9 @@ func TestNonTemporalStoreBypassesAndInvalidates(t *testing.T) {
 		t.Fatalf("NT store must write NVM immediately, writes=%d", mc.DataWrites())
 	}
 	// The cached copy is gone.
-	before := h.LLCMisses()
+	before := h.llcMisses.Value()
 	h.Read(0, 0x40)
-	if h.LLCMisses() != before+1 {
+	if h.llcMisses.Value() != before+1 {
 		t.Fatal("NT store must invalidate cached copies")
 	}
 }
@@ -256,7 +256,7 @@ func TestStatsSetAndReset(t *testing.T) {
 		t.Fatalf("llc_misses = %v %v", v, ok)
 	}
 	h.ResetStats()
-	if h.LLCMisses() != 0 || h.L1(0).Misses() != 0 {
+	if h.llcMisses.Value() != 0 || h.L1(0).Misses() != 0 {
 		t.Fatal("reset failed")
 	}
 	if h.L2(0) == nil || h.L3() == nil || h.L4() == nil {
@@ -314,10 +314,11 @@ func TestInvariantSweep(t *testing.T) {
 	}
 
 	// The directory derives a Modified block's owner from its sharer
-	// mask, and a shred visits only the blocks the held bits name,
-	// relying on inclusion down to L4. CheckAll must reject each state
-	// below that breaks one of these, planted behind core 1's Modified
-	// block 0x080 (block 2 of page 0).
+	// mask, a shred visits only the blocks the held bits name, relying
+	// on inclusion down to L4, and a fill trusts the directory that the
+	// block is absent. CheckAll must reject each state below that breaks
+	// one of these, planted behind core 1's Modified block 0x080 (block 2
+	// of page 0).
 	for _, c := range []struct {
 		name  string
 		plant func(h *Hierarchy, dp *dirPage)
@@ -328,6 +329,8 @@ func TestInvariantSweep(t *testing.T) {
 		{"L3 line missing from L4", func(h *Hierarchy, _ *dirPage) { h.l3.Insert(0x0C0, cache.Shared, false) }},
 		{"held bit without an L4 line", func(_ *Hierarchy, dp *dirPage) { dp.held |= 1 << 5 }},
 		{"L4 line without its held bit", func(_ *Hierarchy, dp *dirPage) { dp.held &^= 1 << 2 }},
+		{"block held twice in L1", func(h *Hierarchy, _ *dirPage) { h.l1[1].Fill(0x080, cache.Modified, true) }},
+		{"block held twice in L4", func(h *Hierarchy, _ *dirPage) { h.l4.Fill(0x080, cache.Shared, false) }},
 	} {
 		h, _, _ := newHier(t, tinyConfig(2), memctrl.Baseline)
 		h.Write(1, 0x080)
@@ -335,29 +338,5 @@ func TestInvariantSweep(t *testing.T) {
 		if err := h.CheckAll(); err == nil {
 			t.Errorf("%s: CheckAll accepted the directory", c.name)
 		}
-	}
-}
-
-func TestBlockSet(t *testing.T) {
-	var s blockSet
-	region := addr.Phys(1 << 46)          // the counter region: map side
-	far := addr.PageNum(300).BlockAddr(3) // grows the slice twice over
-	for _, tc := range []struct {
-		a    addr.Phys
-		want bool
-	}{
-		{0x40, true}, {0x7f, false}, // same block
-		{far, true}, {far, false},
-		{region, true}, {region + 0x40, true}, {region + 0x3f, false},
-	} {
-		if got := s.add(tc.a); got != tc.want {
-			t.Fatalf("add(%v) = %v, want %v", tc.a, got, tc.want)
-		}
-	}
-	if got := s.pages.Get(far.Page()); got != 1<<3 {
-		t.Fatalf("mask of %v = %#x, want %#x", far.Page(), got, 1<<3)
-	}
-	if got := s.pages.Get(region.Page()); got != 0b11 {
-		t.Fatalf("mask of %v = %#b, want 0b11", region.Page(), got)
 	}
 }

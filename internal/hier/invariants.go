@@ -129,14 +129,24 @@ func (h *Hierarchy) ResidentAny(a addr.Phys) bool {
 // line has its bit. It adds the directory-level structural rules that
 // are not per-block: a sharer mask names only live cores, a Modified
 // entry's mask is exactly its owner's bit (the layout derives the owner
-// from it), and no block without sharers is marked Modified (a
-// lingering bit is a bookkeeping leak).
+// from it), no block without sharers is marked Modified (a lingering
+// bit is a bookkeeping leak), and no cache holds a block twice (as a Fill
+// of a present block would, unseen by the probes of CheckInvariants).
 func (h *Hierarchy) CheckAll() error {
 	blocks := h.ResidentBlocks()
 	if err := h.CheckInvariants(blocks); err != nil {
 		return err
 	}
 	var err error
+	for _, c := range append(append([]*cache.Cache{h.l3, h.l4}, h.l1...), h.l2...) {
+		held := make(map[uint64]bool)
+		c.ForEachLine(func(l cache.Line) {
+			if held[l.Tag] && err == nil {
+				err = fmt.Errorf("hier: %v held twice in %s", l.Addr(), c.Config().Name)
+			}
+			held[l.Tag] = true
+		})
+	}
 	h.dir.pages.ForEach(func(p addr.PageNum, dp *dirPage) {
 		for bi, m := range dp.sharers {
 			a := p.BlockAddr(bi)

@@ -27,10 +27,11 @@ import (
 // Flags is the observability flag set. Zero value = everything disabled,
 // which is the byte-identical-default-output path.
 type Flags struct {
-	// Trace is the event-trace output file. Empty disables event
-	// collection. A ".json" suffix selects the Chrome trace_event format
-	// (load in chrome://tracing or Perfetto); anything else writes the
-	// compact binary spill format (decode with obs.DecodeSpill).
+	// Trace is the event-trace output file ("-" = stdout). Empty
+	// disables event collection. A ".json" suffix selects the Chrome
+	// trace_event format (load in chrome://tracing or Perfetto);
+	// anything else writes the compact binary spill format (decode with
+	// obs.DecodeSpill).
 	Trace string
 	// Ring is the per-run event ring capacity.
 	Ring int
@@ -52,7 +53,7 @@ type Flags struct {
 
 // Register installs the -obs-* flags on fs.
 func (f *Flags) Register(fs *flag.FlagSet) {
-	fs.StringVar(&f.Trace, "obs-trace", "", "write the machine event trace to this file (.json = Chrome trace_event for chrome://tracing, otherwise binary spill)")
+	fs.StringVar(&f.Trace, "obs-trace", "", "write the machine event trace to this file (\"-\" = stdout, .json = Chrome trace_event for chrome://tracing, otherwise binary spill)")
 	fs.IntVar(&f.Ring, "obs-ring", obs.DefaultRingCap, "per-run event ring capacity for -obs-trace (oldest events drop past this)")
 	fs.Uint64Var(&f.Epoch, "obs-epoch", 0, "sample every registered statistic each N machine cycles into a time series (0 = off)")
 	fs.StringVar(&f.EpochOut, "obs-epoch-out", "-", "epoch time-series output for -obs-epoch: \"-\" = stdout, .json = JSON, otherwise CSV")
@@ -143,11 +144,11 @@ func DefaultColumns(extra []string) []stats.EpochColumn {
 }
 
 // Write renders the merged artifacts for the captures of one sweep, in
-// order; an epoch series or span breakdown sent to "-" goes to stdout.
-// It is a no-op for disabled flags.
+// order; an event trace, epoch series or span breakdown sent to "-" goes
+// to stdout. It is a no-op for disabled flags.
 func (f *Flags) Write(stdout io.Writer, captures []Capture) error {
 	if f.Trace != "" {
-		if err := f.writeTrace(captures); err != nil {
+		if err := writeTo(f.Trace, stdout, func(w io.Writer) error { return f.writeTrace(w, captures) }); err != nil {
 			return err
 		}
 	}
@@ -179,30 +180,22 @@ func writeTo(path string, stdout io.Writer, write func(io.Writer) error) error {
 	return file.Close()
 }
 
-func (f *Flags) writeTrace(captures []Capture) error {
-	out, err := os.Create(f.Trace)
-	if err != nil {
-		return err
-	}
-	defer out.Close()
+func (f *Flags) writeTrace(w io.Writer, captures []Capture) error {
 	if strings.HasSuffix(f.Trace, ".json") {
 		runs := make([]obs.TraceRun, len(captures))
 		for i, c := range captures {
 			runs[i] = obs.TraceRun{Name: c.Name, Events: c.Events, Spans: c.Spans, Dropped: c.Dropped}
 		}
-		if err := obs.WriteChromeTrace(out, runs); err != nil {
+		return obs.WriteChromeTrace(w, runs)
+	}
+	// Binary spill: one header+records section per run; the decoder
+	// accepts the concatenation.
+	for _, c := range captures {
+		if err := obs.EncodeSpill(w, c.Events); err != nil {
 			return err
 		}
-	} else {
-		// Binary spill: one header+records section per run; the decoder
-		// accepts the concatenation.
-		for _, c := range captures {
-			if err := obs.EncodeSpill(out, c.Events); err != nil {
-				return err
-			}
-		}
 	}
-	return out.Close()
+	return nil
 }
 
 func (f *Flags) writeEpochs(w io.Writer, captures []Capture) error {

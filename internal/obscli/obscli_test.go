@@ -328,26 +328,36 @@ func TestFlagsRegisterDefaults(t *testing.T) {
 	}
 }
 
+// TestSpillTraceWriteRoundTrips: a binary spill written to a file, or to
+// stdout for "-", decodes back to the captured events.
 func TestSpillTraceWriteRoundTrips(t *testing.T) {
-	dir := t.TempDir()
-	f := Flags{Trace: filepath.Join(dir, "trace.bin"), Ring: 64}
 	caps := []Capture{
 		{Name: "a", Events: []obs.Event{{Seq: 0, TS: 10, Kind: obs.EvShred, Addr: 0x40}}},
 		{Name: "b", Events: []obs.Event{{Seq: 0, TS: 20, Kind: obs.EvCtrMiss, Core: 1}}},
 	}
-	if err := f.Write(os.Stdout, caps); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(f.Trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs, err := obs.DecodeSpill(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 2 || evs[0].Kind != obs.EvShred || evs[1].Kind != obs.EvCtrMiss {
-		t.Fatalf("decoded %+v", evs)
+	for _, path := range []string{filepath.Join(t.TempDir(), "trace.bin"), "-"} {
+		f := Flags{Trace: path, Ring: 64}
+		var stdout bytes.Buffer
+		if err := f.Write(&stdout, caps); err != nil {
+			t.Fatal(err)
+		}
+		raw := stdout.Bytes()
+		if path != "-" {
+			var err error
+			if raw, err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("%s: %d bytes went to stdout", path, stdout.Len())
+			}
+		}
+		evs, err := obs.DecodeSpill(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if len(evs) != 2 || evs[0].Kind != obs.EvShred || evs[1].Kind != obs.EvCtrMiss {
+			t.Fatalf("%s: decoded %+v", path, evs)
+		}
 	}
 }
 
