@@ -47,6 +47,7 @@ import (
 
 	"silentshredder/internal/addr"
 	"silentshredder/internal/adversary"
+	"silentshredder/internal/exper"
 	"silentshredder/internal/kernel"
 	"silentshredder/internal/memctrl"
 	"silentshredder/internal/obs"
@@ -86,6 +87,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "text", "json":
 	default:
 		fmt.Fprintf(stderr, "leakscan: unknown format %q (want text or json)\n", *format)
+		return 2
+	}
+	cores := 1 // an image scan loads the checkpoint into a one-core shell
+	if *attack != "" || *crash > 0 {
+		cores = 2
+	}
+	if err := exper.CheckMachine(cores, *scale); err != nil {
+		fmt.Fprintln(stderr, "leakscan: "+err.Error())
 		return 2
 	}
 	stopProf, perr := profCfg.Start()

@@ -33,6 +33,9 @@ func TestUsageErrors(t *testing.T) {
 		{"-attack", "all", "-personality", "armored"},
 		{"-attack", "all", "-policy", "shred-harder"},
 		{"-no-such-flag"},
+		{"-crash", "2", "-scale", "3"},
+		{"-crash", "2", "-scale", "0"},
+		{"-crash", "2", "-scale", "-8"},
 	} {
 		code, _, stderr := exec(t, args...)
 		if code != 2 {

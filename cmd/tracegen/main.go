@@ -11,10 +11,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"silentshredder/internal/exper"
 	"silentshredder/internal/kernel"
 	"silentshredder/internal/memctrl"
 	"silentshredder/internal/obs"
@@ -24,93 +27,135 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	switch os.Args[1] {
-	case "record":
-		record(os.Args[2:])
-	case "replay":
-		replay(os.Args[2:])
-	default:
-		usage()
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func machine(mode memctrl.Mode, zm kernel.ZeroMode, scale int) *sim.Machine {
+// run is the testable entry point: it dispatches the subcommand, which
+// rejects any bad value before it creates a file or builds a machine,
+// and returns the exit code (0 ok, 1 runtime failure, 2 usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 {
+		switch args[0] {
+		case "record":
+			return record(args[1:], stdout, stderr)
+		case "replay":
+			return replay(args[1:], stdout, stderr)
+		}
+	}
+	fmt.Fprintln(stderr, "usage: tracegen record|replay [flags]")
+	return 2
+}
+
+// parse parses a subcommand's flags and checks what both subcommands
+// share: no stray argument and a -scale the one-core machine accepts.
+// When done is true the subcommand stops and exits with code.
+func parse(fs *flag.FlagSet, args []string, scale *int, stderr io.Writer) (code int, done bool) {
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0, true
+		}
+		return 2, true
+	}
+	if fs.NArg() > 0 {
+		return usageErr(stderr, fs.Name(), "unexpected argument %q", fs.Arg(0)), true
+	}
+	if err := exper.CheckMachine(1, *scale); err != nil {
+		return usageErr(stderr, fs.Name(), "%v", err), true
+	}
+	return 0, false
+}
+
+func usageErr(stderr io.Writer, cmd, format string, a ...any) int {
+	fmt.Fprintf(stderr, "tracegen %s: "+format+"\n", append([]any{cmd}, a...)...)
+	return 2
+}
+
+func failed(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "tracegen: "+err.Error())
+	return 1
+}
+
+func machine(mode memctrl.Mode, zm kernel.ZeroMode, scale int) (*sim.Machine, error) {
 	cfg := sim.ScaledConfig(mode, zm, scale)
 	cfg.Hier.Cores = 1
 	cfg.StoreData = false
 	cfg.MemPages = 1 << 20
-	return sim.MustNew(cfg)
+	return sim.New(cfg)
 }
 
-func record(args []string) {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
+func record(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("record", flag.ContinueOnError)
 	workload := fs.String("workload", "gcc", "SPEC profile to trace")
 	out := fs.String("out", "", "output trace file (required)")
 	seed := fs.Int64("seed", 1, "workload instance seed")
 	scale := fs.Int("scale", 8, "cache scale during recording")
 	var profCfg obs.ProfileConfig
 	profCfg.RegisterFlags(fs)
-	fs.Parse(args)
-	stopProf, perr := profCfg.Start()
-	if perr != nil {
-		fatal(perr.Error())
+	if code, done := parse(fs, args, scale, stderr); done {
+		return code
 	}
-	defer stopProf()
 	if *out == "" {
-		fatal("record: -out is required")
+		return usageErr(stderr, "record", "-out is required")
 	}
 	profile, ok := spec.ByName(*workload)
 	if !ok {
-		fatal(fmt.Sprintf("record: unknown SPEC profile %q", *workload))
+		return usageErr(stderr, "record", "unknown SPEC profile %q", *workload)
 	}
 
+	stopProf, err := profCfg.Start()
+	if err != nil {
+		return failed(stderr, err)
+	}
+	defer stopProf()
 	f, err := os.Create(*out)
 	if err != nil {
-		fatal(err.Error())
+		return failed(stderr, err)
 	}
 	defer f.Close()
 	w, err := trace.NewWriter(f)
 	if err != nil {
-		fatal(err.Error())
+		return failed(stderr, err)
 	}
-
-	m := machine(memctrl.SilentShredder, kernel.ZeroShred, *scale)
+	m, err := machine(memctrl.SilentShredder, kernel.ZeroShred, *scale)
+	if err != nil {
+		return failed(stderr, err)
+	}
 	rt := m.Runtime(0)
 	rt.SetTraceHook(w.Hook())
 	spec.Run(rt, profile, *seed)
 	if err := w.Flush(); err != nil {
-		fatal(err.Error())
+		return failed(stderr, err)
 	}
-	fmt.Printf("recorded %d operations from %s (seed %d) to %s\n",
+	if err := f.Close(); err != nil {
+		return failed(stderr, err)
+	}
+	fmt.Fprintf(stdout, "recorded %d operations from %s (seed %d) to %s\n",
 		w.Count(), *workload, *seed, *out)
+	return 0
 }
 
-func replay(args []string) {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
+func replay(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	in := fs.String("in", "", "input trace file (required)")
 	mode := fs.String("mode", "ss", "controller: ss | baseline")
-	zeroing := fs.String("zeroing", "", "kernel zeroing: shred | non-temporal | temporal")
+	zeroing := fs.String("zeroing", "", "kernel zeroing: shred | non-temporal | temporal (default matches -mode)")
 	scale := fs.Int("scale", 8, "cache scale during replay")
 	var profCfg obs.ProfileConfig
 	profCfg.RegisterFlags(fs)
-	fs.Parse(args)
-	stopProf, perr := profCfg.Start()
-	if perr != nil {
-		fatal(perr.Error())
+	if code, done := parse(fs, args, scale, stderr); done {
+		return code
 	}
-	defer stopProf()
 	if *in == "" {
-		fatal("replay: -in is required")
+		return usageErr(stderr, "replay", "-in is required")
 	}
-
 	mcMode, zm := memctrl.SilentShredder, kernel.ZeroShred
-	if *mode == "baseline" {
+	switch *mode {
+	case "ss":
+	case "baseline":
 		mcMode, zm = memctrl.Baseline, kernel.ZeroNonTemporal
+	default:
+		return usageErr(stderr, "replay", "unknown mode %q", *mode)
 	}
 	switch *zeroing {
 	case "":
@@ -121,36 +166,38 @@ func replay(args []string) {
 	case "temporal":
 		zm = kernel.ZeroTemporal
 	default:
-		fatal(fmt.Sprintf("replay: unknown zeroing %q", *zeroing))
+		return usageErr(stderr, "replay", "unknown zeroing %q", *zeroing)
+	}
+	if zm == kernel.ZeroShred && mcMode != memctrl.SilentShredder {
+		return usageErr(stderr, "replay", "shred zeroing requires -mode ss")
 	}
 
+	stopProf, err := profCfg.Start()
+	if err != nil {
+		return failed(stderr, err)
+	}
+	defer stopProf()
 	f, err := os.Open(*in)
 	if err != nil {
-		fatal(err.Error())
+		return failed(stderr, err)
 	}
 	defer f.Close()
-
-	m := machine(mcMode, zm, *scale)
+	m, err := machine(mcMode, zm, *scale)
+	if err != nil {
+		return failed(stderr, err)
+	}
 	n, err := trace.ReplayAll(f, m.Runtime(0))
 	if err != nil {
-		fatal(err.Error())
+		return failed(stderr, err)
 	}
 	m.Hier.FlushAll()
 	m.MC.Flush()
-	fmt.Printf("replayed %d operations under mode=%s zeroing=%s\n", n, mcMode, zm)
-	fmt.Printf("  IPC:             %.4f\n", m.AggregateIPC())
-	fmt.Printf("  NVM writes:      %d\n", m.Dev.Writes())
-	fmt.Printf("  NVM reads:       %d\n", m.MC.DataReads())
-	fmt.Printf("  zero-fill reads: %d\n", m.MC.ZeroFillReads())
-	fmt.Printf("  shred commands:  %d\n", m.MC.ShredCommands())
-	fmt.Printf("  mean read lat:   %.1f cycles\n", m.MC.MeanReadLatency())
-}
-
-func fatal(msg string) {
-	fmt.Fprintln(os.Stderr, "tracegen: "+msg)
-	os.Exit(1)
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: tracegen record|replay [flags]")
+	fmt.Fprintf(stdout, "replayed %d operations under mode=%s zeroing=%s\n", n, mcMode, zm)
+	fmt.Fprintf(stdout, "  IPC:             %.4f\n", m.AggregateIPC())
+	fmt.Fprintf(stdout, "  NVM writes:      %d\n", m.Dev.Writes())
+	fmt.Fprintf(stdout, "  NVM reads:       %d\n", m.MC.DataReads())
+	fmt.Fprintf(stdout, "  zero-fill reads: %d\n", m.MC.ZeroFillReads())
+	fmt.Fprintf(stdout, "  shred commands:  %d\n", m.MC.ShredCommands())
+	fmt.Fprintf(stdout, "  mean read lat:   %.1f cycles\n", m.MC.MeanReadLatency())
+	return 0
 }

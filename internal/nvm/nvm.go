@@ -418,7 +418,6 @@ func (d *Device) WriteBlock(a addr.Phys, src []byte) clock.Cycles {
 
 	pg := d.pages.Get(a.Page())
 	if pg == nil {
-		// This line keeps the hot calls below at the PGO profile's offsets (DESIGN.md §8.7).
 		pg = new([addr.PageSize]byte)
 		d.pages.Set(a.Page(), pg)
 	}
