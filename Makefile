@@ -13,8 +13,11 @@ build:
 # Static gate: go vet plus the gofmt check — the tree must be gofmt-clean
 # (gofmt -l prints offending files; any output fails the target). bench/
 # is a module of its own, so ./... skips it and it is vetted on its own.
+# internal/aes has an amd64 assembly kernel, so its packages are also
+# vetted for arm64, which builds the generic file in its place.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/aes ./internal/ctr
 	cd bench && $(GO) vet ./...
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
@@ -35,10 +38,11 @@ test:
 # over a minute there), so the second line runs them without it. Last,
 # the trace-replay benchmark's smoke test (bench/ is a module of its
 # own, so ./... above skips it) replays all four workloads at reduced
-# size with oracle and digest checks. The purego line checks
-# crypto/aes's generic Go code, which hosts without AES instructions
-# run, against the FIPS vectors, EncryptRef and the pad equivalence
-# tests.
+# size with oracle and digest checks. The purego line runs the aes and
+# ctr tests on the path hosts without AES-NI take: the package's generic
+# file, with no four-block kernel, over crypto/aes's generic Go code. It
+# checks that path against the FIPS vectors, EncryptRef and the pad
+# equivalence tests.
 race: vet faults bench-smoke
 	$(GO) test -race ./...
 	$(GO) test -run 'TestGoldens/adversary' ./cmd/experiments

@@ -4,19 +4,23 @@
 // the data (paper §2.2, Figure 2). Counter mode only ever invokes the
 // forward (encryption) direction, so that is all the package offers.
 //
+// The simulator charges pad latency in modeled cycles, so on the host
+// the cipher only has to produce the pad's bits, as fast as it can.
 // Encrypt runs through the standard library's crypto/aes, which uses the
 // CPU's AES instructions where it has them and portable Go code
-// elsewhere. The simulator charges pad latency in modeled cycles, so on
-// the host the cipher only has to produce the pad's bits, as fast as it
-// can. EncryptRef is a from-scratch, byte-oriented rendering of the
-// specification (SubBytes / ShiftRows / MixColumns / AddRoundKey) over
-// the package's own key schedule; the tests check Encrypt against it and
-// against the FIPS-197 vectors.
+// elsewhere. EncryptBlocks, which every 64-byte pad goes through, runs
+// whole groups of four blocks through the package's own AES-NI kernel
+// where the CPU has AES-NI (amd64 builds without the purego tag), over
+// the key schedule New expands; everywhere else, and for a trailing one
+// to three blocks, it runs Encrypt block by block. The tests check both
+// against the FIPS-197 vectors, against each other and against a
+// from-scratch, byte-oriented rendering of the specification.
 package aes
 
 import (
 	stdaes "crypto/aes"
 	"crypto/cipher"
+	"encoding/binary"
 )
 
 // BlockSize is the AES block size in bytes.
@@ -55,7 +59,9 @@ func xtime(b byte) byte {
 type Cipher struct {
 	block  cipher.Block // crypto/aes forward cipher behind Encrypt
 	rounds int          // 10, 12 or 14
-	rk     [60]uint32   // EncryptRef's round keys, 4*(rounds+1) words
+	// rk holds the rounds+1 round keys, 16 bytes each in FIPS-197 byte
+	// order: the layout an AESENC round-key operand loads.
+	rk [15 * BlockSize]byte
 }
 
 // New creates a Cipher from a 16-, 24- or 32-byte key. Any other length
@@ -68,13 +74,13 @@ func New(key []byte) (*Cipher, error) {
 	nk := len(key) / 4
 	c := &Cipher{block: block, rounds: nk + 6}
 	n := 4 * (c.rounds + 1)
+	var w [60]uint32
 	for i := 0; i < nk; i++ {
-		c.rk[i] = uint32(key[4*i])<<24 | uint32(key[4*i+1])<<16 |
-			uint32(key[4*i+2])<<8 | uint32(key[4*i+3])
+		w[i] = binary.BigEndian.Uint32(key[4*i:])
 	}
 	rcon := uint32(1)
 	for i := nk; i < n; i++ {
-		t := c.rk[i-1]
+		t := w[i-1]
 		switch {
 		case i%nk == 0:
 			t = subWord(rotWord(t)) ^ rcon<<24
@@ -82,7 +88,10 @@ func New(key []byte) (*Cipher, error) {
 		case nk > 6 && i%nk == 4:
 			t = subWord(t)
 		}
-		c.rk[i] = c.rk[i-nk] ^ t
+		w[i] = w[i-nk] ^ t
+	}
+	for i := 0; i < n; i++ {
+		binary.BigEndian.PutUint32(c.rk[4*i:], w[i])
 	}
 	return c, nil
 }
@@ -116,73 +125,17 @@ func (c *Cipher) Encrypt(dst, src []byte) { c.block.Encrypt(dst, src) }
 // EncryptBlocks encrypts len(src)/BlockSize consecutive 16-byte blocks
 // from src into dst. Counter-mode pad generation uses it to produce all
 // four chunks of a 64-byte block pad in one call. Partial trailing bytes
-// are ignored; dst must hold at least as many whole blocks as src.
+// are ignored; dst must hold at least as many whole blocks as src, and
+// the two may overlap only exactly (dst == src).
+//
+// Whole groups of four blocks go through the four-block kernel where the
+// platform has one (encryptGroups); the rest go through Encrypt.
 func (c *Cipher) EncryptBlocks(dst, src []byte) {
 	n := len(src) / BlockSize * BlockSize
 	if len(dst) < n {
 		panic("aes: dst shorter than src blocks")
 	}
-	for off := 0; off < n; off += BlockSize {
+	for off := c.encryptGroups(dst, src, n); off < n; off += BlockSize {
 		c.block.Encrypt(dst[off:off+BlockSize], src[off:off+BlockSize])
 	}
-}
-
-// state is the AES state laid out column-major: state[r+4*c] in FIPS
-// terms is held here as s[4*col+row].
-type state [16]byte
-
-func (c *Cipher) addRoundKey(s *state, round int) {
-	for col := 0; col < 4; col++ {
-		w := c.rk[4*round+col]
-		s[4*col+0] ^= byte(w >> 24)
-		s[4*col+1] ^= byte(w >> 16)
-		s[4*col+2] ^= byte(w >> 8)
-		s[4*col+3] ^= byte(w)
-	}
-}
-
-func subBytes(s *state) {
-	for i := range s {
-		s[i] = sbox[s[i]]
-	}
-}
-
-// shiftRows rotates row r left by r positions.
-func shiftRows(s *state) {
-	s[1], s[5], s[9], s[13] = s[5], s[9], s[13], s[1]
-	s[2], s[6], s[10], s[14] = s[10], s[14], s[2], s[6]
-	s[3], s[7], s[11], s[15] = s[15], s[3], s[7], s[11]
-}
-
-func mixColumns(s *state) {
-	for c := 0; c < 4; c++ {
-		a0, a1, a2, a3 := s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]
-		s[4*c+0] = xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3
-		s[4*c+1] = a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3
-		s[4*c+2] = a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3)
-		s[4*c+3] = (xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3)
-	}
-}
-
-// EncryptRef is the from-scratch reference implementation of the forward
-// cipher: SubBytes/ShiftRows/MixColumns/AddRoundKey exactly as FIPS-197
-// writes them, over the package's own key schedule. The tests check
-// Encrypt against it.
-func (c *Cipher) EncryptRef(dst, src []byte) {
-	if len(src) < BlockSize || len(dst) < BlockSize {
-		panic("aes: input not full block")
-	}
-	var s state
-	copy(s[:], src[:16])
-	c.addRoundKey(&s, 0)
-	for round := 1; round < c.rounds; round++ {
-		subBytes(&s)
-		shiftRows(&s)
-		mixColumns(&s)
-		c.addRoundKey(&s, round)
-	}
-	subBytes(&s)
-	shiftRows(&s)
-	c.addRoundKey(&s, c.rounds)
-	copy(dst[:16], s[:])
 }

@@ -57,6 +57,15 @@ func TestFIPS197Vectors(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Errorf("EncryptRef = %x, want %x", got, want)
 			}
+			// Five copies: one four-block group for the kernel and a
+			// one-block tail for crypto/aes.
+			blocks := bytes.Repeat(unhex(t, tc.pt), 5)
+			c.EncryptBlocks(blocks, blocks)
+			for off := 0; off < len(blocks); off += BlockSize {
+				if !bytes.Equal(blocks[off:off+BlockSize], want) {
+					t.Errorf("EncryptBlocks block %d = %x, want %x", off/BlockSize, blocks[off:off+BlockSize], want)
+				}
+			}
 		})
 	}
 }
@@ -153,30 +162,48 @@ func TestInPlace(t *testing.T) {
 	c.Encrypt(two[1:], two)
 }
 
-// EncryptBlocks over 1..8 blocks matches block-by-block Encrypt, works in
-// place, ignores a trailing partial block and panics on a short dst.
+// EncryptBlocks over 1..9 blocks, so whole four-block groups and a
+// one-to-three-block tail both occur, for every key size: it matches a
+// separately built crypto/aes cipher and EncryptRef block by block,
+// works in place, ignores a trailing partial block and panics on a short
+// dst.
 func TestEncryptBlocks(t *testing.T) {
-	c := MustNew([]byte("0123456789abcdef"))
-	for n := 1; n <= 8; n++ {
-		src := make([]byte, n*BlockSize+5) // 5 trailing bytes: ignored
-		for i := range src {
-			src[i] = byte(i*7 + n)
+	for _, keyLen := range []int{16, 24, 32} {
+		key := make([]byte, keyLen)
+		for i := range key {
+			key[i] = byte(i*13 + keyLen)
 		}
-		want := make([]byte, n*BlockSize)
-		for off := 0; off < len(want); off += BlockSize {
-			c.Encrypt(want[off:], src[off:])
+		c := MustNew(key)
+		std, err := stdaes.NewCipher(key)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got := bytes.Repeat([]byte{0xee}, len(src))
-		c.EncryptBlocks(got, src)
-		if !bytes.Equal(got[:len(want)], want) {
-			t.Errorf("%d blocks: EncryptBlocks differs from Encrypt", n)
-		}
-		if tail := got[len(want):]; !bytes.Equal(tail, bytes.Repeat([]byte{0xee}, len(tail))) {
-			t.Errorf("%d blocks: trailing partial block was written", n)
-		}
-		c.EncryptBlocks(src, src)
-		if !bytes.Equal(src[:len(want)], want) {
-			t.Errorf("%d blocks: in-place EncryptBlocks differs", n)
+		for n := 1; n <= 9; n++ {
+			src := make([]byte, n*BlockSize+5) // 5 trailing bytes: ignored
+			for i := range src {
+				src[i] = byte(i*7 + n + keyLen)
+			}
+			want := make([]byte, n*BlockSize)
+			ref := make([]byte, n*BlockSize)
+			for off := 0; off < len(want); off += BlockSize {
+				std.Encrypt(want[off:], src[off:])
+				c.EncryptRef(ref[off:], src[off:])
+			}
+			if !bytes.Equal(ref, want) {
+				t.Fatalf("key %d, %d blocks: EncryptRef differs from crypto/aes", keyLen, n)
+			}
+			got := bytes.Repeat([]byte{0xee}, len(src))
+			c.EncryptBlocks(got, src)
+			if !bytes.Equal(got[:len(want)], want) {
+				t.Errorf("key %d, %d blocks: EncryptBlocks differs from crypto/aes", keyLen, n)
+			}
+			if tail := got[len(want):]; !bytes.Equal(tail, bytes.Repeat([]byte{0xee}, len(tail))) {
+				t.Errorf("key %d, %d blocks: trailing partial block was written", keyLen, n)
+			}
+			c.EncryptBlocks(src, src)
+			if !bytes.Equal(src[:len(want)], want) {
+				t.Errorf("key %d, %d blocks: in-place EncryptBlocks differs", keyLen, n)
+			}
 		}
 	}
 	defer func() {
@@ -184,7 +211,7 @@ func TestEncryptBlocks(t *testing.T) {
 			t.Error("want panic when dst holds fewer whole blocks than src")
 		}
 	}()
-	c.EncryptBlocks(make([]byte, 3*BlockSize-1), make([]byte, 3*BlockSize))
+	MustNew(make([]byte, 16)).EncryptBlocks(make([]byte, 3*BlockSize-1), make([]byte, 3*BlockSize))
 }
 
 func TestShortBufferPanics(t *testing.T) {
@@ -215,6 +242,17 @@ func BenchmarkEncryptBlock(b *testing.B) {
 	}
 }
 
+// BenchmarkEncryptBlocks4 measures one 64-byte pad's worth of blocks,
+// the call every pad makes.
+func BenchmarkEncryptBlocks4(b *testing.B) {
+	c := MustNew(make([]byte, 16))
+	buf := make([]byte, 4*BlockSize)
+	b.SetBytes(4 * BlockSize)
+	for i := 0; i < b.N; i++ {
+		c.EncryptBlocks(buf, buf)
+	}
+}
+
 func BenchmarkEncryptBlockRef(b *testing.B) {
 	c := MustNew(make([]byte, 16))
 	buf := make([]byte, 16)
@@ -222,4 +260,62 @@ func BenchmarkEncryptBlockRef(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.EncryptRef(buf, buf)
 	}
+}
+
+// state is the AES state laid out column-major: state[r+4*c] in FIPS
+// terms is held here as s[4*col+row].
+type state [16]byte
+
+// addRoundKey XORs round key `round` into the state; the schedule holds
+// each round key in the state's own byte order.
+func (c *Cipher) addRoundKey(s *state, round int) {
+	for i := range s {
+		s[i] ^= c.rk[BlockSize*round+i]
+	}
+}
+
+func subBytes(s *state) {
+	for i := range s {
+		s[i] = sbox[s[i]]
+	}
+}
+
+// shiftRows rotates row r left by r positions.
+func shiftRows(s *state) {
+	s[1], s[5], s[9], s[13] = s[5], s[9], s[13], s[1]
+	s[2], s[6], s[10], s[14] = s[10], s[14], s[2], s[6]
+	s[3], s[7], s[11], s[15] = s[15], s[3], s[7], s[11]
+}
+
+func mixColumns(s *state) {
+	for c := 0; c < 4; c++ {
+		a0, a1, a2, a3 := s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]
+		s[4*c+0] = xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3
+		s[4*c+1] = a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3
+		s[4*c+2] = a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3)
+		s[4*c+3] = (xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3)
+	}
+}
+
+// EncryptRef is the from-scratch reference implementation of the forward
+// cipher: SubBytes/ShiftRows/MixColumns/AddRoundKey exactly as FIPS-197
+// writes them, over the package's own key schedule (the one the AES-NI
+// kernel reads). The tests check Encrypt and EncryptBlocks against it.
+func (c *Cipher) EncryptRef(dst, src []byte) {
+	if len(src) < BlockSize || len(dst) < BlockSize {
+		panic("aes: input not full block")
+	}
+	var s state
+	copy(s[:], src[:16])
+	c.addRoundKey(&s, 0)
+	for round := 1; round < c.rounds; round++ {
+		subBytes(&s)
+		shiftRows(&s)
+		mixColumns(&s)
+		c.addRoundKey(&s, round)
+	}
+	subBytes(&s)
+	shiftRows(&s)
+	c.addRoundKey(&s, c.rounds)
+	copy(dst[:16], s[:])
 }

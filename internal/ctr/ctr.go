@@ -111,21 +111,21 @@ func (cb *CounterBlock) Shredded(i int) bool { return cb.Minor[i] == MinorShredd
 
 // Encode packs the counter block into its 64-byte memory representation:
 // 8 bytes of major counter followed by 64 seven-bit minor counters packed
-// into 56 bytes.
+// LSB-first into 56 bytes, minor i at bit 7*i. Eight minors fill exactly
+// seven bytes, so the minors are packed a 56-bit word at a time.
 func (cb *CounterBlock) Encode() [CounterBlockSize]byte {
 	var out [CounterBlockSize]byte
 	binary.LittleEndian.PutUint64(out[:8], cb.Major)
-	// Pack minors 7 bits at a time into out[8:64].
-	bitPos := 0
-	for _, m := range cb.Minor {
-		byteIdx := 8 + bitPos/8
-		bitOff := bitPos % 8
-		v := uint16(m&MinorMax) << bitOff
-		out[byteIdx] |= byte(v)
-		if bitOff > 1 { // spills into the next byte
-			out[byteIdx+1] |= byte(v >> 8)
-		}
-		bitPos += MinorBits
+	for g := 0; g < addr.BlocksPerPage/8; g++ {
+		m := cb.Minor[8*g : 8*g+8 : 8*g+8]
+		w := uint64(m[0]&MinorMax) | uint64(m[1]&MinorMax)<<7 |
+			uint64(m[2]&MinorMax)<<14 | uint64(m[3]&MinorMax)<<21 |
+			uint64(m[4]&MinorMax)<<28 | uint64(m[5]&MinorMax)<<35 |
+			uint64(m[6]&MinorMax)<<42 | uint64(m[7]&MinorMax)<<49
+		o := out[8+7*g : 8+7*g+7 : 8+7*g+7]
+		binary.LittleEndian.PutUint32(o, uint32(w))
+		binary.LittleEndian.PutUint16(o[4:], uint16(w>>32))
+		o[6] = byte(w >> 48)
 	}
 	return out
 }
@@ -134,16 +134,14 @@ func (cb *CounterBlock) Encode() [CounterBlockSize]byte {
 func DecodeCounterBlock(raw [CounterBlockSize]byte) CounterBlock {
 	var cb CounterBlock
 	cb.Major = binary.LittleEndian.Uint64(raw[:8])
-	bitPos := 0
-	for i := range cb.Minor {
-		byteIdx := 8 + bitPos/8
-		bitOff := bitPos % 8
-		v := uint16(raw[byteIdx]) >> bitOff
-		if bitOff > 1 {
-			v |= uint16(raw[byteIdx+1]) << (8 - bitOff)
+	for g := 0; g < addr.BlocksPerPage/8; g++ {
+		o := raw[8+7*g : 8+7*g+7 : 8+7*g+7]
+		w := uint64(binary.LittleEndian.Uint32(o)) |
+			uint64(binary.LittleEndian.Uint16(o[4:]))<<32 | uint64(o[6])<<48
+		m := cb.Minor[8*g : 8*g+8 : 8*g+8]
+		for j := range m {
+			m[j] = uint8(w>>(7*j)) & MinorMax
 		}
-		cb.Minor[i] = uint8(v & MinorMax)
-		bitPos += MinorBits
 	}
 	return cb
 }
@@ -164,25 +162,38 @@ type IV [aes.BlockSize]byte
 
 // MakeIV constructs the IV for pad chunk `chunk` (0..3) of the given block.
 func MakeIV(page addr.PageNum, blockIdx int, major uint64, minor uint8, chunk int) IV {
-	if blockIdx < 0 || blockIdx >= addr.BlocksPerPage {
-		panic(fmt.Sprintf("ctr: block index %d out of range", blockIdx))
-	}
+	checkBlockIdx(blockIdx)
 	if chunk < 0 || chunk >= addr.BlockSize/aes.BlockSize {
 		panic(fmt.Sprintf("ctr: pad chunk %d out of range", chunk))
 	}
 	var iv IV
-	binary.LittleEndian.PutUint64(iv[0:8], uint64(page)&0xFFFF_FFFF_FFFF)
-	iv[6] = byte(blockIdx<<2 | chunk)
-	iv[7] = minor & MinorMax
+	binary.LittleEndian.PutUint64(iv[0:8], ivLow(page, blockIdx, minor, chunk))
 	binary.LittleEndian.PutUint64(iv[8:16], major)
 	return iv
+}
+
+// ivLow returns IV bytes 0..7 as a little-endian word; bytes 8..15 are
+// the major counter. It is the one definition of the IV layout, for an
+// in-range blockIdx and chunk.
+func ivLow(page addr.PageNum, blockIdx int, minor uint8, chunk int) uint64 {
+	return uint64(page)&(1<<48-1) | uint64(chunk)<<48 | uint64(blockIdx)<<50 |
+		uint64(minor&MinorMax)<<56
+}
+
+func checkBlockIdx(blockIdx int) {
+	if blockIdx < 0 || blockIdx >= addr.BlocksPerPage {
+		panic(fmt.Sprintf("ctr: block index %d out of range", blockIdx))
+	}
 }
 
 // padCacheSize is the number of entries in the engine's direct-mapped
 // pad cache. A pad is a pure function of (page, blockIdx, major, minor),
 // so caching is invisible to correctness: a hit returns bit-for-bit what
 // regeneration would. 512 64-byte pads = 32KB, roughly the pad-buffer
-// SRAM a controller would provision.
+// SRAM a controller would provision. The cache is indexed by block
+// address, so eight consecutive pages' blocks each have a slot of their
+// own, and a block's new pad (after its counters moved) displaces its
+// dead old one.
 const padCacheSize = 512
 
 type padEntry struct {
@@ -238,14 +249,16 @@ func (e *Engine) Pad(page addr.PageNum, blockIdx int, major uint64, minor uint8)
 }
 
 // PadInto computes the 64-byte pad into dst with one batched AES pass:
-// the IV is built once and replicated with only the chunk-index byte
-// varying, then all four chunks run through the cipher in one
+// the four IVs are written as two words each, differing only in the
+// chunk index, and all four chunks run through the cipher in one
 // EncryptBlocks call. Bit-identical to Pad.
 func (e *Engine) PadInto(dst *[addr.BlockSize]byte, page addr.PageNum, blockIdx int, major uint64, minor uint8) {
-	iv := MakeIV(page, blockIdx, major, minor, 0)
+	checkBlockIdx(blockIdx)
+	low := ivLow(page, blockIdx, minor, 0)
 	for chunk := 0; chunk < addr.BlockSize/aes.BlockSize; chunk++ {
-		copy(e.ivs[chunk*aes.BlockSize:], iv[:])
-		e.ivs[chunk*aes.BlockSize+6] = byte(blockIdx<<2 | chunk)
+		iv := e.ivs[chunk*aes.BlockSize : (chunk+1)*aes.BlockSize : (chunk+1)*aes.BlockSize]
+		binary.LittleEndian.PutUint64(iv, low|uint64(chunk)<<48)
+		binary.LittleEndian.PutUint64(iv[8:], major)
 	}
 	e.cipher.EncryptBlocks(dst[:], e.ivs[:])
 }
@@ -255,9 +268,9 @@ func (e *Engine) PadInto(dst *[addr.BlockSize]byte, page addr.PageNum, blockIdx 
 // The returned pointer is valid until the entry is displaced; callers
 // must not mutate it.
 func (e *Engine) CachedPad(page addr.PageNum, blockIdx int, major uint64, minor uint8) *[addr.BlockSize]byte {
+	checkBlockIdx(blockIdx) // the tag keeps only blockIdx's low 8 bits
 	sub := uint16(blockIdx)<<8 | uint16(minor&MinorMax)
-	idx := (uint64(page)*0x9E3779B97F4A7C15 ^ major ^ uint64(sub)) & (padCacheSize - 1)
-	en := &e.pads[idx]
+	en := &e.pads[(uint64(page)<<6|uint64(blockIdx))&(padCacheSize-1)]
 	if en.valid && en.page == page && en.major == major && en.sub == sub {
 		e.padHits++
 		return &en.pad

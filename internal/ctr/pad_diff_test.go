@@ -30,7 +30,11 @@ func padCorpus() []struct {
 		{0, addr.BlocksPerPage - 1, 0, 1},
 		{1, 0, 1, 1},
 		{addr.PageNum(1) << 30, 63, ^uint64(0), MinorMax},
-		{addr.PageNum(padCacheSize), 7, 2, 3}, // same cache index as page 0 modulo size
+		// A colliding pair: the cache indexes by page<<6|blk modulo its
+		// size, so pages 0 and padCacheSize share block 7's slot and the
+		// second entry displaces the first.
+		{0, 7, 2, 3},
+		{addr.PageNum(padCacheSize), 7, 2, 3},
 	}
 	rng := rand.New(rand.NewSource(20260808))
 	for i := 0; i < 512; i++ {
@@ -84,6 +88,52 @@ func TestCachedPadMatchesPad(t *testing.T) {
 	}
 	if hits, misses := e.PadCacheStats(); hits == 0 || misses == 0 {
 		t.Fatalf("corpus did not exercise both cache outcomes: hits=%d misses=%d", hits, misses)
+	}
+}
+
+// The pad cache holds a whole page: after one pass over a page's 64
+// blocks at one (major, minor), a second pass hits on every block. A
+// cache that mapped a page's blocks to a few slots would regenerate them.
+func TestCachedPadHoldsPage(t *testing.T) {
+	e := testEngine(t)
+	const page, major, minor = 12345, 6, 7
+	for blk := 0; blk < addr.BlocksPerPage; blk++ {
+		e.CachedPad(page, blk, major, minor)
+	}
+	hits0, misses0 := e.PadCacheStats()
+	for blk := 0; blk < addr.BlocksPerPage; blk++ {
+		want := e.Pad(page, blk, major, minor)
+		if got := e.CachedPad(page, blk, major, minor); *got != want {
+			t.Fatalf("CachedPad(%d,%d,%d,%d) differs from Pad", page, blk, major, minor)
+		}
+	}
+	hits, misses := e.PadCacheStats()
+	if hits-hits0 != addr.BlocksPerPage || misses != misses0 {
+		t.Fatalf("second pass over a page: %d hits, %d misses; want %d hits, 0 misses",
+			hits-hits0, misses-misses0, addr.BlocksPerPage)
+	}
+}
+
+// An out-of-range block index panics on the fast paths too, also when
+// its low bits name a block whose pad is cached: block 263 of page 4
+// has block 7's slot and, in the tag's eight bits, its index.
+func TestPadBlockIndexPanics(t *testing.T) {
+	e := testEngine(t)
+	e.CachedPad(4, 7, 1, 1)
+	var dst [addr.BlockSize]byte
+	for _, fn := range []func(){
+		func() { e.CachedPad(4, 263, 1, 1) },
+		func() { e.CachedPad(4, -1, 1, 1) },
+		func() { e.PadInto(&dst, 4, addr.BlocksPerPage, 1, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("want panic on an out-of-range block index")
+				}
+			}()
+			fn()
+		}()
 	}
 }
 
