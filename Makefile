@@ -38,15 +38,16 @@ test:
 # over a minute there), so the second line runs them without it. Last,
 # the trace-replay benchmark's smoke test (bench/ is a module of its
 # own, so ./... above skips it) replays all four workloads at reduced
-# size with oracle and digest checks. The purego line runs the aes and
-# ctr tests on the path hosts without AES-NI take: the package's generic
-# file, with no four-block kernel, over crypto/aes's generic Go code. It
-# checks that path against the FIPS vectors, EncryptRef and the pad
-# equivalence tests.
+# size with oracle and digest checks. The purego line runs the aes, ctr
+# and memctrl tests on the path hosts without AES-NI take: the package's
+# generic file, with no four-block kernel, over crypto/aes's generic Go
+# code. It checks that path against the FIPS vectors, EncryptRef and the
+# pad equivalence tests, and checks the controller's page zeroing, whose
+# 64 pads are one 256-block AES pass, against its per-block reference.
 race: vet faults bench-smoke
 	$(GO) test -race ./...
 	$(GO) test -run 'TestGoldens/adversary' ./cmd/experiments
-	$(GO) test -tags purego ./internal/aes ./internal/ctr
+	$(GO) test -tags purego ./internal/aes ./internal/ctr ./internal/memctrl
 	cd bench && $(GO) test ./...
 
 # Robustness gate, folded into tier-1 `race`: the fault-injection and

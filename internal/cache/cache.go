@@ -17,7 +17,7 @@
 //   - Probe, and a state or dirty update through the returned *Way: the
 //     set's line (1); LookupOwned adds the rank word on an owned hit.
 //   - Insert, Fill: the set's line and the rank word (2).
-//   - Miss: no line (0).
+//   - Miss, Hit: no line (0).
 //   - Invalidate: the set's line (1).
 //   - InvalidatePageCount: one set line per block of the page (64),
 //     however many of them the cache holds.
@@ -345,6 +345,12 @@ func (c *Cache) Probe(a addr.Phys) *Way {
 // as a Lookup or LookupHit that misses counts it, without probing.
 func (c *Cache) Miss() { c.misses.Inc() }
 
+// Hit counts a lookup of a block the caller knows is the most recently
+// used of its set, exactly as a Lookup or LookupHit that hits it counts
+// it, without probing. Such a hit moves no LRU state, so counting it is
+// all a lookup would do.
+func (c *Cache) Hit() { c.hits.Inc() }
+
 // Insert allocates a line for block a in the given state, evicting the LRU
 // line of the set if necessary. It returns the evicted line metadata (for
 // writeback handling) and whether an eviction happened. Inserting a block
@@ -412,21 +418,19 @@ func (c *Cache) InvalidatePageCount(p addr.PageNum) int {
 	return n
 }
 
-// FlushAll invalidates every line, returning the dirty ones (their
-// addresses are recoverable via Line.Addr). Used to model crashes and
-// explicit cache flushes.
-func (c *Cache) FlushAll() []Line {
-	var dirty []Line
+// FlushAll invalidates every line, handing each dirty one to dirty (when
+// non-nil) in set order; its address is recoverable via Line.Addr. Used
+// to model crashes and explicit cache flushes.
+func (c *Cache) FlushAll(dirty func(Line)) {
 	for i, w := range c.ways {
-		if w&tagMask != emptyWay && w.Dirty() {
-			dirty = append(dirty, w.line())
+		if dirty != nil && w&tagMask != emptyWay && w.Dirty() {
+			dirty(w.line())
 		}
 		c.ways[i] = emptyWay
 	}
 	for i := range c.rank {
 		c.rank[i] = c.initRank
 	}
-	return dirty
 }
 
 // ForEachLine calls fn with a copy of every valid line, in set order.

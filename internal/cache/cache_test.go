@@ -130,7 +130,8 @@ func TestFlushAll(t *testing.T) {
 	c := tiny()
 	c.Insert(0x000, Modified, true)
 	c.Insert(0x040, Shared, false)
-	dirty := c.FlushAll()
+	var dirty []Line
+	c.FlushAll(func(l Line) { dirty = append(dirty, l) })
 	if len(dirty) != 1 || dirty[0].Addr() != 0 {
 		t.Fatalf("dirty = %v", dirty)
 	}

@@ -92,7 +92,7 @@ func TestForEachLine(t *testing.T) {
 	if len(got) != 2 || got[0x000] != Modified || got[0x040] != Shared {
 		t.Fatalf("ForEachLine saw %v", got)
 	}
-	c.FlushAll()
+	c.FlushAll(nil)
 	n := 0
 	c.ForEachLine(func(Line) { n++ })
 	if n != 0 {

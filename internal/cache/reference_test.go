@@ -110,6 +110,19 @@ func (r *refCache) insert(a addr.Phys, st State, dirty bool) (Line, bool) {
 	return victim, evicted
 }
 
+// mru returns the most recently touched valid way of block a's set, or
+// nil when the set holds no block.
+func (r *refCache) mru(a addr.Phys) *refWay {
+	ways, _ := r.set(a)
+	var m *refWay
+	for i := range ways {
+		if ways[i].valid && (m == nil || ways[i].stamp > m.stamp) {
+			m = &ways[i]
+		}
+	}
+	return m
+}
+
 func (r *refCache) invalidate(a addr.Phys) (Line, bool) {
 	w := r.find(a)
 	if w == nil {
@@ -178,16 +191,19 @@ var refPages = func() []addr.PageNum {
 // by side. The first byte picks a geometry; then every three bytes are
 // one operation:
 //
-//	op    bits 0-6: operation (mod 11); bit 7: LookupOwned and Probe
+//	op    bits 0-6: operation (mod 12); bit 7: LookupOwned and Probe
 //	      also set the returned line's state and dirty bit
 //	page  bits 0-3: page index; bits 4-6: byte offset within the block
 //	      (in 8-byte steps); bit 7: the dirty flag
 //	block bits 0-5: block index; bits 6-7: the state
 //
 // Operation 9, Fill, runs only when the model holds no copy of the
-// block: its contract is a block the caller knows is absent. After every
-// operation it compares the return values, the victim, the four
-// counters and the contents of every way.
+// block: its contract is a block the caller knows is absent. Operation
+// 11, Hit, runs only when the model's most recently touched way of the
+// block's set holds the block: its contract is a block the caller knows
+// is the most recently used of its set. After every operation it
+// compares the return values, the victim, the four counters and the
+// contents of every way.
 func FuzzCacheReference(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, 9, 0, 0, 10, 0, 0, 9, 0x81, 0x41, 9, 0, 0, 1, 0, 0})
@@ -204,7 +220,7 @@ func FuzzCacheReference(f *testing.F) {
 			p := refPages[int(pb&15)%len(refPages)]
 			a := p.BlockAddr(int(bb&63)) + addr.Phys(pb>>4&7)<<3
 			st, dirty := State(bb>>6), pb&0x80 != 0
-			kind := (op & 0x7f) % 11
+			kind := (op & 0x7f) % 12
 			where := func() string { return fmt.Sprintf("%s step %d op %d %v", cfg.Name, step, kind, a) }
 			switch kind {
 			case 0:
@@ -247,7 +263,9 @@ func FuzzCacheReference(f *testing.F) {
 					t.Fatalf("%s: InvalidatePageCount(%v) = %d, want %d", where(), p, got, want)
 				}
 			case 7:
-				checkLines(t, where()+" FlushAll", c.FlushAll(), r.flushAll())
+				var got []Line
+				c.FlushAll(func(l Line) { got = append(got, l) })
+				checkLines(t, where()+" FlushAll", got, r.flushAll())
 			case 8:
 				var got []Line
 				c.ForEachLine(func(l Line) { got = append(got, l) })
@@ -263,6 +281,11 @@ func FuzzCacheReference(f *testing.F) {
 			case 10:
 				c.Miss()
 				r.misses++
+			case 11:
+				if w := r.mru(a); w != nil && w.tag == tagOf(a) {
+					c.Hit()
+					r.hits++
+				}
 			}
 			checkAgainstRef(t, where(), c, r)
 		}

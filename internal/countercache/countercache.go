@@ -192,6 +192,17 @@ func (c *Cache) Get(p addr.PageNum) (*ctr.CounterBlock, clock.Cycles, bool) {
 	return c.cached.Get(p), lat, false
 }
 
+// Rehit counts a Get of page p that the caller knows hits the most
+// recently used way of its set: p's block was fetched by Get, and no
+// tag-store lookup has run since. It returns the hit latency, counts
+// the hit and emits the event exactly as Get would, and probes nothing,
+// since an MRU hit moves no LRU state.
+func (c *Cache) Rehit(p addr.PageNum) clock.Cycles {
+	c.tags.Hit()
+	c.bus.Emit(obs.EvCtrHit, uint64(p.Addr()), 0)
+	return c.cfg.HitLatency
+}
+
 // install inserts page p's counter block, which the tag store does not
 // hold, handling victim writeback.
 func (c *Cache) install(p addr.PageNum, cb *ctr.CounterBlock, dirty bool) {
@@ -280,7 +291,7 @@ func (c *Cache) Crash() {
 	if c.cfg.WriteThrough || c.cfg.BatteryBacked {
 		c.Flush()
 	}
-	c.tags.FlushAll()
+	c.tags.FlushAll(nil)
 	c.cached.Reset()
 }
 
@@ -327,7 +338,7 @@ func (c *Cache) RestoreRegion(region map[addr.PageNum]ctr.CounterBlock) {
 	for p, cb := range region {
 		c.persist(p, cb)
 	}
-	c.tags.FlushAll()
+	c.tags.FlushAll(nil)
 	c.cached.Reset()
 }
 

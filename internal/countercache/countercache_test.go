@@ -1,11 +1,13 @@
 package countercache
 
 import (
+	"reflect"
 	"testing"
 
 	"silentshredder/internal/addr"
 	"silentshredder/internal/ctr"
 	"silentshredder/internal/nvm"
+	"silentshredder/internal/obs"
 )
 
 func newCC(t *testing.T, cfg Config) (*Cache, *nvm.Device) {
@@ -44,6 +46,42 @@ func TestMissThenHit(t *testing.T) {
 	_, lat, hit = cc.Get(7)
 	if !hit || lat != 10 {
 		t.Fatalf("second access: hit=%v lat=%d", hit, lat)
+	}
+}
+
+// TestRehitMatchesGetHit pins Rehit to a Get that hits the most recently
+// used way: same latency, statistics and events, and, since that hit
+// moves no LRU state, the same victim on the set's next eviction.
+func TestRehitMatchesGetHit(t *testing.T) {
+	get, _ := newCC(t, smallCfg())
+	re, _ := newCC(t, smallCfg())
+	busGet, busRe := obs.NewBus(obs.Config{}), obs.NewBus(obs.Config{})
+	get.SetBus(busGet)
+	re.SetBus(busRe)
+	// Pages 0 and 2 share a set; page 2 is fetched last, so it is the
+	// set's most recently used way.
+	for _, cc := range []*Cache{get, re} {
+		cc.Get(0)
+		cc.Get(2)
+	}
+	_, lat, hit := get.Get(2)
+	if rlat := re.Rehit(2); !hit || rlat != lat {
+		t.Fatalf("Rehit latency %d, Get hit=%v latency %d", rlat, hit, lat)
+	}
+	for _, cc := range []*Cache{get, re} {
+		cc.Get(4) // evicts the set's LRU way, page 0
+	}
+	for _, p := range []addr.PageNum{0, 2, 4} {
+		if a, b := get.tags.Probe(ctrAddr(p)) != nil, re.tags.Probe(ctrAddr(p)) != nil; a != b {
+			t.Fatalf("page %d resident %v after Get hit, %v after Rehit", p, a, b)
+		}
+	}
+	if get.Hits() != re.Hits() || get.Misses() != re.Misses() {
+		t.Fatalf("hits/misses %d/%d after Get hit, %d/%d after Rehit",
+			get.Hits(), get.Misses(), re.Hits(), re.Misses())
+	}
+	if a, b := busGet.Events(), busRe.Events(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("events %v after Get hit, %v after Rehit", a, b)
 	}
 }
 

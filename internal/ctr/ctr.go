@@ -196,12 +196,12 @@ func checkBlockIdx(blockIdx int) {
 // dead old one.
 const padCacheSize = 512
 
-type padEntry struct {
-	valid bool
+// padTag identifies the pad a pad-cache slot holds.
+type padTag struct {
 	page  addr.PageNum
 	major uint64
 	sub   uint16 // blockIdx<<8 | minor
-	pad   [addr.BlockSize]byte
+	valid bool
 }
 
 // Engine turns IVs into pads and applies them to cache blocks. It is the
@@ -215,13 +215,17 @@ type padEntry struct {
 //
 // Buffers handed to the cipher escape to the heap, because it calls
 // crypto/aes through an interface. Pad and PadChunk therefore give it
-// only this scratch and copy the result out, and CachedPad hands PadInto
-// its own cache entry, so no pad path allocates.
+// only this scratch and copy the result out, and CachedPad and PadPage
+// encrypt straight into the pad cache, so no pad path allocates.
 type Engine struct {
-	cipher             *aes.Cipher
-	ivs                [addr.BlockSize]byte // scratch: four 16-byte IVs per block pad
-	out                [addr.BlockSize]byte // scratch: cipher output for Pad and PadChunk
-	pads               [padCacheSize]padEntry
+	cipher *aes.Cipher
+	ivs    [addr.BlockSize]byte // scratch: four 16-byte IVs per block pad
+	out    [addr.BlockSize]byte // scratch: cipher output for Pad and PadChunk
+	// pads holds the cache's pads back to back, slot i at
+	// [i*BlockSize, (i+1)*BlockSize), so a page's 64 slots are one 4KB
+	// run; tags says which pad each slot holds.
+	pads               [padCacheSize * addr.BlockSize]byte
+	tags               [padCacheSize]padTag
 	padHits, padMisses uint64
 }
 
@@ -254,13 +258,28 @@ func (e *Engine) Pad(page addr.PageNum, blockIdx int, major uint64, minor uint8)
 // EncryptBlocks call. Bit-identical to Pad.
 func (e *Engine) PadInto(dst *[addr.BlockSize]byte, page addr.PageNum, blockIdx int, major uint64, minor uint8) {
 	checkBlockIdx(blockIdx)
-	low := ivLow(page, blockIdx, minor, 0)
+	putIVs(&e.ivs, ivLow(page, blockIdx, minor, 0), major)
+	e.cipher.EncryptBlocks(dst[:], e.ivs[:])
+}
+
+// putIVs writes a block pad's four IVs into ivs: bytes 0..7 of each are
+// low with the chunk index added, bytes 8..15 the major counter.
+func putIVs(ivs *[addr.BlockSize]byte, low, major uint64) {
 	for chunk := 0; chunk < addr.BlockSize/aes.BlockSize; chunk++ {
-		iv := e.ivs[chunk*aes.BlockSize : (chunk+1)*aes.BlockSize : (chunk+1)*aes.BlockSize]
+		iv := ivs[chunk*aes.BlockSize : (chunk+1)*aes.BlockSize : (chunk+1)*aes.BlockSize]
 		binary.LittleEndian.PutUint64(iv, low|uint64(chunk)<<48)
 		binary.LittleEndian.PutUint64(iv[8:], major)
 	}
-	e.cipher.EncryptBlocks(dst[:], e.ivs[:])
+}
+
+// padSlot returns the pad-cache slot of block blockIdx of page.
+func padSlot(page addr.PageNum, blockIdx int) int {
+	return int((uint64(page)<<6 | uint64(blockIdx)) & (padCacheSize - 1))
+}
+
+// padSub is a pad tag's blockIdx<<8 | minor field.
+func padSub(blockIdx int, minor uint8) uint16 {
+	return uint16(blockIdx)<<8 | uint16(minor&MinorMax)
 }
 
 // CachedPad returns the pad for (page, blockIdx, major, minor) from the
@@ -269,20 +288,39 @@ func (e *Engine) PadInto(dst *[addr.BlockSize]byte, page addr.PageNum, blockIdx 
 // must not mutate it.
 func (e *Engine) CachedPad(page addr.PageNum, blockIdx int, major uint64, minor uint8) *[addr.BlockSize]byte {
 	checkBlockIdx(blockIdx) // the tag keeps only blockIdx's low 8 bits
-	sub := uint16(blockIdx)<<8 | uint16(minor&MinorMax)
-	en := &e.pads[(uint64(page)<<6|uint64(blockIdx))&(padCacheSize-1)]
-	if en.valid && en.page == page && en.major == major && en.sub == sub {
+	i := padSlot(page, blockIdx)
+	pad := (*[addr.BlockSize]byte)(e.pads[i*addr.BlockSize:])
+	tag := padTag{page: page, major: major, sub: padSub(blockIdx, minor), valid: true}
+	if e.tags[i] == tag {
 		e.padHits++
-		return &en.pad
+		return pad
 	}
 	e.padMisses++
-	en.valid, en.page, en.major, en.sub = true, page, major, sub
-	e.PadInto(&en.pad, page, blockIdx, major, minor)
-	return &en.pad
+	e.tags[i] = tag
+	e.PadInto(pad, page, blockIdx, major, minor)
+	return pad
+}
+
+// PadPage fills the pad cache with the pads of all 64 blocks of page
+// under major and minors[i], in one AES pass: a page's 64 slots are one
+// contiguous run, so its 256 IVs are written there and encrypted in
+// place. It displaces whatever pads of other pages shared those slots.
+// Each pad is bit-identical to PadInto's.
+func (e *Engine) PadPage(page addr.PageNum, major uint64, minors *[addr.BlocksPerPage]uint8) {
+	base := padSlot(page, 0)
+	run := e.pads[base*addr.BlockSize : (base+addr.BlocksPerPage)*addr.BlockSize]
+	for bi, minor := range minors {
+		putIVs((*[addr.BlockSize]byte)(run[bi*addr.BlockSize:]), ivLow(page, bi, minor, 0), major)
+		e.tags[base+bi] = padTag{page: page, major: major, sub: padSub(bi, minor), valid: true}
+	}
+	e.cipher.EncryptBlocks(run, run)
+	e.padMisses += addr.BlocksPerPage
 }
 
 // PadCacheStats returns the pad cache's hit and miss counts (for
-// benchmarks and tests; cache behavior never affects pad values).
+// benchmarks and tests; cache behavior never affects pad values). A hit
+// is a CachedPad call the cache served; a miss is a pad generated into
+// the cache, by a CachedPad that missed or by PadPage.
 func (e *Engine) PadCacheStats() (hits, misses uint64) { return e.padHits, e.padMisses }
 
 // PadChunk computes one 16-byte pad chunk (chunk 0..3) of a block's pad.

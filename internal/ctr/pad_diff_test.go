@@ -114,6 +114,51 @@ func TestCachedPadHoldsPage(t *testing.T) {
 	}
 }
 
+// PadPage fills a page's 64 pad-cache slots with exactly PadInto's pads,
+// over random majors and minors 0–127: a CachedPad of every block then
+// hits and returns them. It displaces the pads another page had in the
+// same slots, and a later CachedPad of a displaced block misses and
+// regenerates the right pad.
+func TestPadPageMatchesPadInto(t *testing.T) {
+	e := testEngine(t)
+	rng := rand.New(rand.NewSource(20261019))
+	for trial := 0; trial < 64; trial++ {
+		page := addr.PageNum(rng.Uint64() >> 24)
+		other := page + padCacheSize/addr.BlocksPerPage*addr.PageNum(1+rng.Intn(4)) // same slots
+		major, otherMajor := rng.Uint64(), rng.Uint64()
+		var minors [addr.BlocksPerPage]uint8
+		for i := range minors {
+			minors[i] = uint8(rng.Intn(MinorMax + 1))
+		}
+		for blk := 0; blk < addr.BlocksPerPage; blk++ {
+			e.CachedPad(other, blk, otherMajor, minors[blk])
+		}
+		hits0, misses0 := e.PadCacheStats()
+		e.PadPage(page, major, &minors)
+		for blk, minor := range minors {
+			var want [addr.BlockSize]byte
+			e.PadInto(&want, page, blk, major, minor)
+			if got := e.CachedPad(page, blk, major, minor); *got != want {
+				t.Fatalf("PadPage(%d, %d) block %d minor %d differs from PadInto", page, major, blk, minor)
+			}
+		}
+		hits, misses := e.PadCacheStats()
+		if hits-hits0 != addr.BlocksPerPage || misses-misses0 != addr.BlocksPerPage {
+			t.Fatalf("after PadPage: %d hits and %d misses over the page; want %d and %d (PadPage's pads)",
+				hits-hits0, misses-misses0, addr.BlocksPerPage, addr.BlocksPerPage)
+		}
+		for _, blk := range []int{0, 1 + rng.Intn(addr.BlocksPerPage-2), addr.BlocksPerPage - 1} {
+			want := e.Pad(other, blk, otherMajor, minors[blk])
+			if got := e.CachedPad(other, blk, otherMajor, minors[blk]); *got != want {
+				t.Fatalf("displaced page %d block %d regenerated a wrong pad", other, blk)
+			}
+		}
+		if _, m := e.PadCacheStats(); m-misses != 3 {
+			t.Fatalf("displaced blocks: %d misses, want 3", m-misses)
+		}
+	}
+}
+
 // An out-of-range block index panics on the fast paths too, also when
 // its low bits name a block whose pad is cached: block 263 of page 4
 // has block 7's slot and, in the tag's eight bits, its index.
@@ -196,6 +241,13 @@ func TestPadFastPathsZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("CachedPad (miss path) allocates %v per call, want 0", n)
 	}
+	var minors [addr.BlocksPerPage]uint8
+	if n := testing.AllocsPerRun(100, func() {
+		e.PadPage(addr.PageNum(i), uint64(i), &minors)
+		i++
+	}); n != 0 {
+		t.Fatalf("PadPage allocates %v per call, want 0", n)
+	}
 }
 
 // BenchmarkPadInto measures batched pad generation (the miss-path cost
@@ -206,6 +258,18 @@ func BenchmarkPadInto(b *testing.B) {
 	b.SetBytes(addr.BlockSize)
 	for i := 0; i < b.N; i++ {
 		e.PadInto(&dst, addr.PageNum(i), i%addr.BlocksPerPage, uint64(i), uint8(i%MinorMax+1))
+	}
+}
+
+// BenchmarkPadPage measures one page's 64 pads generated in one pass,
+// the pad work of a page zeroing.
+func BenchmarkPadPage(b *testing.B) {
+	e, _ := NewEngine(make([]byte, 16))
+	var minors [addr.BlocksPerPage]uint8
+	b.SetBytes(addr.PageSize)
+	for i := 0; i < b.N; i++ {
+		minors[i%addr.BlocksPerPage] = uint8(i%MinorMax + 1)
+		e.PadPage(addr.PageNum(i), uint64(i), &minors)
 	}
 }
 

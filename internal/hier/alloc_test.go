@@ -55,7 +55,7 @@ func TestShredPathZeroAllocs(t *testing.T) {
 	if removed != runs+1 {
 		t.Fatalf("Invalidate removed %d of %d freshly inserted blocks", removed, runs+1)
 	}
-	c.FlushAll()
+	c.FlushAll(nil)
 	removed = 0
 	zero("InvalidatePageCount", func() {
 		p := addr.PageNum(i % pages)
@@ -89,7 +89,7 @@ func TestShredPathZeroAllocs(t *testing.T) {
 	// two-core tiny hierarchy whose L4 holds one page, so every read
 	// misses every level and its L3 and L4 fills evict; one walk first
 	// allocates the directory chunks the timed reads use.
-	th, _, _ := newHier(t, tinyConfig(2), memctrl.SilentShredder)
+	th, tmc, _ := newHier(t, tinyConfig(2), memctrl.SilentShredder)
 	const walk = 4 * addr.BlocksPerPage
 	for j := 0; j < walk; j++ {
 		th.Read(0, addr.Phys(j)<<addr.BlockShift)
@@ -129,5 +129,22 @@ func TestShredPathZeroAllocs(t *testing.T) {
 	zero("Write taking ownership", func() { th.Write(k&1, 0x80); k++ })
 	if got := th.invalidations.Value() - inv; got != runs+1 {
 		t.Fatalf("ownership-taking writes sent %d invalidations, want %d", got, runs+1)
+	}
+	// A flush hands each cache's dirty lines to the write-back one at a
+	// time. Each timed run first dirties eight consecutive blocks, which
+	// fill core 0's L1 without evicting, so the flush writes back eight.
+	// (Every 127th write-back of a block re-encrypts its page, 64 more
+	// data writes.)
+	th.FlushAll()
+	wb, reenc := tmc.DataWrites(), tmc.Reencryptions()
+	zero("FlushAll", func() {
+		for j := 0; j < 8; j++ {
+			th.Write(0, addr.Phys(j)<<addr.BlockShift)
+		}
+		th.FlushAll()
+	})
+	want := 8*(runs+1) + addr.BlocksPerPage*(tmc.Reencryptions()-reenc)
+	if got := tmc.DataWrites() - wb; got != want {
+		t.Fatalf("flushes wrote back %d blocks, want %d", got, want)
 	}
 }

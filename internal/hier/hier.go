@@ -499,21 +499,19 @@ func (h *Hierarchy) FlushPage(p addr.PageNum) int {
 // bit set (inclusion and invariant 5), so clearing it marks the block
 // written.
 func (h *Hierarchy) FlushAll() {
-	flush := func(lines []cache.Line) {
-		for _, l := range lines {
-			a := l.Addr()
-			if dp, bit := h.dir.pages.Get(a.Page()), uint64(1)<<a.BlockIndex(); dp.held&bit != 0 {
-				dp.held &^= bit
-				h.mc.WriteBlock(a)
-			}
+	flush := func(l cache.Line) {
+		a := l.Addr()
+		if dp, bit := h.dir.pages.Get(a.Page()), uint64(1)<<a.BlockIndex(); dp.held&bit != 0 {
+			dp.held &^= bit
+			h.mc.WriteBlock(a)
 		}
 	}
 	for c := 0; c < h.cfg.Cores; c++ {
-		flush(h.l1[c].FlushAll())
-		flush(h.l2[c].FlushAll())
+		h.l1[c].FlushAll(flush)
+		h.l2[c].FlushAll(flush)
 	}
-	flush(h.l3.FlushAll())
-	flush(h.l4.FlushAll())
+	h.l3.FlushAll(flush)
+	h.l4.FlushAll(flush)
 	h.dir.reset()
 }
 
@@ -521,11 +519,11 @@ func (h *Hierarchy) FlushAll() {
 // sudden power loss: dirty data that never reached the NVM is gone.
 func (h *Hierarchy) Crash() {
 	for c := 0; c < h.cfg.Cores; c++ {
-		h.l1[c].FlushAll()
-		h.l2[c].FlushAll()
+		h.l1[c].FlushAll(nil)
+		h.l2[c].FlushAll(nil)
 	}
-	h.l3.FlushAll()
-	h.l4.FlushAll()
+	h.l3.FlushAll(nil)
+	h.l4.FlushAll(nil)
 	h.dir.reset()
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"silentshredder/internal/addr"
+	"silentshredder/internal/ctr"
 	"silentshredder/internal/nvm"
 	"silentshredder/internal/physmem"
 )
@@ -67,18 +68,34 @@ func TestSteadyStateWriteZeroAllocs(t *testing.T) {
 // zeroing allocation-free over already-touched pages: every page fault on
 // the paper's baseline encrypts and writes 64 zero blocks through it.
 // Every 127th zeroing of a page overflows its minor counters and
-// re-encrypts the page, which still heap-allocates its 4 KB staging
-// buffer: the buffer escapes through readData's slice parameter into the
-// device and fault-injector interfaces (DESIGN.md §9.3).
-// AllocsPerRun's whole-number average absorbs those few calls.
+// re-encrypts the page; the re-encrypting row does so on every call, so
+// AllocsPerRun's whole-number average cannot absorb an allocation there.
 func TestZeroPageDirectZeroAllocs(t *testing.T) {
-	mc := newZeroPageController(t)
-	i := 0
-	if n := testing.AllocsPerRun(1000, func() {
-		mc.ZeroPageDirect(addr.PageNum(i % 4))
-		i++
-	}); n != 0 {
-		t.Fatalf("steady-state ZeroPageDirect allocates %v per call, want 0", n)
+	for _, tc := range []struct {
+		name      string
+		reencrypt bool
+	}{{"steady", false}, {"re-encrypting", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			mc := newZeroPageController(t)
+			const runs = 1000
+			reenc, i := mc.Reencryptions(), 0
+			if n := testing.AllocsPerRun(runs, func() {
+				p := addr.PageNum(i % 4)
+				if tc.reencrypt {
+					// Block 37's minor counter sits at the ceiling, so
+					// the zeroing re-encrypts the page mid-way.
+					cb, _, _ := mc.cc.Get(p)
+					cb.Minor[37] = ctr.MinorMax
+				}
+				mc.ZeroPageDirect(p)
+				i++
+			}); n != 0 {
+				t.Fatalf("ZeroPageDirect allocates %v per call, want 0", n)
+			}
+			if tc.reencrypt && mc.Reencryptions()-reenc != runs+1 {
+				t.Fatalf("%d of %d zeroings re-encrypted", mc.Reencryptions()-reenc, runs+1)
+			}
+		})
 	}
 }
 

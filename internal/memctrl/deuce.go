@@ -92,11 +92,12 @@ func (mc *Controller) deuceDecrypt(buf []byte, a addr.Phys, cb *ctr.CounterBlock
 
 // deuceEncryptWrite produces the new ciphertext for block a given the new
 // plaintext `plain` and the block's previous ciphertext `oldCipher`
-// (still encrypted under the pre-bump counters with the old mask). The
-// minor counter has already been bumped to `leading`. Unmodified chunks
-// outside an epoch boundary keep their old ciphertext bytes — that is
-// DEUCE's entire effect.
-func (mc *Controller) deuceEncryptWrite(a addr.Phys, plain, oldCipher []byte, cb *ctr.CounterBlock, oldCB ctr.CounterBlock) []byte {
+// (still encrypted under the page's major counter, the block's pre-bump
+// minor counter oldLeading and the old mask). The minor counter has
+// already been bumped to `leading`. Unmodified chunks outside an epoch
+// boundary keep their old ciphertext bytes — that is DEUCE's entire
+// effect.
+func (mc *Controller) deuceEncryptWrite(a addr.Phys, plain, oldCipher []byte, cb *ctr.CounterBlock, oldLeading uint8) []byte {
 	p, bi := a.Page(), a.BlockIndex()
 	leading := cb.Minor[bi]
 	out := make([]byte, addr.BlockSize)
@@ -114,7 +115,6 @@ func (mc *Controller) deuceEncryptWrite(a addr.Phys, plain, oldCipher []byte, cb
 	// Recover the previous plaintext to find which chunks changed.
 	oldPlain := make([]byte, addr.BlockSize)
 	copy(oldPlain, oldCipher)
-	oldLeading := oldCB.Minor[bi]
 	oldMask := mc.deuce.mask[a]
 	if oldLeading != ctr.MinorShredded {
 		oldTrailing := mc.deuce.trailing(oldLeading)
@@ -123,7 +123,7 @@ func (mc *Controller) deuceEncryptWrite(a addr.Phys, plain, oldCipher []byte, cb
 			if oldMask&(1<<c) != 0 {
 				counter = oldLeading
 			}
-			mc.decryptChunk(oldPlain[c*16:(c+1)*16], p, bi, oldCB.Major, counter, c)
+			mc.decryptChunk(oldPlain[c*16:(c+1)*16], p, bi, cb.Major, counter, c)
 		}
 	} else {
 		// Previously shredded/never written: old plaintext is zeros.
