@@ -78,7 +78,7 @@ fuzz:
 # Coverage over all packages; prints the total and leaves cover.out for
 # `go tool cover -html=cover.out`. Fails when the total statement coverage
 # is below COVER_FLOOR, the floor COVERAGE.md records.
-COVER_FLOOR = 88.4
+COVER_FLOOR = 89.0
 cover:
 	$(GO) test ./... -coverprofile=cover.out
 	@$(GO) tool cover -func=cover.out | tail -n 1

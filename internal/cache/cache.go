@@ -18,13 +18,17 @@
 //     set's line (1); LookupOwned adds the rank word on an owned hit.
 //   - Insert, Fill: the set's line and the rank word (2).
 //   - Miss, Hit: no line (0).
-//   - Invalidate: the set's line (1).
+//   - HitAt: the rank word (1).
+//   - At, and a state or dirty update through it: the set's line (1).
+//   - Invalidate, InvalidateAt: the set's line (1).
 //   - InvalidatePageCount: one set line per block of the page (64),
 //     however many of them the cache holds.
 //
 // The store keeps no per-page state. The hierarchy's coherence
-// directory records which blocks of a page the caches hold, and a shred
-// invalidates exactly those blocks with Invalidate.
+// directory records which blocks of a page the caches hold, and each
+// block's way in the shared levels, so a shred invalidates exactly those
+// blocks, the shared copies with InvalidateAt, and a shared-level hit or
+// dirty fold on a block the directory places goes straight to its way.
 package cache
 
 import (
@@ -351,6 +355,22 @@ func (c *Cache) Miss() { c.misses.Inc() }
 // all a lookup would do.
 func (c *Cache) Hit() { c.hits.Inc() }
 
+// HitAt counts a lookup of block a, which the caller knows sits in way
+// way of its set, exactly as a Lookup or LookupHit that hits it counts
+// it, and makes that way the most recently used, without comparing
+// tags.
+func (c *Cache) HitAt(a addr.Phys, way int) {
+	c.hits.Inc()
+	c.touch(tagOf(a)&c.setMask, way)
+}
+
+// At returns way way of block a's set, which the caller knows holds a,
+// for state and dirty updates. It counts nothing and moves no LRU
+// state, as Probe does.
+func (c *Cache) At(a addr.Phys, way int) *Way {
+	return &c.ways[int(tagOf(a)&c.setMask)*c.assoc+way]
+}
+
 // Insert allocates a line for block a in the given state, evicting the LRU
 // line of the set if necessary. It returns the evicted line metadata (for
 // writeback handling) and whether an eviction happened. Inserting a block
@@ -358,7 +378,8 @@ func (c *Cache) Hit() { c.hits.Inc() }
 func (c *Cache) Insert(a addr.Phys, st State, dirty bool) (victim Line, evicted bool) {
 	i := c.probeWay(a)
 	if i < 0 {
-		return c.Fill(a, st, dirty)
+		victim, evicted, _ = c.Fill(a, st, dirty)
+		return victim, evicted
 	}
 	c.ways[i] = packWay(tagOf(a), st, dirty || c.ways[i].Dirty())
 	si := tagOf(a) & c.setMask
@@ -368,9 +389,9 @@ func (c *Cache) Insert(a addr.Phys, st State, dirty bool) (victim Line, evicted 
 
 // Fill is Insert for a block the caller knows is absent: it takes the
 // victim way by Insert's rule, the first empty way in index order or
-// else the least recently used, without comparing tags. Filling a
-// present block would hold it twice.
-func (c *Cache) Fill(a addr.Phys, st State, dirty bool) (victim Line, evicted bool) {
+// else the least recently used, without comparing tags, and also
+// returns the way it used. Filling a present block would hold it twice.
+func (c *Cache) Fill(a addr.Phys, st State, dirty bool) (victim Line, evicted bool, way int) {
 	tag := tagOf(a)
 	ways, si := c.set(tag)
 	vi := c.lruWay(si)
@@ -389,7 +410,7 @@ func (c *Cache) Fill(a addr.Phys, st State, dirty bool) (victim Line, evicted bo
 	}
 	ways[vi] = packWay(tag, st, dirty)
 	c.touch(si, vi)
-	return victim, evicted
+	return victim, evicted, vi
 }
 
 // Invalidate removes block a if present, returning the removed line
@@ -402,6 +423,16 @@ func (c *Cache) Invalidate(a addr.Phys) (Line, bool) {
 		return old, true
 	}
 	return Line{}, false
+}
+
+// InvalidateAt removes block a, which the caller knows sits in way way
+// of its set, and returns the removed line's metadata, as Invalidate
+// does on a present block.
+func (c *Cache) InvalidateAt(a addr.Phys, way int) Line {
+	w := c.At(a, way)
+	old := w.line()
+	*w = emptyWay
+	return old
 }
 
 // InvalidatePageCount removes every block of page p and returns how many

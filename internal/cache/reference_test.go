@@ -40,13 +40,20 @@ func (r *refCache) set(a addr.Phys) ([]refWay, uint64) {
 }
 
 func (r *refCache) find(a addr.Phys) *refWay {
+	w, _ := r.findWay(a)
+	return w
+}
+
+// findWay returns the way holding block a and its index in the set, or
+// nil and -1.
+func (r *refCache) findWay(a addr.Phys) (*refWay, int) {
 	ways, tag := r.set(a)
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
-			return &ways[i]
+			return &ways[i], i
 		}
 	}
-	return nil
+	return nil, -1
 }
 
 func (r *refCache) touch(w *refWay) {
@@ -75,39 +82,42 @@ func (r *refCache) lookupOwned(a addr.Phys) *refWay {
 	return w
 }
 
-func (r *refCache) insert(a addr.Phys, st State, dirty bool) (Line, bool) {
-	if w := r.find(a); w != nil {
+// insert returns the victim, whether there was one, and the index in
+// the set of the way that holds block a afterwards.
+func (r *refCache) insert(a addr.Phys, st State, dirty bool) (Line, bool, int) {
+	if w, i := r.findWay(a); w != nil {
 		w.state = st
 		w.dirty = w.dirty || dirty
 		r.touch(w)
-		return Line{}, false
+		return Line{}, false, i
 	}
 	ways, tag := r.set(a)
-	var v *refWay
+	vi := -1
 	for i := range ways {
 		if !ways[i].valid {
-			v = &ways[i]
+			vi = i
 			break
 		}
 	}
 	var victim Line
 	evicted := false
-	if v == nil {
-		v = &ways[0]
+	if vi < 0 {
+		vi = 0
 		for i := range ways {
-			if ways[i].stamp < v.stamp {
-				v = &ways[i]
+			if ways[i].stamp < ways[vi].stamp {
+				vi = i
 			}
 		}
+		v := &ways[vi]
 		victim, evicted = Line{Tag: v.tag, State: v.state, Dirty: v.dirty}, true
 		r.evictions++
 		if v.dirty {
 			r.dirtyEvictions++
 		}
 	}
-	*v = refWay{valid: true, tag: tag, state: st, dirty: dirty}
-	r.touch(v)
-	return victim, evicted
+	ways[vi] = refWay{valid: true, tag: tag, state: st, dirty: dirty}
+	r.touch(&ways[vi])
+	return victim, evicted, vi
 }
 
 // mru returns the most recently touched valid way of block a's set, or
@@ -191,19 +201,23 @@ var refPages = func() []addr.PageNum {
 // by side. The first byte picks a geometry; then every three bytes are
 // one operation:
 //
-//	op    bits 0-6: operation (mod 12); bit 7: LookupOwned and Probe
+//	op    bits 0-6: operation (mod 15); bit 7: LookupOwned and Probe
 //	      also set the returned line's state and dirty bit
 //	page  bits 0-3: page index; bits 4-6: byte offset within the block
-//	      (in 8-byte steps); bit 7: the dirty flag
+//	      (in 8-byte steps), and the way (mod the associativity) that
+//	      HitAt, At and InvalidateAt pass; bit 7: the dirty flag
 //	block bits 0-5: block index; bits 6-7: the state
 //
 // Operation 9, Fill, runs only when the model holds no copy of the
 // block: its contract is a block the caller knows is absent. Operation
 // 11, Hit, runs only when the model's most recently touched way of the
 // block's set holds the block: its contract is a block the caller knows
-// is the most recently used of its set. After every operation it
-// compares the return values, the victim, the four counters and the
-// contents of every way.
+// is the most recently used of its set. Operations 12 to 14, HitAt, At
+// (which then sets the line's state and dirty bit) and InvalidateAt,
+// run only when the model holds the block at the way passed: their
+// contract is a block the caller knows sits there. After every
+// operation it compares the return values, the victim, the way Fill
+// used, the four counters and the contents of every way.
 func FuzzCacheReference(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, 9, 0, 0, 10, 0, 0, 9, 0x81, 0x41, 9, 0, 0, 1, 0, 0})
@@ -220,7 +234,8 @@ func FuzzCacheReference(f *testing.F) {
 			p := refPages[int(pb&15)%len(refPages)]
 			a := p.BlockAddr(int(bb&63)) + addr.Phys(pb>>4&7)<<3
 			st, dirty := State(bb>>6), pb&0x80 != 0
-			kind := (op & 0x7f) % 12
+			way := int(pb>>4&7) % cfg.Assoc
+			kind := (op & 0x7f) % 15
 			where := func() string { return fmt.Sprintf("%s step %d op %d %v", cfg.Name, step, kind, a) }
 			switch kind {
 			case 0:
@@ -248,7 +263,7 @@ func FuzzCacheReference(f *testing.F) {
 				}
 			case 4:
 				v, ev := c.Insert(a, st, dirty)
-				wv, wev := r.insert(a, st, dirty)
+				wv, wev, _ := r.insert(a, st, dirty)
 				if v != wv || ev != wev {
 					t.Fatalf("%s: Insert = %+v/%v, want %+v/%v", where(), v, ev, wv, wev)
 				}
@@ -272,10 +287,10 @@ func FuzzCacheReference(f *testing.F) {
 				checkLines(t, where()+" ForEachLine", got, r.lines(false))
 			case 9:
 				if r.find(a) == nil {
-					v, ev := c.Fill(a, st, dirty)
-					wv, wev := r.insert(a, st, dirty)
-					if v != wv || ev != wev {
-						t.Fatalf("%s: Fill = %+v/%v, want %+v/%v", where(), v, ev, wv, wev)
+					v, ev, w := c.Fill(a, st, dirty)
+					wv, wev, ww := r.insert(a, st, dirty)
+					if v != wv || ev != wev || w != ww {
+						t.Fatalf("%s: Fill = %+v/%v/way %d, want %+v/%v/way %d", where(), v, ev, w, wv, wev, ww)
 					}
 				}
 			case 10:
@@ -285,6 +300,28 @@ func FuzzCacheReference(f *testing.F) {
 				if w := r.mru(a); w != nil && w.tag == tagOf(a) {
 					c.Hit()
 					r.hits++
+				}
+			case 12, 13, 14:
+				w, i := r.findWay(a)
+				if w == nil || i != way {
+					break
+				}
+				switch kind {
+				case 12:
+					c.HitAt(a, way)
+					r.hits++
+					r.touch(w)
+				case 13:
+					got := c.At(a, way)
+					checkWay(t, where(), got, w)
+					got.SetState(st)
+					got.SetDirty(dirty)
+					w.state, w.dirty = st, dirty
+				case 14:
+					l := c.InvalidateAt(a, way)
+					if wl, _ := r.invalidate(a); l != wl {
+						t.Fatalf("%s: InvalidateAt(way %d) = %+v, want %+v", where(), way, l, wl)
+					}
 				}
 			}
 			checkAgainstRef(t, where(), c, r)

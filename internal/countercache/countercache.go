@@ -206,7 +206,7 @@ func (c *Cache) Rehit(p addr.PageNum) clock.Cycles {
 // install inserts page p's counter block, which the tag store does not
 // hold, handling victim writeback.
 func (c *Cache) install(p addr.PageNum, cb *ctr.CounterBlock, dirty bool) {
-	victim, evicted := c.tags.Fill(ctrAddr(p), cache.Exclusive, dirty)
+	victim, evicted, _ := c.tags.Fill(ctrAddr(p), cache.Exclusive, dirty)
 	if evicted {
 		vp := pageOfCtrAddr(victim.Addr())
 		if victim.Dirty {

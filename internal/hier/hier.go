@@ -75,10 +75,25 @@ func Table1Config(n int) Config {
 // caches hold the block, and block i has an entry exactly when that
 // mask is non-zero. Bit i of modified marks block i Modified; a Modified
 // block's owner is its only sharer, so the mask names the owner.
+// ways[i] places a held block i in the shared levels: bits 0-2 are its
+// L4 way, bits 3-5 its L3 way, and bit 6 (inL3) is set exactly when L3
+// holds it. A page is 144 bytes, exactly its allocation size class.
 type dirPage struct {
 	modified, held uint64
 	sharers        [addr.BlocksPerPage]uint8
+	ways           [addr.BlocksPerPage]uint8
 }
+
+// The fields of a dirPage ways byte.
+const (
+	l4WayMask  = 7      // bits 0-2: the block's L4 way
+	l3WayShift = 3      // bits 3-5: its L3 way
+	inL3       = 1 << 6 // bit 6: L3 holds the block
+)
+
+func l4Way(w uint8) int { return int(w & l4WayMask) }
+
+func l3Way(w uint8) int { return int(w >> l3WayShift & 7) }
 
 // own records that core holds block bi Modified, as its only sharer.
 func (dp *dirPage) own(bi, core int) {
@@ -170,7 +185,7 @@ func (h *Hierarchy) Read(core int, a addr.Phys) clock.Cycles {
 	lat += h.cfg.L2.HitLatency
 	dp, bi := h.dir.page(a.Page()), a.BlockIndex()
 	if dp.sharers[bi]&(1<<core) != 0 {
-		if v, ev := h.l1[core].Fill(a, h.l2[core].Lookup(a).State(), false); ev {
+		if v, ev, _ := h.l1[core].Fill(a, h.l2[core].Lookup(a).State(), false); ev {
 			h.evictFromL1(core, v)
 		}
 		return lat
@@ -263,39 +278,50 @@ func (h *Hierarchy) Write(core int, a addr.Phys) clock.Cycles {
 
 // fetchShared brings block a of dp's page into L3 for a private miss,
 // returning the latency from L3 down. L4 holds the block exactly when its
-// held bit is set (invariant 5), and L3 holds only blocks L4 holds: a
-// clear bit settles both lookups as misses, a set one L4's as a hit.
+// held bit is set (invariant 5), and L3 exactly when its ways byte has
+// the inL3 bit (invariant 6), and the byte names both ways: a clear held
+// bit settles both lookups as misses; a set one is an L3 hit at the
+// recorded way, or else an L3 miss and an L4 hit at its way.
 func (h *Hierarchy) fetchShared(dp *dirPage, a addr.Phys) clock.Cycles {
 	lat := h.cfg.L3.HitLatency + h.cfg.L4.HitLatency
-	if bit := uint64(1) << a.BlockIndex(); dp.held&bit != 0 {
-		if h.l3.LookupHit(a) {
+	bi := a.BlockIndex()
+	if bit := uint64(1) << bi; dp.held&bit != 0 {
+		w := dp.ways[bi]
+		if w&inL3 != 0 {
+			h.l3.HitAt(a, l3Way(w))
 			return h.cfg.L3.HitLatency
 		}
-		h.l4.LookupHit(a)
+		h.l3.Miss()
+		h.l4.HitAt(a, l4Way(w))
 	} else {
 		h.l3.Miss()
 		h.l4.Miss()
 		h.llcMisses.Inc()
 		lat += h.mc.ReadBlock(a, nil)
 		dp.held |= bit
+		v, ev, way := h.l4.Fill(a, cache.Shared, false)
+		dp.ways[bi] = uint8(way)
 		// An L4 victim leaves every level above (inclusion) and is
 		// written back to NVM if any copy of it was dirty.
-		if v, ev := h.l4.Fill(a, cache.Shared, false); ev {
+		if ev {
 			if va := v.Addr(); h.uncache(h.dir.pages.Get(va.Page()), va) || v.Dirty {
 				h.mc.WriteBlock(va)
 			}
 		}
 	}
+	v, ev, way := h.l3.Fill(a, cache.Shared, false)
+	dp.ways[bi] = dp.ways[bi]&l4WayMask | uint8(way)<<l3WayShift | inL3
 	// An L3 victim leaves the private caches, and its dirtiness folds
-	// into L4.
-	if v, ev := h.l3.Fill(a, cache.Shared, false); ev {
+	// into its L4 line.
+	if ev {
 		va := v.Addr()
-		if h.backInvalidate(h.dir.pages.Get(va.Page()), va) || v.Dirty {
-			l := h.l4.Probe(va)
-			if l == nil {
+		vp := h.dir.pages.Get(va.Page())
+		if h.backInvalidate(vp, va) || v.Dirty {
+			vi := va.BlockIndex()
+			if vp.held&(1<<vi) == 0 {
 				panic(fmt.Sprintf("hier: dirty L3 victim %v is not in L4 (inclusion)", va))
 			}
-			l.SetDirty(true)
+			h.l4.At(va, l4Way(vp.ways[vi])).SetDirty(true)
 		}
 	}
 	return lat
@@ -309,9 +335,9 @@ func (h *Hierarchy) fetchShared(dp *dirPage, a addr.Phys) clock.Cycles {
 // queue.
 func (h *Hierarchy) WriteNonTemporal(a addr.Phys) clock.Cycles {
 	a = a.Block()
-	if dp := h.dir.pages.Get(a.Page()); dp != nil && dp.held&(1<<a.BlockIndex()) != 0 {
+	if dp, bi := h.dir.pages.Get(a.Page()), a.BlockIndex(); dp != nil && dp.held&(1<<bi) != 0 {
 		h.uncache(dp, a)
-		h.l4.Invalidate(a)
+		h.l4.InvalidateAt(a, l4Way(dp.ways[bi]))
 	}
 	h.mc.WriteBlock(a)
 	return h.cfg.NTStoreCycles
@@ -323,9 +349,10 @@ func (h *Hierarchy) WriteNonTemporal(a addr.Phys) clock.Cycles {
 // number of invalidation messages, one per private L1 or L2 line
 // removed, which the kernel's shred path charges time for. It visits
 // only the blocks the record holds in L4, which by inclusion are all
-// the page's cached blocks, and their private copies only in the cores
-// the sharer masks name (directory coverage, invariant 3 of
-// CheckInvariants).
+// the page's cached blocks, their private copies only in the cores the
+// sharer masks name (directory coverage, invariant 3 of
+// CheckInvariants), and their shared copies at the ways the record
+// names (invariant 6).
 func (h *Hierarchy) ShredInvalidate(p addr.PageNum) int {
 	h.pageInvals.Inc()
 	msgs := 0
@@ -342,8 +369,11 @@ func (h *Hierarchy) ShredInvalidate(p addr.PageNum) int {
 					msgs++
 				}
 			}
-			h.l3.Invalidate(a)
-			h.l4.Invalidate(a)
+			w := dp.ways[bi]
+			if w&inL3 != 0 {
+				h.l3.InvalidateAt(a, l3Way(w))
+			}
+			h.l4.InvalidateAt(a, l4Way(w))
 		}
 		*dp = dirPage{}
 	}
@@ -382,14 +412,16 @@ func (h *Hierarchy) discardPrivate(c int, a addr.Phys) bool {
 	return dirty
 }
 
-// backInvalidate discards block a from the private caches of the cores
-// its page record dp names and drops its entry, reporting whether a
-// discarded copy was dirty. dp is nil for a page the directory has no
-// record of. Directory coverage (invariant 3 of CheckInvariants) makes
-// the filter exact: a core the mask leaves out holds no copy.
+// backInvalidate, for block a leaving L3, clears its inL3 bit, discards
+// it from the private caches of the cores its page record dp names and
+// drops its entry, reporting whether a discarded copy was dirty. Every
+// block L3 holds has a record, since only fetchShared fills L3.
+// Directory coverage (invariant 3 of CheckInvariants) makes the filter
+// exact: a core the mask leaves out holds no copy.
 func (h *Hierarchy) backInvalidate(dp *dirPage, a addr.Phys) bool {
 	bi := a.BlockIndex()
-	if dp == nil || dp.sharers[bi] == 0 {
+	dp.ways[bi] &^= inL3
+	if dp.sharers[bi] == 0 {
 		return false
 	}
 	dirty := false
@@ -406,13 +438,18 @@ func (h *Hierarchy) backInvalidate(dp *dirPage, a addr.Phys) bool {
 // uncache removes block a, of dp's page, from every level above L4 and
 // clears its held bit, for a caller that takes it out of L4, reporting
 // whether a removed copy was dirty. dp is nil for a page without a
-// record (the trace-replay benchmark's ladder fills L4 directly).
+// record, which only the trace-replay benchmark's ladder puts in L4 (it
+// fills L4 directly); no level above L4 holds such a block, since only
+// fetchShared, which records the block, fills L3.
 func (h *Hierarchy) uncache(dp *dirPage, a addr.Phys) bool {
-	if dp != nil {
-		dp.held &^= 1 << a.BlockIndex()
+	if dp == nil {
+		return false
 	}
+	bi := a.BlockIndex()
+	dp.held &^= 1 << bi
+	w := dp.ways[bi]
 	dirty := h.backInvalidate(dp, a)
-	if l, ok := h.l3.Invalidate(a); ok && l.Dirty {
+	if w&inL3 != 0 && h.l3.InvalidateAt(a, l3Way(w)).Dirty {
 		dirty = true
 	}
 	return dirty
@@ -421,10 +458,10 @@ func (h *Hierarchy) uncache(dp *dirPage, a addr.Phys) bool {
 // fillPrivate installs a, which core's private caches do not hold, into
 // its L2 then L1.
 func (h *Hierarchy) fillPrivate(core int, a addr.Phys, st cache.State, dirty bool) {
-	if v, ev := h.l2[core].Fill(a, st, dirty); ev {
+	if v, ev, _ := h.l2[core].Fill(a, st, dirty); ev {
 		h.evictFromL2(core, v)
 	}
-	if v, ev := h.l1[core].Fill(a, st, dirty); ev {
+	if v, ev, _ := h.l1[core].Fill(a, st, dirty); ev {
 		h.evictFromL1(core, v)
 	}
 }
@@ -446,23 +483,23 @@ func (h *Hierarchy) evictFromL1(core int, v cache.Line) {
 }
 
 // evictFromL2 handles an L2 victim: back-invalidate L1 (inclusion),
-// propagate dirtiness to L3, update the directory.
+// propagate dirtiness to L3 at the way the directory records, update
+// the directory.
 func (h *Hierarchy) evictFromL2(core int, v cache.Line) {
 	a := v.Addr()
+	dp, bi := h.dir.pages.Get(a.Page()), a.BlockIndex()
 	dirty := v.Dirty
 	if l, ok := h.l1[core].Invalidate(a); ok && l.Dirty {
 		dirty = true
 	}
 	if dirty {
-		l := h.l3.Probe(a)
-		if l == nil {
+		if dp.ways[bi]&inL3 == 0 {
 			panic(fmt.Sprintf("hier: dirty L2.%d victim %v is not in L3 (inclusion)", core, a))
 		}
-		l.SetDirty(true)
+		h.l3.At(a, l3Way(dp.ways[bi])).SetDirty(true)
 	}
 	// A Modified block's only sharer is its owner, so a block left with
 	// no sharers is not Modified.
-	dp, bi := h.dir.pages.Get(a.Page()), a.BlockIndex()
 	if dp.sharers[bi] &^= 1 << core; dp.sharers[bi] == 0 {
 		dp.modified &^= 1 << bi
 	}
@@ -479,9 +516,10 @@ func (h *Hierarchy) FlushPage(p addr.PageNum) int {
 	}
 	dirty := 0
 	for held := dp.held; held != 0; held &= held - 1 {
-		a := p.BlockAddr(bits.TrailingZeros64(held))
+		bi := bits.TrailingZeros64(held)
+		a := p.BlockAddr(bi)
 		wasDirty := h.uncache(dp, a)
-		if l, ok := h.l4.Invalidate(a); ok && l.Dirty {
+		if h.l4.InvalidateAt(a, l4Way(dp.ways[bi])).Dirty {
 			wasDirty = true
 		}
 		if wasDirty {

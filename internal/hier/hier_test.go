@@ -315,10 +315,11 @@ func TestInvariantSweep(t *testing.T) {
 
 	// The directory derives a Modified block's owner from its sharer
 	// mask, a shred visits only the blocks the held bits name, relying
-	// on inclusion down to L4, and a fill trusts the directory that the
-	// block is absent. CheckAll must reject each state below that breaks
-	// one of these, planted behind core 1's Modified block 0x080 (block 2
-	// of page 0).
+	// on inclusion down to L4, a fill trusts the directory that the
+	// block is absent, and shared-level hits, folds and invalidations go
+	// to the ways the record names. CheckAll must reject each state
+	// below that breaks one of these, planted behind core 1's Modified
+	// block 0x080 (block 2 of page 0).
 	for _, c := range []struct {
 		name  string
 		plant func(h *Hierarchy, dp *dirPage)
@@ -329,6 +330,10 @@ func TestInvariantSweep(t *testing.T) {
 		{"L3 line missing from L4", func(h *Hierarchy, _ *dirPage) { h.l3.Insert(0x0C0, cache.Shared, false) }},
 		{"held bit without an L4 line", func(_ *Hierarchy, dp *dirPage) { dp.held |= 1 << 5 }},
 		{"L4 line without its held bit", func(_ *Hierarchy, dp *dirPage) { dp.held &^= 1 << 2 }},
+		{"L3 bit without its line", func(_ *Hierarchy, dp *dirPage) { dp.ways[5] |= inL3 }},
+		{"L3 line without its bit", func(_ *Hierarchy, dp *dirPage) { dp.ways[2] &^= inL3 }},
+		{"L4 way naming another way", func(_ *Hierarchy, dp *dirPage) { dp.ways[2] ^= 1 }},
+		{"L3 way naming another way", func(_ *Hierarchy, dp *dirPage) { dp.ways[2] ^= 1 << l3WayShift }},
 		{"block held twice in L1", func(h *Hierarchy, _ *dirPage) { h.l1[1].Fill(0x080, cache.Modified, true) }},
 		{"block held twice in L4", func(h *Hierarchy, _ *dirPage) { h.l4.Fill(0x080, cache.Shared, false) }},
 	} {
@@ -338,5 +343,75 @@ func TestInvariantSweep(t *testing.T) {
 		if err := h.CheckAll(); err == nil {
 			t.Errorf("%s: CheckAll accepted the directory", c.name)
 		}
+	}
+}
+
+// A hit in L3 or L4 on a block the directory places refreshes that
+// line's LRU rank, and a dirty fold marks that line: the next fill of
+// its set evicts the other block, and the folded block's own line is
+// dirty. One core on tinyConfig, whose L3 has 16 sets and L4 32, two
+// ways each; block b's address is b<<6.
+func TestSharedLevelsByWay(t *testing.T) {
+	blk := func(b int) addr.Phys { return addr.Phys(b) << addr.BlockShift }
+	for _, c := range []struct {
+		name  string
+		run   func(h *Hierarchy)
+		check func(h *Hierarchy) bool
+	}{
+		{"L3 hit refreshes L3", func(h *Hierarchy) {
+			h.Read(0, blk(0))
+			h.Read(0, blk(16)) // L3 set 0: 0 is now the LRU
+			h.Read(0, blk(8))  // evicts 0 from L2 and L1, not from L3
+			h.Read(0, blk(0))  // L3 hit: 16 becomes the LRU
+			h.Read(0, blk(32)) // L3 set 0 evicts its LRU
+		}, func(h *Hierarchy) bool { return h.l3.Probe(blk(0)) != nil && h.l3.Probe(blk(16)) == nil }},
+		{"L4 hit refreshes L4", func(h *Hierarchy) {
+			h.Read(0, blk(0))
+			h.Read(0, blk(32)) // L4 set 0: 0 is now the LRU
+			h.Read(0, blk(16)) // L3 set 0 evicts 0, which L4 keeps
+			h.Read(0, blk(0))  // L3 miss, L4 hit: 32 becomes the LRU
+			h.Read(0, blk(64)) // L4 set 0 evicts its LRU
+		}, func(h *Hierarchy) bool { return h.l4.Probe(blk(0)) != nil && h.l4.Probe(blk(32)) == nil }},
+		{"dirty L2 victim folds into its L3 line", func(h *Hierarchy) {
+			h.Read(0, blk(16)) // takes way 0 of L3 set 0 and of L4 set 16
+			h.Write(0, blk(0)) // way 1 of L3 set 0, way 0 of L4 set 0
+			h.Read(0, blk(8))
+			h.Read(0, blk(24)) // L2 set 0 evicts the dirty 0
+		}, func(h *Hierarchy) bool { return h.l3.Probe(blk(0)).Dirty() && !h.l3.Probe(blk(16)).Dirty() }},
+		{"dirty L3 victim folds into its L4 line", func(h *Hierarchy) {
+			h.Read(0, blk(32)) // takes way 0 of L4 set 0
+			h.Write(0, blk(0)) // way 1 of L4 set 0
+			h.Read(0, blk(16)) // L3 set 0 evicts 32: 0 is now its LRU
+			h.Read(0, blk(8))  // L2 set 0 evicts the dirty 0 into L3
+			h.Read(0, blk(48)) // L3 set 0 evicts 0, dirty, into L4
+		}, func(h *Hierarchy) bool { return h.l4.Probe(blk(0)).Dirty() && !h.l4.Probe(blk(32)).Dirty() }},
+	} {
+		h, _, _ := newHier(t, tinyConfig(1), memctrl.Baseline)
+		c.run(h)
+		if err := h.CheckAll(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !c.check(h) {
+			t.Errorf("%s: the wrong line was refreshed or marked", c.name)
+		}
+	}
+}
+
+// The trace-replay benchmark's ladder inserts blocks into L4 behind the
+// directory's back, some of them on pages the directory has no record
+// of. Such a line leaves L4 like any other: the fill that evicts it
+// finds no record, and so no copy above L4, and writes the line back
+// when it is dirty.
+func TestL4VictimWithoutRecord(t *testing.T) {
+	h, mc, _ := newHier(t, tinyConfig(1), memctrl.Baseline)
+	stray := addr.PageNum(9).BlockAddr(0) // L4 set 0, on a page without a record
+	h.l4.Insert(stray, cache.Shared, true)
+	h.Read(0, 0)                              // L4 set 0's other way
+	h.Read(0, addr.Phys(32)<<addr.BlockShift) // evicts the stray line, its set's LRU
+	if h.l4.Probe(stray) != nil || mc.DataWrites() != 1 {
+		t.Fatalf("stray line still in L4: %v; %d write-backs, want 1", h.l4.Probe(stray) != nil, mc.DataWrites())
+	}
+	if err := h.CheckAll(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -20,12 +20,15 @@ import (
 //  4. single owner — at most one core holds a block Modified or
 //     Exclusive, and while one does, no other core holds any copy;
 //  5. L4 residency — a block is valid in L4 exactly when its page's
-//     directory record has the block's held bit set.
+//     directory record has the block's held bit set;
+//  6. shared ways — a block is valid in L3 exactly when its record's
+//     inL3 bit is set, and then at the L3 way the record names, and a
+//     held block sits at the L4 way the record names.
 func (h *Hierarchy) CheckInvariants(blocks []addr.Phys) error {
 	for _, a := range blocks {
 		a = a.Block()
-		inL3, inL4 := h.l3.Probe(a) != nil, h.l4.Probe(a) != nil
-		if inL3 && !inL4 {
+		l3Holds, l4Holds := h.l3.Probe(a) != nil, h.l4.Probe(a) != nil
+		if l3Holds && !l4Holds {
 			return fmt.Errorf("hier: %v in L3 but not L4 (inclusion)", a)
 		}
 		var holders, owners uint8
@@ -38,7 +41,7 @@ func (h *Hierarchy) CheckInvariants(blocks []addr.Phys) error {
 			}
 			if l1 != nil || l2 != nil {
 				holders |= 1 << c
-				if !inL3 {
+				if !l3Holds {
 					return fmt.Errorf("hier: %v in private caches of core %d but not L3 (inclusion)", a, c)
 				}
 			}
@@ -58,15 +61,22 @@ func (h *Hierarchy) CheckInvariants(blocks []addr.Phys) error {
 		if owners != 0 && holders != owners || owners&(owners-1) != 0 {
 			return fmt.Errorf("hier: %v owned (Modified or Exclusive) by mask %b but held by mask %b", a, owners, holders)
 		}
-		var sharers uint8
+		var sharers, ways uint8
 		modified, held := false, false
 		if dp := h.dir.pages.Get(a.Page()); dp != nil {
-			bit := uint64(1) << a.BlockIndex()
-			sharers, modified, held = dp.sharers[a.BlockIndex()], dp.modified&bit != 0, dp.held&bit != 0
+			bi := a.BlockIndex()
+			sharers, ways = dp.sharers[bi], dp.ways[bi]
+			modified, held = dp.modified&(1<<bi) != 0, dp.held&(1<<bi) != 0
 		}
 		switch {
-		case held != inL4:
-			return fmt.Errorf("hier: %v in L4 = %v, but its directory held bit = %v", a, inL4, held)
+		case held != l4Holds:
+			return fmt.Errorf("hier: %v in L4 = %v, but its directory held bit = %v", a, l4Holds, held)
+		case held && h.l4.At(a, l4Way(ways)).Addr() != a:
+			return fmt.Errorf("hier: %v not at its recorded L4 way %d", a, l4Way(ways))
+		case (ways&inL3 != 0) != l3Holds:
+			return fmt.Errorf("hier: %v in L3 = %v, but its directory L3 bit = %v", a, l3Holds, ways&inL3 != 0)
+		case l3Holds && h.l3.At(a, l3Way(ways)).Addr() != a:
+			return fmt.Errorf("hier: %v not at its recorded L3 way %d", a, l3Way(ways))
 		case sharers == 0 && holders != 0:
 			return fmt.Errorf("hier: %v held by mask %b but absent from directory", a, holders)
 		case sharers&^holders != 0:
@@ -81,10 +91,10 @@ func (h *Hierarchy) CheckInvariants(blocks []addr.Phys) error {
 }
 
 // ResidentBlocks returns every block address currently valid in any cache
-// level or tracked by the directory (a sharer mask or a held bit), sorted
-// and deduplicated. It is the
-// universe a machine-wide invariant sweep must cover: a block resident
-// nowhere trivially satisfies every structural invariant.
+// level or tracked by the directory (a sharer mask, a held bit or an
+// inL3 bit), sorted and deduplicated. It is the universe a machine-wide
+// invariant sweep must cover: a block resident nowhere trivially
+// satisfies every structural invariant.
 func (h *Hierarchy) ResidentBlocks() []addr.Phys {
 	seen := make(map[addr.Phys]bool)
 	collect := func(c *cache.Cache) {
@@ -98,7 +108,7 @@ func (h *Hierarchy) ResidentBlocks() []addr.Phys {
 	collect(h.l4)
 	h.dir.pages.ForEach(func(p addr.PageNum, dp *dirPage) {
 		for bi, m := range dp.sharers {
-			if m != 0 || dp.held&(1<<bi) != 0 {
+			if m != 0 || dp.held&(1<<bi) != 0 || dp.ways[bi]&inL3 != 0 {
 				seen[p.BlockAddr(bi)] = true
 			}
 		}
@@ -125,8 +135,8 @@ func (h *Hierarchy) ResidentAny(a addr.Phys) bool {
 }
 
 // CheckAll runs CheckInvariants over every resident block, so it checks
-// the held bits both ways: each set bit names an L4 line, and each L4
-// line has its bit. It adds the directory-level structural rules that
+// the held and inL3 bits both ways: each set bit names a line at its
+// recorded way, and each L4 or L3 line has its bit. It adds the directory-level structural rules that
 // are not per-block: a sharer mask names only live cores, a Modified
 // entry's mask is exactly its owner's bit (the layout derives the owner
 // from it), no block without sharers is marked Modified (a lingering

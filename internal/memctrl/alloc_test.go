@@ -99,6 +99,53 @@ func TestZeroPageDirectZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestCounterFetchAndDeuceWriteZeroAllocs pins two paths that feature
+// configurations run on every operation: with ECC on, every counter
+// cache miss fetches its line through ReadCounters, and with DEUCE on,
+// every data write-back builds its ciphertext in deuceEncryptWrite. Both
+// write into blocks the controller or the caller owns.
+func TestCounterFetchAndDeuceWriteZeroAllocs(t *testing.T) {
+	const runs = 1000
+	t.Run("ECC ReadCounters", func(t *testing.T) {
+		cfg := DefaultConfig(SilentShredder)
+		cfg.ECC = true
+		mc, err := New(cfg, nvm.New(nvm.DefaultConfig()), physmem.New(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := addr.PageNum(0); p < 4; p++ {
+			mc.WriteBlock(p.BlockAddr(0))
+		}
+		mc.Flush() // the four counter lines now exist on the device
+		i := 0
+		if n := testing.AllocsPerRun(runs, func() {
+			mc.ReadCounters(mc.cc.CtrAddr(addr.PageNum(i % 4)))
+			i++
+		}); n != 0 {
+			t.Fatalf("ReadCounters allocates %v per call, want 0", n)
+		}
+	})
+	t.Run("DEUCE WriteBlock", func(t *testing.T) {
+		mc, _, img := newDeuceMC(t, SilentShredder, 8, nvm.WriteAll)
+		data := bytes.Repeat([]byte{0x3c}, addr.BlockSize)
+		for i := 0; i < 64; i++ {
+			a := addr.PageNum(i % 4).BlockAddr(i % addr.BlocksPerPage)
+			img.Write(a, data)
+			mc.WriteBlock(a)
+		}
+		i := 0
+		if n := testing.AllocsPerRun(runs, func() {
+			a := addr.PageNum(i % 4).BlockAddr(i % addr.BlocksPerPage)
+			data[i%addr.BlockSize] = byte(i)
+			img.Write(a, data)
+			mc.WriteBlock(a)
+			i++
+		}); n != 0 {
+			t.Fatalf("DEUCE WriteBlock allocates %v per call, want 0", n)
+		}
+	})
+}
+
 // newZeroPageController builds a Baseline controller with the functional
 // data path on, and zeroes pages 0..3 once so their counter and device
 // state exist.

@@ -90,17 +90,16 @@ func (mc *Controller) deuceDecrypt(buf []byte, a addr.Phys, cb *ctr.CounterBlock
 	}
 }
 
-// deuceEncryptWrite produces the new ciphertext for block a given the new
-// plaintext `plain` and the block's previous ciphertext `oldCipher`
-// (still encrypted under the page's major counter, the block's pre-bump
-// minor counter oldLeading and the old mask). The minor counter has
-// already been bumped to `leading`. Unmodified chunks outside an epoch
-// boundary keep their old ciphertext bytes — that is DEUCE's entire
-// effect.
-func (mc *Controller) deuceEncryptWrite(a addr.Phys, plain, oldCipher []byte, cb *ctr.CounterBlock, oldLeading uint8) []byte {
+// deuceEncryptWrite writes into out the new ciphertext for block a given
+// the new plaintext `plain` and the block's previous ciphertext
+// `oldCipher` (still encrypted under the page's major counter, the
+// block's pre-bump minor counter oldLeading and the old mask). The minor
+// counter has already been bumped to `leading`. Unmodified chunks outside
+// an epoch boundary keep their old ciphertext bytes — that is DEUCE's
+// entire effect.
+func (mc *Controller) deuceEncryptWrite(out []byte, a addr.Phys, plain, oldCipher []byte, cb *ctr.CounterBlock, oldLeading uint8) {
 	p, bi := a.Page(), a.BlockIndex()
 	leading := cb.Minor[bi]
-	out := make([]byte, addr.BlockSize)
 
 	if mc.deuce.epochStart(leading) {
 		// Epoch boundary: full re-encryption under the new counter.
@@ -109,7 +108,7 @@ func (mc *Controller) deuceEncryptWrite(a addr.Phys, plain, oldCipher []byte, cb
 		for c := 0; c < deuceChunks; c++ {
 			mc.encryptChunk(out[c*16:(c+1)*16], p, bi, cb.Major, leading, c)
 		}
-		return out
+		return
 	}
 
 	// Recover the previous plaintext to find which chunks changed.
@@ -149,7 +148,6 @@ func (mc *Controller) deuceEncryptWrite(a addr.Phys, plain, oldCipher []byte, cb
 		}
 	}
 	mc.deuce.mask[a] = newMask
-	return out
 }
 
 func equal16(a, b []byte) bool {

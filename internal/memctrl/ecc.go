@@ -112,6 +112,10 @@ type eccState struct {
 
 	retireAfter int
 	pageLines   int
+
+	// ctrBuf receives ReadCounters' checked device reads, whose bytes
+	// only the fault injector looks at.
+	ctrBuf [addr.BlockSize]byte
 }
 
 func newECCState(cfg Config) *eccState {
@@ -322,8 +326,7 @@ func (mc *Controller) ReadCounters(ctrA addr.Phys) clock.Cycles {
 		return mc.dev.ReadBlock(ctrA, nil)
 	}
 	pa := mc.ecc.remap.Resolve(ctrA)
-	var buf [addr.BlockSize]byte
-	lat, oc := mc.dev.ReadBlockChecked(pa, buf[:])
+	lat, oc := mc.dev.ReadBlockChecked(pa, mc.ecc.ctrBuf[:])
 	switch {
 	case oc.Torn || oc.BitErrors > 1:
 		mc.eccUncorrectable.Inc()

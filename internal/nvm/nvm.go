@@ -16,6 +16,7 @@ package nvm
 
 import (
 	"encoding/binary"
+	"math"
 	"math/bits"
 
 	"silentshredder/internal/addr"
@@ -141,10 +142,12 @@ type Injector interface {
 
 // wearPage holds the per-block wear counters of one page. The presence
 // bitmask records which blocks have ever been written, the distinction
-// State's flat per-block maps export.
+// State's flat per-block maps export. A counter saturates at
+// math.MaxUint32, far beyond the 10^8-10^9 writes a PCM cell endures;
+// 32-bit counters keep a page at 264 bytes.
 type wearPage struct {
 	present uint64
-	w       [addr.BlocksPerPage]uint64
+	w       [addr.BlocksPerPage]uint32
 }
 
 // flipPage holds the FNW flip-bit bytes of one page's blocks.
@@ -470,9 +473,11 @@ func (d *Device) accountWrite(a addr.Phys, flipped, written uint64) {
 	wp := d.wearPageOf(a.Page())
 	bi := a.BlockIndex()
 	wp.present |= 1 << bi
-	wp.w[bi]++
-	if wp.w[bi] > d.maxWear {
-		d.maxWear = wp.w[bi]
+	if wp.w[bi] < math.MaxUint32 {
+		wp.w[bi]++
+	}
+	if w := uint64(wp.w[bi]); w > d.maxWear {
+		d.maxWear = w
 	}
 }
 
@@ -482,7 +487,7 @@ func (d *Device) wearOf(a addr.Phys) uint64 {
 	if wp == nil {
 		return 0
 	}
-	return wp.w[a.BlockIndex()]
+	return uint64(wp.w[a.BlockIndex()])
 }
 
 // diffBits counts differing bits between two 64-byte blocks.
@@ -559,7 +564,7 @@ func (d *Device) Snapshot() *State {
 	d.wear.ForEach(func(p addr.PageNum, wp *wearPage) {
 		for rem := wp.present; rem != 0; rem &= rem - 1 {
 			bi := bits.TrailingZeros64(rem)
-			st.Wear[p.BlockAddr(bi)] = wp.w[bi]
+			st.Wear[p.BlockAddr(bi)] = uint64(wp.w[bi])
 		}
 	})
 	d.flip.ForEach(func(p addr.PageNum, fp *flipPage) {
@@ -571,7 +576,8 @@ func (d *Device) Snapshot() *State {
 	return st
 }
 
-// Restore replaces the device's persistent state with st.
+// Restore replaces the device's persistent state with st. A wear count
+// above math.MaxUint32 is restored as that cap.
 func (d *Device) Restore(st *State) {
 	d.pages.Reset()
 	for p, data := range st.Pages {
@@ -586,7 +592,8 @@ func (d *Device) Restore(st *State) {
 		wp := d.wearPageOf(a.Page())
 		bi := a.BlockIndex()
 		wp.present |= 1 << bi
-		wp.w[bi] = w
+		w = min(w, math.MaxUint32)
+		wp.w[bi] = uint32(w)
 		if w > d.maxWear {
 			d.maxWear = w
 		}

@@ -6,6 +6,7 @@ package nvm
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"silentshredder/internal/addr"
@@ -44,6 +45,45 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	})
 	if pages != 1 {
 		t.Fatalf("ForEachPage visited %d pages", pages)
+	}
+}
+
+// Wear counters are 32 bits and saturate: a block written at the cap
+// stays there, a Snapshot/Restore round trip keeps every count, and a
+// restored count above the cap comes back as the cap.
+func TestWearSaturatesAndRoundTrips(t *testing.T) {
+	d := New(DefaultConfig())
+	a, b := addr.PageNum(2).BlockAddr(5), addr.PageNum(2).BlockAddr(6)
+	for i := 0; i < 3; i++ {
+		d.WriteBlock(b, bytes.Repeat([]byte{byte(i)}, addr.BlockSize))
+	}
+	d.WriteBlock(a, make([]byte, addr.BlockSize))
+	d.wearPageOf(a.Page()).w[a.BlockIndex()] = math.MaxUint32 - 1
+	for i := 0; i < 3; i++ {
+		d.WriteBlock(a, bytes.Repeat([]byte{byte(i + 1)}, addr.BlockSize))
+	}
+	if d.Wear(a) != math.MaxUint32 || d.MaxWear() != math.MaxUint32 || d.Wear(b) != 3 {
+		t.Fatalf("wear %d and %d, max %d; want %d, 3 and %d",
+			d.Wear(a), d.Wear(b), d.MaxWear(), uint64(math.MaxUint32), uint64(math.MaxUint32))
+	}
+
+	st := d.Snapshot()
+	if len(st.Wear) != 2 || st.Wear[a] != math.MaxUint32 || st.Wear[b] != 3 {
+		t.Fatalf("snapshot wear = %v", st.Wear)
+	}
+	d2 := New(DefaultConfig())
+	d2.Restore(st)
+	if d2.Wear(a) != math.MaxUint32 || d2.Wear(b) != 3 || d2.MaxWear() != math.MaxUint32 {
+		t.Fatalf("restored wear %d and %d, max %d", d2.Wear(a), d2.Wear(b), d2.MaxWear())
+	}
+	if st2 := d2.Snapshot(); len(st2.Wear) != 2 || st2.Wear[a] != st.Wear[a] || st2.Wear[b] != st.Wear[b] {
+		t.Fatalf("second snapshot wear = %v, want %v", st2.Wear, st.Wear)
+	}
+
+	st.Wear = map[addr.Phys]uint64{b: math.MaxUint32 + 7}
+	d2.Restore(st)
+	if d2.Wear(b) != math.MaxUint32 || d2.MaxWear() != math.MaxUint32 || d2.Wear(a) != 0 {
+		t.Fatalf("over-cap restore: wear %d and %d, max %d", d2.Wear(b), d2.Wear(a), d2.MaxWear())
 	}
 }
 
