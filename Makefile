@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race faults fuzz cover bench bench-json bench-compare bench-smoke pgo quick-experiments experiments examples clean
+.PHONY: all build test vet deadcode race faults fuzz cover bench bench-json bench-compare bench-smoke pgo quick-experiments experiments examples clean
 
 all: build vet test race
 
@@ -14,13 +14,24 @@ build:
 # (gofmt -l prints offending files; any output fails the target). bench/
 # is a module of its own, so ./... skips it and it is vetted on its own.
 # internal/aes has an amd64 assembly kernel, so its packages are also
-# vetted for arm64, which builds the generic file in its place.
+# vetted for arm64, which builds the generic file in its place. Last, the
+# dead-code gate.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/aes ./internal/ctr
 	cd bench && $(GO) vet ./...
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
+	$(MAKE) deadcode
+
+# Dead-code gate: code under internal/ cannot be imported from outside the
+# module, so the binaries (cmd/*, examples/*, bench) are its only users.
+# The script builds them with inlining off and fails when a function
+# declared in a non-test internal/ file is linked into none of them and is
+# not in scripts/deadcode.allow, or when an allow-list line names a
+# function that is linked or gone. Each allow-list line gives its reason.
+deadcode:
+	sh scripts/deadcode.sh
 
 test:
 	$(GO) test ./...

@@ -13,9 +13,7 @@ import (
 	"sync"
 	"testing"
 
-	"silentshredder/internal/addr"
 	"silentshredder/internal/exper"
-	"silentshredder/internal/nvm"
 	"silentshredder/internal/stats"
 )
 
@@ -227,58 +225,5 @@ func BenchmarkAblationWT(b *testing.B) {
 	}
 	if len(rows) == 2 && rows[0].CtrNVMWrites > 0 {
 		b.ReportMetric(float64(rows[1].CtrNVMWrites)/float64(rows[0].CtrNVMWrites), "ctr_write_amplification")
-	}
-}
-
-// benchBankedDevice builds a timing-only device with the banked drain
-// scheduler on: 2 channels x 8 banks, queues 8 deep. The arrival
-// interval is set so a uniform 16-bank stripe outpaces the 150ns write
-// (each bank sees a write every 16x32 cycles > writeLat, queues drain)
-// while a single-bank stream saturates its queue.
-func benchBankedDevice() *nvm.Device {
-	cfg := nvm.DefaultConfig()
-	cfg.Banks = 8
-	cfg.BankQueueDepth = 8
-	cfg.BankArrival = 32
-	return nvm.New(cfg)
-}
-
-// BenchmarkBankSingleBankPathological is the worst case for the banked
-// write-queue model: every write lands on the same bank, so the queue
-// saturates and each write pays the drain-stall path. The reported
-// drain_stalls/op metric should sit near 1 once the queue fills.
-func BenchmarkBankSingleBankPathological(b *testing.B) {
-	d := benchBankedDevice()
-	a := addr.Phys(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.WriteBlock(a, nil)
-	}
-	b.ReportMetric(float64(d.DrainStalls())/float64(b.N), "drain_stalls/op")
-}
-
-// BenchmarkBankUniformInterleave is the best case: writes stripe
-// uniformly across every channel and bank, so queues drain in the gaps
-// and the scheduler's cost is just the per-bank lock and a queue append.
-// bench-compare gating uses this as the uncontended reference.
-func BenchmarkBankUniformInterleave(b *testing.B) {
-	d := benchBankedDevice()
-	nbanks := d.NumBanks()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.WriteBlock(addr.Phys(i%nbanks)*addr.BlockSize, nil)
-	}
-	b.ReportMetric(float64(d.DrainStalls())/float64(b.N), "drain_stalls/op")
-}
-
-// BenchmarkBankLegacyModel pins the cost of the path every existing
-// configuration uses: bank modeling via the passive penalty heuristic,
-// no scheduler allocated. This is the uncontended-regression guard for
-// the refactor — the legacy write path must not have gotten slower.
-func BenchmarkBankLegacyModel(b *testing.B) {
-	d := nvm.New(nvm.DefaultConfig())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.WriteBlock(addr.Phys(i%16)*addr.BlockSize, nil)
 	}
 }

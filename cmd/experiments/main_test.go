@@ -109,6 +109,9 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-cores", "9", "table1"}, "-cores 9"},
 		{[]string{"-scale", "3", "table1"}, "-scale 3"},
 		{[]string{"-integrity-engine", "lazy", "table1"}, `"lazy"`},
+		{[]string{"-banks", "-4", "table2"}, "-banks -4"},
+		{[]string{"-bank-queue", "-2", "table2"}, "-bank-queue -2"},
+		{[]string{"-bank-drain", "-7", "table2"}, "-bank-drain -7"},
 	} {
 		code, stdout, stderr := exec(t, tc.args...)
 		if code != 2 {

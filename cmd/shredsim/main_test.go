@@ -116,6 +116,9 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-cores", "0"}, "-cores 0"},
 		{[]string{"-scale", "64", "-counter-cache", "5000"}, "-counter-cache 5000"},
 		{[]string{"-integrity-engine", "lazy"}, `"lazy"`},
+		{[]string{"-banks", "-4"}, "-banks -4"},
+		{[]string{"-bank-queue", "-2"}, "-bank-queue -2"},
+		{[]string{"-bank-drain", "-7"}, "-bank-drain -7"},
 		{[]string{"-faults", "bogus"}, `"bogus"`},
 		{[]string{"-shred-policy", "none"}, `"none"`},
 		{[]string{"-check", "-faults", "42:stuck=1e-3"}, "-check"},

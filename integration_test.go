@@ -189,8 +189,8 @@ func TestCounterTamperingDetected(t *testing.T) {
 	forged.Major += 41 // replayed/forged counter state
 	m.MC.CounterCache().TamperPersisted(pte.PPN, forged)
 
-	// Evict the cached counters so the next access re-fetches from NVM.
-	m.MC.CounterCache().Invalidate(pte.PPN)
+	// Empty the counter cache so the next access re-fetches from NVM.
+	m.MC.CounterCache().Crash()
 	if m.MC.IntegrityFailures() != 0 {
 		t.Fatal("premature failure count")
 	}

@@ -48,12 +48,6 @@ func (a Phys) PageOffset() uint64 { return uint64(a) & (PageSize - 1) }
 // BlockOffset returns the byte offset of a within its block.
 func (a Phys) BlockOffset() uint64 { return uint64(a) & (BlockSize - 1) }
 
-// IsBlockAligned reports whether a is 64B aligned.
-func (a Phys) IsBlockAligned() bool { return a&(BlockSize-1) == 0 }
-
-// IsPageAligned reports whether a is 4KB aligned.
-func (a Phys) IsPageAligned() bool { return a&(PageSize-1) == 0 }
-
 func (a Phys) String() string { return fmt.Sprintf("pa:%#x", uint64(a)) }
 
 // Page returns the virtual page number containing v.
@@ -79,17 +73,6 @@ func (p PageNum) String() string { return fmt.Sprintf("ppn:%#x", uint64(p)) }
 func (v VPageNum) Addr() Virt { return Virt(v) << PageShift }
 
 func (v VPageNum) String() string { return fmt.Sprintf("vpn:%#x", uint64(v)) }
-
-// SpansBlocks reports whether the [a, a+size) byte range crosses a 64B
-// block boundary. Accesses issued by the CPU model are split so that each
-// memory operation touches a single block, mirroring how a real cache
-// hierarchy handles unaligned accesses.
-func SpansBlocks(a Virt, size int) bool {
-	if size <= 0 {
-		return false
-	}
-	return a.Block() != (a + Virt(size) - 1).Block()
-}
 
 // BlockRange calls fn for every 64B-aligned block address overlapping
 // [a, a+size). fn receives the block address, the offset within the block

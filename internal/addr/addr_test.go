@@ -36,23 +36,25 @@ func TestPhysDecomposition(t *testing.T) {
 	}
 }
 
-func TestAlignmentPredicates(t *testing.T) {
-	cases := []struct {
-		a         Phys
-		blk, page bool
-	}{
-		{0, true, true},
-		{64, true, false},
-		{4096, true, true},
-		{65, false, false},
-		{4096 + 64, true, false},
+func TestVirtDecompositionAndNames(t *testing.T) {
+	v := Virt(0x12345678)
+	if got := v.Page(); got != VPageNum(0x12345) {
+		t.Errorf("Page() = %v", got)
 	}
-	for _, c := range cases {
-		if got := c.a.IsBlockAligned(); got != c.blk {
-			t.Errorf("%v IsBlockAligned = %v, want %v", c.a, got, c.blk)
-		}
-		if got := c.a.IsPageAligned(); got != c.page {
-			t.Errorf("%v IsPageAligned = %v, want %v", c.a, got, c.page)
+	if got := v.PageOffset(); got != 0x678 {
+		t.Errorf("PageOffset() = %#x", got)
+	}
+	if got := v.Page().Addr() + Virt(v.PageOffset()); got != v {
+		t.Errorf("page base + offset = %v, want %v", got, v)
+	}
+	for _, tc := range []struct{ got, want string }{
+		{Phys(0x40).String(), "pa:0x40"},
+		{v.String(), "va:0x12345678"},
+		{PageNum(7).String(), "ppn:0x7"},
+		{v.Page().String(), "vpn:0x12345"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("String() = %q, want %q", tc.got, tc.want)
 		}
 	}
 }
@@ -77,21 +79,6 @@ func TestPageBlockAddr(t *testing.T) {
 	}
 	if p.BlockAddr(3) != Phys(7*4096+3*64) {
 		t.Fatalf("BlockAddr(3) = %v", p.BlockAddr(3))
-	}
-}
-
-func TestSpansBlocks(t *testing.T) {
-	if SpansBlocks(0, 64) {
-		t.Error("aligned 64B access should not span")
-	}
-	if !SpansBlocks(60, 8) {
-		t.Error("60..68 must span")
-	}
-	if SpansBlocks(63, 1) {
-		t.Error("single byte at 63 does not span")
-	}
-	if SpansBlocks(10, 0) {
-		t.Error("empty range never spans")
 	}
 }
 

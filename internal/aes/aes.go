@@ -96,26 +96,12 @@ func New(key []byte) (*Cipher, error) {
 	return c, nil
 }
 
-// MustNew is New but panics on an invalid key size. It is intended for
-// static configuration where the key length is fixed by construction.
-func MustNew(key []byte) *Cipher {
-	c, err := New(key)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 func rotWord(w uint32) uint32 { return w<<8 | w>>24 }
 
 func subWord(w uint32) uint32 {
 	return uint32(sbox[w>>24])<<24 | uint32(sbox[w>>16&0xff])<<16 |
 		uint32(sbox[w>>8&0xff])<<8 | uint32(sbox[w&0xff])
 }
-
-// Rounds returns the number of rounds (10 for AES-128, 12 for AES-192,
-// 14 for AES-256).
-func (c *Cipher) Rounds() int { return c.rounds }
 
 // Encrypt encrypts one 16-byte block from src into dst. Both must be at
 // least BlockSize bytes, and they may overlap only exactly (dst == src);

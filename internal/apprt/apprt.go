@@ -355,13 +355,6 @@ func (rt *Runtime) memset(va addr.Virt, b byte, n int, nonTemporal bool) {
 	})
 }
 
-// Memcpy copies n bytes from src to dst through the simulated memory
-// system (a load and a store per block).
-func (rt *Runtime) Memcpy(dst, src addr.Virt, n int) {
-	buf := rt.LoadBytes(src, n)
-	rt.StoreBytes(dst, buf)
-}
-
 // ShredRange asks the kernel to bulk-zero npages at va via the shred
 // syscall (§7.2 use case: user-level large data initialization).
 func (rt *Runtime) ShredRange(va addr.Virt, npages int) {

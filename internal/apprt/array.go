@@ -22,12 +22,6 @@ func NewArray(rt *Runtime, n int) Array {
 	return Array{rt: rt, base: rt.Malloc(n * 8), n: n}
 }
 
-// Len returns the element count.
-func (a Array) Len() int { return a.n }
-
-// Base returns the array's virtual base address.
-func (a Array) Base() addr.Virt { return a.base }
-
 // Get loads element i.
 func (a Array) Get(i int) uint64 {
 	a.check(i)

@@ -50,21 +50,6 @@ const (
 	Modified
 )
 
-func (s State) String() string {
-	switch s {
-	case Invalid:
-		return "I"
-	case Shared:
-		return "S"
-	case Exclusive:
-		return "E"
-	case Modified:
-		return "M"
-	default:
-		return "?"
-	}
-}
-
 // Config describes one cache.
 type Config struct {
 	Name       string
@@ -248,9 +233,6 @@ func (c *Cache) lruWay(si uint64) int {
 
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
-
-// NumSets returns the number of sets.
-func (c *Cache) NumSets() int { return len(c.ways) / c.assoc }
 
 func tagOf(a addr.Phys) uint64 { return uint64(a) >> addr.BlockShift }
 
@@ -480,12 +462,6 @@ func (c *Cache) Hits() uint64 { return c.hits.Value() }
 // Misses returns the miss count.
 func (c *Cache) Misses() uint64 { return c.misses.Value() }
 
-// Evictions returns the total evictions.
-func (c *Cache) Evictions() uint64 { return c.evictions.Value() }
-
-// DirtyEvictions returns evictions of dirty lines.
-func (c *Cache) DirtyEvictions() uint64 { return c.dirtyEvictions.Value() }
-
 // MissRate returns misses/(hits+misses), or 0 with no accesses.
 func (c *Cache) MissRate() float64 {
 	tot := c.hits.Value() + c.misses.Value()
@@ -501,15 +477,4 @@ func (c *Cache) ResetStats() {
 	c.misses.Reset()
 	c.evictions.Reset()
 	c.dirtyEvictions.Reset()
-}
-
-// StatsSet exposes the cache statistics under its configured name.
-func (c *Cache) StatsSet() *stats.Set {
-	s := stats.NewSet(c.cfg.Name)
-	s.RegisterCounter("hits", &c.hits)
-	s.RegisterCounter("misses", &c.misses)
-	s.RegisterCounter("evictions", &c.evictions)
-	s.RegisterCounter("dirty_evictions", &c.dirtyEvictions)
-	s.RegisterFunc("miss_rate", c.MissRate)
-	return s
 }

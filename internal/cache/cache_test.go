@@ -35,8 +35,8 @@ func TestGeometryValidation(t *testing.T) {
 	if err := (Config{Name: "t", Size: 256, Assoc: 2}).Validate(); err != nil {
 		t.Fatalf("Validate rejected a 2-set, 2-way cache: %v", err)
 	}
-	if got := tiny().NumSets(); got != 2 {
-		t.Fatalf("NumSets = %d", got)
+	if c := tiny(); len(c.ways)/c.assoc != 2 {
+		t.Fatalf("sets = %d", len(c.ways)/c.assoc)
 	}
 }
 
@@ -106,8 +106,8 @@ func TestDirtyEvictionCounted(t *testing.T) {
 	if !evicted || !victim.Dirty {
 		t.Fatal("dirty victim expected")
 	}
-	if c.DirtyEvictions() != 1 || c.Evictions() != 1 {
-		t.Fatalf("evictions = %d dirty=%d", c.Evictions(), c.DirtyEvictions())
+	if c.dirtyEvictions.Value() != 1 || c.evictions.Value() != 1 {
+		t.Fatalf("evictions = %d dirty=%d", c.evictions.Value(), c.dirtyEvictions.Value())
 	}
 }
 
@@ -168,14 +168,6 @@ func TestProbeDoesNotCount(t *testing.T) {
 	}
 }
 
-func TestStateString(t *testing.T) {
-	for s, want := range map[State]string{Invalid: "I", Shared: "S", Exclusive: "E", Modified: "M", State(9): "?"} {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q", s, s.String())
-		}
-	}
-}
-
 // Property: the cache never holds two lines for the same block, and never
 // holds more lines than its capacity.
 func TestNoDuplicatesProperty(t *testing.T) {
@@ -208,17 +200,5 @@ func TestNoDuplicatesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestStatsSet(t *testing.T) {
-	c := tiny()
-	c.Lookup(0)
-	s := c.StatsSet()
-	if v, ok := s.Get("misses"); !ok || v != 1 {
-		t.Fatalf("stats misses = %v %v", v, ok)
-	}
-	if s.Name() != "t" {
-		t.Fatalf("stats name = %q", s.Name())
 	}
 }

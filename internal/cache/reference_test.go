@@ -355,9 +355,9 @@ func checkLines(t *testing.T, where string, got, want []Line) {
 // checkAgainstRef compares the counters and every way with the model.
 func checkAgainstRef(t *testing.T, where string, c *Cache, r *refCache) {
 	t.Helper()
-	if c.Hits() != r.hits || c.Misses() != r.misses || c.Evictions() != r.evictions || c.DirtyEvictions() != r.dirtyEvictions {
+	if c.Hits() != r.hits || c.Misses() != r.misses || c.evictions.Value() != r.evictions || c.dirtyEvictions.Value() != r.dirtyEvictions {
 		t.Fatalf("%s: counters %d/%d/%d/%d, want %d/%d/%d/%d", where,
-			c.Hits(), c.Misses(), c.Evictions(), c.DirtyEvictions(),
+			c.Hits(), c.Misses(), c.evictions.Value(), c.dirtyEvictions.Value(),
 			r.hits, r.misses, r.evictions, r.dirtyEvictions)
 	}
 	for i, w := range c.ways {

@@ -30,7 +30,7 @@ func (b *recordingBackend) WriteCounters(a addr.Phys, enc []byte) {
 func TestCtrAddrPageOfRoundTrip(t *testing.T) {
 	cc, _ := newCC(t, smallCfg())
 	for _, p := range []addr.PageNum{0, 1, 7, 4095} {
-		a := cc.CtrAddr(p)
+		a := ctrAddr(p)
 		if a < RegionBase {
 			t.Fatalf("CtrAddr(%v) = %v below RegionBase", p, a)
 		}
@@ -45,7 +45,7 @@ func TestBackendMediatesMisses(t *testing.T) {
 	b := &recordingBackend{}
 	cc.SetBackend(b)
 
-	devReads := dev.Reads()
+	reads := devReads(dev)
 	_, _, hit := cc.Get(7)
 	if hit {
 		t.Fatal("first access must miss")
@@ -53,7 +53,7 @@ func TestBackendMediatesMisses(t *testing.T) {
 	if len(b.reads) != 1 || cc.PageOf(b.reads[0]) != 7 {
 		t.Fatalf("backend reads = %v", b.reads)
 	}
-	if dev.Reads() != devReads {
+	if devReads(dev) != reads {
 		t.Fatal("miss bypassed the backend straight to the device")
 	}
 }
@@ -105,12 +105,12 @@ func TestBackendNilRestoresDirectAccess(t *testing.T) {
 	b := &recordingBackend{}
 	cc.SetBackend(b)
 	cc.SetBackend(nil)
-	devReads := dev.Reads()
+	reads := devReads(dev)
 	cc.Get(9)
 	if len(b.reads) != 0 {
 		t.Fatal("cleared backend still receiving traffic")
 	}
-	if dev.Reads() == devReads {
+	if devReads(dev) == reads {
 		t.Fatal("direct device access not restored")
 	}
 }

@@ -40,12 +40,6 @@ type Config struct {
 	HitLatency    clock.Cycles // Table 1: 10 cycles
 	WriteThrough  bool         // false: write-back (assumed battery-backed)
 	BatteryBacked bool         // write-back only: flush dirty counters on power loss
-
-	// PrefetchNext fetches page p+1's counter block alongside a miss on
-	// page p. Initialization phases sweep pages sequentially, so the
-	// next counter block is almost always wanted; the prefetch is off
-	// the critical path (it overlaps the demand fetch).
-	PrefetchNext bool
 }
 
 // DefaultConfig returns the paper's Table 1 counter-cache configuration.
@@ -82,14 +76,12 @@ type Cache struct {
 	bus     *obs.Bus // nil unless observability is enabled
 
 	// persistHook, when set, fires as each page's counter block is
-	// written back to the persistence domain (eviction, Flush,
-	// Invalidate). The integrity engine uses it to enforce persist
-	// ordering: the Merkle root must cover a counter block before that
-	// block becomes durable.
+	// written back to the persistence domain (eviction or Flush). The
+	// integrity engine uses it to enforce persist ordering: the Merkle
+	// root must cover a counter block before that block becomes durable.
 	persistHook func(addr.PageNum)
 
 	fetches, writebacks, writeThroughs stats.Counter
-	prefetches                         stats.Counter
 }
 
 // New creates a counter cache backed by dev (counter fetch/writeback
@@ -106,9 +98,6 @@ func New(cfg Config, dev *nvm.Device) *Cache {
 func (c Config) Tags() cache.Config {
 	return cache.Config{Name: "ctrcache", Size: c.Size, Assoc: c.Assoc, HitLatency: c.HitLatency}
 }
-
-// Config returns the configuration.
-func (c *Cache) Config() Config { return c.cfg }
 
 // SetBackend installs a device-traffic mediation layer (ECC). Pass nil to
 // restore direct device access.
@@ -128,10 +117,6 @@ func (c *Cache) SetPersistHook(fn func(addr.PageNum)) { c.persistHook = fn }
 // whose counters it holds. The ECC layer uses it to identify which page a
 // failed counter line belongs to.
 func (c *Cache) PageOf(ctrA addr.Phys) addr.PageNum { return pageOfCtrAddr(ctrA) }
-
-// CtrAddr returns the counter-region device address holding page p's
-// counter block (the inverse of PageOf).
-func (c *Cache) CtrAddr(p addr.PageNum) addr.Phys { return ctrAddr(p) }
 
 // readDev issues a counter-line read, through the backend when one is set.
 func (c *Cache) readDev(a addr.Phys) clock.Cycles {
@@ -172,21 +157,6 @@ func (c *Cache) Get(p addr.PageNum) (*ctr.CounterBlock, clock.Cycles, bool) {
 	c.bus.Emit(obs.EvCtrMiss, uint64(p.Addr()), 0)
 	c.fetches.Inc()
 	lat := c.cfg.HitLatency + c.readDev(ctrAddr(p))
-	// Install the prefetched block *before* the demand block. If both map
-	// to the same (full) set, installing p+1 second could pick the
-	// just-installed demand block as its eviction victim — and Get would
-	// hand the caller a nil *CounterBlock that memctrl.ReadBlock
-	// dereferences. Installing the demand block last makes it the
-	// most-recently-used line, so the prefetch can never displace it.
-	if c.cfg.PrefetchNext {
-		if next := p + 1; c.tags.Probe(ctrAddr(next)) == nil {
-			c.prefetches.Inc()
-			c.bus.Emit(obs.EvCtrPrefetch, uint64(next.Addr()), 0)
-			c.readDev(ctrAddr(next)) // overlapped: no latency charged
-			nb := c.PersistedValue(next)
-			c.install(next, &nb, false)
-		}
-	}
 	cb := c.PersistedValue(p) // zero value = fresh page (major 0, all minors 0)
 	c.install(p, &cb, false)
 	return c.cached.Get(p), lat, false
@@ -253,20 +223,6 @@ func (c *Cache) MarkDirty(p addr.PageNum) {
 		return
 	}
 	l.SetDirty(true)
-}
-
-// Invalidate drops page p's counter block from the cache, writing it back
-// first if dirty. Shredding invalidates remote counter caches this way
-// (paper Figure 6, step 2).
-func (c *Cache) Invalidate(p addr.PageNum) {
-	l, ok := c.tags.Invalidate(ctrAddr(p))
-	if !ok {
-		return
-	}
-	if l.Dirty {
-		c.writebackPage(p)
-	}
-	c.cached.Set(p, nil)
 }
 
 // Flush writes back every dirty counter block, leaving contents resident
@@ -427,25 +383,12 @@ func (c *Cache) CheckCoherence() error {
 // MissRate returns the tag-store miss rate.
 func (c *Cache) MissRate() float64 { return c.tags.MissRate() }
 
-// Hits returns tag-store hits.
-func (c *Cache) Hits() uint64 { return c.tags.Hits() }
-
-// Misses returns tag-store misses.
-func (c *Cache) Misses() uint64 { return c.tags.Misses() }
-
-// Prefetches returns next-page counter prefetches issued.
-func (c *Cache) Prefetches() uint64 { return c.prefetches.Value() }
-
-// Writebacks returns dirty counter-block writebacks to NVM.
-func (c *Cache) Writebacks() uint64 { return c.writebacks.Value() }
-
 // ResetStats clears access statistics, leaving contents intact.
 func (c *Cache) ResetStats() {
 	c.tags.ResetStats()
 	c.fetches.Reset()
 	c.writebacks.Reset()
 	c.writeThroughs.Reset()
-	c.prefetches.Reset()
 }
 
 // StatsSet exposes counter-cache statistics.
@@ -457,6 +400,5 @@ func (c *Cache) StatsSet() *stats.Set {
 	s.RegisterCounter("fetches", &c.fetches)
 	s.RegisterCounter("writebacks", &c.writebacks)
 	s.RegisterCounter("write_throughs", &c.writeThroughs)
-	s.RegisterCounter("prefetches", &c.prefetches)
 	return s
 }

@@ -16,6 +16,12 @@ func newCC(t *testing.T, cfg Config) (*Cache, *nvm.Device) {
 	return New(cfg, dev), dev
 }
 
+// devReads reads the device's block-read count from its stats set.
+func devReads(d *nvm.Device) float64 {
+	v, _ := d.StatsSet("nvm").Get("reads")
+	return v
+}
+
 func smallCfg() Config {
 	// 2 sets x 2 ways: pages 0..3 fill it, page 4 evicts.
 	return Config{Size: 256, Assoc: 2, HitLatency: 10, BatteryBacked: true}
@@ -40,8 +46,8 @@ func TestMissThenHit(t *testing.T) {
 	if cb.Major != 0 {
 		t.Fatal("fresh counter block must be zero")
 	}
-	if dev.Reads() != 1 {
-		t.Fatalf("device reads = %d", dev.Reads())
+	if r := devReads(dev); r != 1 {
+		t.Fatalf("device reads = %v", r)
 	}
 	_, lat, hit = cc.Get(7)
 	if !hit || lat != 10 {
@@ -76,9 +82,9 @@ func TestRehitMatchesGetHit(t *testing.T) {
 			t.Fatalf("page %d resident %v after Get hit, %v after Rehit", p, a, b)
 		}
 	}
-	if get.Hits() != re.Hits() || get.Misses() != re.Misses() {
+	if get.tags.Hits() != re.tags.Hits() || get.tags.Misses() != re.tags.Misses() {
 		t.Fatalf("hits/misses %d/%d after Get hit, %d/%d after Rehit",
-			get.Hits(), get.Misses(), re.Hits(), re.Misses())
+			get.tags.Hits(), get.tags.Misses(), re.tags.Hits(), re.tags.Misses())
 	}
 	if a, b := busGet.Events(), busRe.Events(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("events %v after Get hit, %v after Rehit", a, b)
@@ -105,8 +111,8 @@ func TestDirtyEvictionPersists(t *testing.T) {
 	// even pages share set 0. Fill with pages 2 and 4 to evict page 0.
 	cc.Get(2)
 	cc.Get(4)
-	if cc.Writebacks() != 1 {
-		t.Fatalf("writebacks = %d", cc.Writebacks())
+	if cc.writebacks.Value() != 1 {
+		t.Fatalf("writebacks = %d", cc.writebacks.Value())
 	}
 	if got := cc.PersistedValue(0); got.Major != 42 {
 		t.Fatalf("persisted Major = %d", got.Major)
@@ -129,7 +135,7 @@ func TestCleanEvictionNoWriteback(t *testing.T) {
 	cc.Get(0)
 	cc.Get(2)
 	cc.Get(4) // evicts clean line
-	if cc.Writebacks() != 0 || dev.Writes() != 0 {
+	if cc.writebacks.Value() != 0 || dev.Writes() != 0 {
 		t.Fatal("clean eviction must not write back")
 	}
 }
@@ -181,22 +187,6 @@ func TestCrashWithoutBatteryLosesDirtyCounters(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	cc, _ := newCC(t, smallCfg())
-	cb, _, _ := cc.Get(9)
-	cb.Major = 7
-	cc.MarkDirty(9)
-	cc.Invalidate(9)
-	if got := cc.PersistedValue(9); got.Major != 7 {
-		t.Fatal("invalidate must write back dirty block")
-	}
-	_, _, hit := cc.Get(9)
-	if hit {
-		t.Fatal("invalidated block must miss")
-	}
-	cc.Invalidate(1234) // absent: no-op
-}
-
 func TestFlushKeepsContentsResident(t *testing.T) {
 	cc, _ := newCC(t, smallCfg())
 	cb, _, _ := cc.Get(1)
@@ -210,9 +200,9 @@ func TestFlushKeepsContentsResident(t *testing.T) {
 	if !hit {
 		t.Fatal("flush must keep lines resident")
 	}
-	wb := cc.Writebacks()
+	wb := cc.writebacks.Value()
 	cc.Flush() // now clean: no further writebacks
-	if cc.Writebacks() != wb {
+	if cc.writebacks.Value() != wb {
 		t.Fatal("flushing clean cache must be a no-op")
 	}
 }
@@ -232,77 +222,16 @@ func TestMissRateAndStats(t *testing.T) {
 	if got := cc.MissRate(); got != 0.5 {
 		t.Fatalf("MissRate = %v", got)
 	}
-	if cc.Hits() != 1 || cc.Misses() != 1 {
-		t.Fatalf("hits/misses = %d/%d", cc.Hits(), cc.Misses())
+	if cc.tags.Hits() != 1 || cc.tags.Misses() != 1 {
+		t.Fatalf("hits/misses = %d/%d", cc.tags.Hits(), cc.tags.Misses())
 	}
 	s := cc.StatsSet()
 	if v, ok := s.Get("fetches"); !ok || v != 1 {
 		t.Fatalf("fetches stat = %v %v", v, ok)
 	}
 	cc.ResetStats()
-	if cc.Hits() != 0 {
+	if cc.tags.Hits() != 0 {
 		t.Fatal("ResetStats failed")
-	}
-}
-
-// Regression test: with a 1-set counter cache whose ways are full, the
-// next-page prefetch issued on a demand miss used to evict the block the
-// miss had just installed, making Get return a nil *CounterBlock that
-// callers (memctrl.getCounters -> ReadBlock) dereference. The prefetched
-// block must never displace the demand block.
-func TestPrefetchNeverEvictsDemandBlock(t *testing.T) {
-	// 1 set, 1 way: the demand block and its prefetched successor always
-	// contend for the same line.
-	cfg := Config{Size: 64, Assoc: 1, HitLatency: 10, BatteryBacked: true, PrefetchNext: true}
-	cc, _ := newCC(t, cfg)
-	for p := addr.PageNum(0); p < 4; p++ {
-		cb, _, hit := cc.Get(p)
-		if hit {
-			t.Fatalf("page %d: a 1-way cache swept sequentially must miss", p)
-		}
-		if cb == nil {
-			t.Fatalf("page %d: Get returned nil counter block (prefetch evicted the demand block)", p)
-		}
-		// The returned pointer must be the live cached copy: a mutation
-		// through it followed by MarkDirty must persist.
-		cb.Shred()
-		cc.MarkDirty(p)
-	}
-	cc.Flush()
-	for p := addr.PageNum(0); p < 4; p++ {
-		if got := cc.PersistedValue(p); got.Major != 1 {
-			t.Fatalf("page %d: shred through demand block lost (major=%d)", p, got.Major)
-		}
-	}
-
-	// Multi-way single set, full ways: the prefetch must evict the LRU
-	// line, never the just-installed demand block.
-	cfg = Config{Size: 2 * 64, Assoc: 2, HitLatency: 10, BatteryBacked: true, PrefetchNext: true}
-	cc, _ = newCC(t, cfg)
-	cc.Get(0) // installs 0 and prefetches 1: set now full
-	cb, _, _ := cc.Get(10)
-	if cb == nil {
-		t.Fatal("Get(10) returned nil counter block with full ways")
-	}
-	if got := cc.Peek(10); got != *cb {
-		t.Fatal("returned block is not the live cached copy")
-	}
-}
-
-// ResetStats must clear every access statistic, including prefetches.
-func TestResetStatsClearsPrefetches(t *testing.T) {
-	cfg := Config{Size: 64 << 10, Assoc: 8, HitLatency: 10, BatteryBacked: true, PrefetchNext: true}
-	cc, _ := newCC(t, cfg)
-	cc.Get(0)
-	if cc.Prefetches() == 0 {
-		t.Fatal("prefetch not counted")
-	}
-	cc.ResetStats()
-	if cc.Prefetches() != 0 {
-		t.Fatalf("ResetStats left prefetches = %d", cc.Prefetches())
-	}
-	if cc.Hits() != 0 || cc.Misses() != 0 || cc.Writebacks() != 0 {
-		t.Fatal("ResetStats left other stats")
 	}
 }
 
@@ -318,37 +247,6 @@ func TestMinorCountersPersistRoundTrip(t *testing.T) {
 	got := cc.PersistedValue(2)
 	if got != *cb {
 		t.Fatal("persisted minors differ from cached")
-	}
-}
-
-func TestPrefetchNextCutsSequentialMisses(t *testing.T) {
-	run := func(prefetch bool) (misses uint64) {
-		cfg := Config{Size: 64 << 10, Assoc: 8, HitLatency: 10, BatteryBacked: true, PrefetchNext: prefetch}
-		cc := New(cfg, nvm.New(nvm.DefaultConfig()))
-		for p := addr.PageNum(0); p < 256; p++ {
-			cc.Get(p) // sequential page sweep (an init phase)
-		}
-		return cc.Misses()
-	}
-	plain, pref := run(false), run(true)
-	if plain != 256 {
-		t.Fatalf("baseline misses = %d", plain)
-	}
-	if pref*2 > plain+2 {
-		t.Fatalf("prefetch misses = %d, want ~half of %d", pref, plain)
-	}
-	// Mutations through a prefetch-enabled cache still persist normally.
-	cfg := Config{Size: 64 << 10, Assoc: 8, HitLatency: 10, BatteryBacked: true, PrefetchNext: true}
-	cc := New(cfg, nvm.New(nvm.DefaultConfig()))
-	cb, _, _ := cc.Get(5)
-	cb.Shred()
-	cc.MarkDirty(5)
-	cc.Flush()
-	if cc.Prefetches() == 0 {
-		t.Fatal("prefetches not counted")
-	}
-	if got := cc.PersistedValue(5); got.Major != 1 {
-		t.Fatalf("mutation through prefetch-enabled cache lost: %+v", got.Major)
 	}
 }
 

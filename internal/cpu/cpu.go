@@ -76,9 +76,6 @@ func (c *Core) MeanLoadStall() float64 { return c.loadStalls.Mean() }
 // Loads returns the number of load instructions retired.
 func (c *Core) Loads() uint64 { return c.memReads.Value() }
 
-// Stores returns the number of store instructions retired.
-func (c *Core) Stores() uint64 { return c.storeIssued.Value() }
-
 // Reset clears the core's timing state (used between measurement phases).
 func (c *Core) Reset() {
 	c.cycles = 0

@@ -42,7 +42,7 @@ func TestLoadStallsReduceIPC(t *testing.T) {
 func TestStoreOccupancy(t *testing.T) {
 	c := New(0)
 	c.Store(4)
-	if c.Cycles() != 5 || c.Instructions() != 1 || c.Stores() != 1 {
+	if c.Cycles() != 5 || c.Instructions() != 1 || c.storeIssued.Value() != 1 {
 		t.Fatalf("store accounting: %d cycles %d instr", c.Cycles(), c.Instructions())
 	}
 }

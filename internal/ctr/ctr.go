@@ -214,13 +214,13 @@ type padTag struct {
 // simulator gives each machine its own engine.
 //
 // Buffers handed to the cipher escape to the heap, because it calls
-// crypto/aes through an interface. Pad and PadChunk therefore give it
-// only this scratch and copy the result out, and CachedPad and PadPage
+// crypto/aes through an interface. PadChunk therefore gives it only this
+// scratch and copies the result out, and CachedPad and PadPage
 // encrypt straight into the pad cache, so no pad path allocates.
 type Engine struct {
 	cipher *aes.Cipher
 	ivs    [addr.BlockSize]byte // scratch: four 16-byte IVs per block pad
-	out    [addr.BlockSize]byte // scratch: cipher output for Pad and PadChunk
+	out    [addr.BlockSize]byte // scratch: cipher output for PadChunk
 	// pads holds the cache's pads back to back, slot i at
 	// [i*BlockSize, (i+1)*BlockSize), so a page's 64 slots are one 4KB
 	// run; tags says which pad each slot holds.
@@ -238,24 +238,10 @@ func NewEngine(key []byte) (*Engine, error) {
 	return &Engine{cipher: c}, nil
 }
 
-// Pad computes the 64-byte one-time pad for a block under the given
-// counters. This is the naive reference path: one MakeIV + Encrypt call
-// per 16-byte chunk, no caching. PadInto/CachedPad are the fast paths;
-// the differential tests pin them bit-identical to this.
-func (e *Engine) Pad(page addr.PageNum, blockIdx int, major uint64, minor uint8) [addr.BlockSize]byte {
-	for chunk := 0; chunk < addr.BlockSize/aes.BlockSize; chunk++ {
-		iv := MakeIV(page, blockIdx, major, minor, chunk)
-		off := chunk * aes.BlockSize
-		copy(e.ivs[off:], iv[:])
-		e.cipher.Encrypt(e.out[off:], e.ivs[off:])
-	}
-	return e.out
-}
-
 // PadInto computes the 64-byte pad into dst with one batched AES pass:
 // the four IVs are written as two words each, differing only in the
 // chunk index, and all four chunks run through the cipher in one
-// EncryptBlocks call. Bit-identical to Pad.
+// EncryptBlocks call. Bit-identical to the tests' per-chunk reference Pad.
 func (e *Engine) PadInto(dst *[addr.BlockSize]byte, page addr.PageNum, blockIdx int, major uint64, minor uint8) {
 	checkBlockIdx(blockIdx)
 	putIVs(&e.ivs, ivLow(page, blockIdx, minor, 0), major)
@@ -316,12 +302,6 @@ func (e *Engine) PadPage(page addr.PageNum, major uint64, minors *[addr.BlocksPe
 	e.cipher.EncryptBlocks(run, run)
 	e.padMisses += addr.BlocksPerPage
 }
-
-// PadCacheStats returns the pad cache's hit and miss counts (for
-// benchmarks and tests; cache behavior never affects pad values). A hit
-// is a CachedPad call the cache served; a miss is a pad generated into
-// the cache, by a CachedPad that missed or by PadPage.
-func (e *Engine) PadCacheStats() (hits, misses uint64) { return e.padHits, e.padMisses }
 
 // PadChunk computes one 16-byte pad chunk (chunk 0..3) of a block's pad.
 // Schemes that encrypt sub-block regions under different counters (e.g.

@@ -30,9 +30,9 @@ import (
 type Options struct {
 	// Cores is the number of cores (and workload instances) per run.
 	Cores int
-	// Scale divides the Table 1 cache sizes (1 = full size). Workload
-	// footprints are sized relative to the scaled hierarchy, so capacity
-	// effects match the paper's full-size runs.
+	// Scale divides the Table 1 cache sizes (1 = full size), and only
+	// them: workload footprints stay fixed, so the footprint over L4,
+	// which sets Figures 8-11, grows with Cores x Scale.
 	Scale int
 	// Quick shrinks workload sizes for smoke tests.
 	Quick bool
@@ -126,8 +126,17 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 
 // CheckFlags resolves what RegisterFlags parsed: the -integrity-engine
 // name, which it rejects unless eager or cached, and a -parallel below 1,
-// which means GOMAXPROCS.
+// which means GOMAXPROCS. It rejects a negative -banks, -bank-queue or
+// -bank-drain, whose 0 already means the default.
 func (o *Options) CheckFlags() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-banks", o.Banks}, {"-bank-queue", o.BankQueueDepth}, {"-bank-drain", o.BankDrainBatch}} {
+		if f.v < 0 {
+			return fmt.Errorf("%s %d: must not be negative", f.name, f.v)
+		}
+	}
 	engine, err := integrity.ParseEngine(o.engine)
 	if err != nil {
 		return err
@@ -369,14 +378,6 @@ func ParseWorkloads(list string) ([]string, error) {
 	return names, nil
 }
 
-// RunWorkload runs one named workload (an instance per core) on a machine
-// with the given controller mode and zeroing strategy, returning the
-// machine for inspection. Unlike the internal runners it validates the
-// workload name; it does not flush caches at the end.
-func RunWorkload(o Options, name string, mode memctrl.Mode, zm kernel.ZeroMode) (*sim.Machine, error) {
-	return RunWorkloadTweaked(o, name, mode, zm, MachineTweaks{})
-}
-
 // MachineTweaks are the optional controller features a caller can toggle
 // on top of the standard experiment machine.
 type MachineTweaks struct {
@@ -408,7 +409,11 @@ type MachineTweaks struct {
 	Spans *span.Recorder
 }
 
-// RunWorkloadTweaked is RunWorkload with controller-feature overrides.
+// RunWorkloadTweaked runs one named workload (an instance per core) on a
+// machine with the given controller mode, zeroing strategy and
+// controller-feature overrides, returning the machine for inspection.
+// Unlike the internal runners it validates the workload name; it does not
+// flush caches at the end.
 func RunWorkloadTweaked(o Options, name string, mode memctrl.Mode, zm kernel.ZeroMode, t MachineTweaks) (*sim.Machine, error) {
 	if !KnownWorkload(name) {
 		return nil, fmt.Errorf("exper: unknown workload %q", name)

@@ -50,13 +50,3 @@ func ResultsJSON(results []Result) ([]byte, error) {
 	}
 	return out, nil
 }
-
-// ParseResultsJSON decodes results previously written by ResultsJSON
-// (used to diff experiment runs).
-func ParseResultsJSON(data []byte) ([]Result, error) {
-	var out []Result
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("exper: json: %w", err)
-	}
-	return out, nil
-}

@@ -1,9 +1,21 @@
 package exper
 
 import (
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
+
+// ParseResultsJSON decodes results previously written by ResultsJSON
+// (the round trip the tests check).
+func ParseResultsJSON(data []byte) ([]Result, error) {
+	var out []Result
+	if err := json.Unmarshal(data, &out); err != nil {
+		return nil, fmt.Errorf("exper: json: %w", err)
+	}
+	return out, nil
+}
 
 func sampleResults() []Result {
 	return []Result{

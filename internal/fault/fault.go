@@ -33,7 +33,6 @@ package fault
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -214,9 +213,6 @@ func New(cfg Config) *Injector {
 	}
 }
 
-// Config returns the injector's fault configuration.
-func (in *Injector) Config() Config { return in.cfg }
-
 // SetWriteProtect marks every address at or above base as write-verified:
 // the controller reads such lines back after writing (counter and spare
 // regions hold metadata it cannot afford to lose silently), so dropped and
@@ -348,25 +344,6 @@ func (in *Injector) CorruptRead(a addr.Phys, dst []byte) nvm.ReadOutcome {
 	return oc
 }
 
-// StuckCount returns how many cells of block a are permanently stuck.
-func (in *Injector) StuckCount(a addr.Phys) int { return len(in.stuck[a.Block()]) }
-
-// Torn reports whether block a's stored codeword is currently torn.
-func (in *Injector) Torn(a addr.Phys) bool { return in.torn[a.Block()] }
-
-// ForEachStuck calls fn for every block with at least one stuck cell, in
-// address order (deterministic for reporting).
-func (in *Injector) ForEachStuck(fn func(a addr.Phys, cells int)) {
-	addrs := make([]addr.Phys, 0, len(in.stuck))
-	for a := range in.stuck {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		fn(a, len(in.stuck[a]))
-	}
-}
-
 // StuckCells returns the total permanently stuck cells developed so far.
 func (in *Injector) StuckCells() uint64 { return in.stuckCells.Value() }
 
@@ -388,14 +365,4 @@ func (in *Injector) StatsSet(name string) *stats.Set {
 	s.RegisterCounter("dropped_writes", &in.droppedWrites)
 	s.RegisterCounter("torn_writes", &in.tornWrites)
 	return s
-}
-
-// ResetStats clears the event counters. Physical fault state (stuck
-// cells, torn blocks) is preserved — like wear, it models degradation of
-// the device itself.
-func (in *Injector) ResetStats() {
-	in.stuckCells.Reset()
-	in.readFlips.Reset()
-	in.droppedWrites.Reset()
-	in.tornWrites.Reset()
 }

@@ -127,7 +127,7 @@ func TestWriteProtect(t *testing.T) {
 		if !bytes.Equal(s, want) {
 			t.Fatalf("write %d in protected region torn", i)
 		}
-		if in.Torn(a) {
+		if in.torn[a.Block()] {
 			t.Fatalf("block %v marked torn in protected region", a)
 		}
 	}
@@ -155,7 +155,7 @@ func TestTornWriteMixesOldAndNew(t *testing.T) {
 	if !in.FilterWrite(0, 0, old, src) {
 		t.Fatal("torn write must still commit")
 	}
-	if !in.Torn(0) {
+	if !in.torn[0] {
 		t.Fatal("block not marked torn")
 	}
 	// The committed block is a prefix of new bytes followed by old bytes,
@@ -189,7 +189,7 @@ func TestTornWriteMixesOldAndNew(t *testing.T) {
 	if !inClean.FilterWrite(0, 0, old, append([]byte(nil), src...)) {
 		t.Fatal("clean write dropped")
 	}
-	if inClean.Torn(0) {
+	if inClean.torn[0] {
 		t.Fatal("clean write did not clear torn marking")
 	}
 }
@@ -202,8 +202,8 @@ func TestStuckCellsDevelopWithWear(t *testing.T) {
 	if in.StuckCells() != 1 {
 		t.Fatalf("StuckCells = %d, want 1 with StuckPerWrite=1", in.StuckCells())
 	}
-	if in.StuckCount(0) != 1 {
-		t.Fatalf("StuckCount(0) = %d, want 1", in.StuckCount(0))
+	if len(in.stuck[0]) != 1 {
+		t.Fatalf("stuck cells on block 0 = %d, want 1", len(in.stuck[0]))
 	}
 
 	// With Endurance set, a fresh block (wear 0) can never stick.
@@ -236,33 +236,9 @@ func TestStuckCellsDevelopWithWear(t *testing.T) {
 	}
 }
 
-func TestResetStatsPreservesPhysicalState(t *testing.T) {
-	in := New(Config{Seed: 5, StuckPerWrite: 1, TornWrite: 1})
-	old := make([]byte, addr.BlockSize)
-	src := make([]byte, addr.BlockSize)
-	in.FilterWrite(0, 0, old, src)
-	if in.StuckCells() == 0 {
-		t.Fatal("no stuck cell developed")
-	}
-	in.ResetStats()
-	if in.StuckCells() != 0 || in.TornWrites() != 0 {
-		t.Fatal("ResetStats did not clear counters")
-	}
-	if in.StuckCount(0) == 0 {
-		t.Fatal("ResetStats cleared physical stuck-cell state")
-	}
-	if !in.Torn(0) {
-		t.Fatal("ResetStats cleared physical torn state")
-	}
-}
-
 func TestInjectorAccessorsAndStatsSet(t *testing.T) {
 	cfg := Config{Seed: 11, StuckPerWrite: 1, ReadFlip: 1}
 	in := New(cfg)
-	if in.Config() != cfg {
-		t.Fatalf("Config() = %+v", in.Config())
-	}
-
 	// Develop stuck cells on two blocks (Endurance 0 => immediate) and a
 	// transient flip on a read.
 	a0, a1 := addr.Phys(0), addr.Phys(addr.BlockSize)
@@ -274,15 +250,8 @@ func TestInjectorAccessorsAndStatsSet(t *testing.T) {
 		t.Fatal("read flip not counted")
 	}
 
-	var visited []addr.Phys
-	in.ForEachStuck(func(a addr.Phys, cells int) {
-		visited = append(visited, a)
-		if cells < 1 {
-			t.Fatalf("block %v reported %d stuck cells", a, cells)
-		}
-	})
-	if len(visited) != 2 || visited[0] != a0 || visited[1] != a1 {
-		t.Fatalf("ForEachStuck visited %v, want [%v %v] in order", visited, a0, a1)
+	if len(in.stuck) != 2 || len(in.stuck[a0]) < 1 || len(in.stuck[a1]) < 1 {
+		t.Fatalf("stuck blocks = %v, want cells on %v and %v", in.stuck, a0, a1)
 	}
 
 	s := in.StatsSet("faults")

@@ -61,15 +61,15 @@ func BenchmarkReadL3Evict(b *testing.B) {
 	for i := 0; i < blocks; i++ {
 		h.Read(i&1, addr.Phys(i)<<addr.BlockShift)
 	}
-	misses, l3ev := h.llcMisses.Value(), h.L3().Evictions()
+	misses, l3miss := h.llcMisses.Value(), h.L3().Misses()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Read(i&1, addr.Phys(i%blocks)<<addr.BlockShift)
 	}
 	b.StopTimer()
-	if h.llcMisses.Value() != misses || h.L3().Evictions()-l3ev != uint64(b.N) {
-		b.Fatalf("%d reads: %d LLC misses and %d L3 evictions, want 0 and %d",
-			b.N, h.llcMisses.Value()-misses, h.L3().Evictions()-l3ev, b.N)
+	if h.llcMisses.Value() != misses || h.L3().Misses()-l3miss != uint64(b.N) {
+		b.Fatalf("%d reads: %d LLC misses and %d L3 misses, want 0 and %d",
+			b.N, h.llcMisses.Value()-misses, h.L3().Misses()-l3miss, b.N)
 	}
 }
 

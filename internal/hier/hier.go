@@ -577,20 +577,6 @@ func (h *Hierarchy) L3() *cache.Cache { return h.l3 }
 // L4 returns the shared L4 (last-level) cache.
 func (h *Hierarchy) L4() *cache.Cache { return h.l4 }
 
-// ResetStats clears hierarchy and cache statistics.
-func (h *Hierarchy) ResetStats() {
-	for c := 0; c < h.cfg.Cores; c++ {
-		h.l1[c].ResetStats()
-		h.l2[c].ResetStats()
-	}
-	h.l3.ResetStats()
-	h.l4.ResetStats()
-	h.invalidations.Reset()
-	h.interventions.Reset()
-	h.llcMisses.Reset()
-	h.pageInvals.Reset()
-}
-
 // StatsSet exposes hierarchy-level statistics.
 func (h *Hierarchy) StatsSet() *stats.Set {
 	s := stats.NewSet("hier")

@@ -13,7 +13,6 @@ package hypervisor
 
 import (
 	"silentshredder/internal/addr"
-	"silentshredder/internal/clock"
 	"silentshredder/internal/hier"
 	"silentshredder/internal/kernel"
 	"silentshredder/internal/stats"
@@ -53,7 +52,6 @@ type Hypervisor struct {
 	pagesGranted stats.Counter
 	pagesCleared stats.Counter
 	reclaims     stats.Counter
-	clearCycles  stats.Counter
 }
 
 // New creates a hypervisor drawing host pages from src.
@@ -100,39 +98,8 @@ func (vm *VM) AllocPage() (addr.PageNum, bool) {
 // crosses a VM boundary).
 func (vm *VM) FreePage(p addr.PageNum) { vm.pool = append(vm.pool, p) }
 
-// AllocContiguous implements kernel.ContiguousSource so guests can back
-// 2MB huge pages (§7.2: VMs prefer large pages — fewer walks and fewer
-// hypervisor interventions). The run is granted directly from the host's
-// contiguous range and shredded page by page, exactly like Linux's
-// clear_huge_page loop.
-func (vm *VM) AllocContiguous(n int) (addr.PageNum, bool) {
-	cs, ok := vm.hv.host.(kernel.ContiguousSource)
-	if !ok {
-		return 0, false
-	}
-	base, ok := cs.AllocContiguous(n)
-	if !ok {
-		return 0, false
-	}
-	for i := 0; i < n; i++ {
-		p := base + addr.PageNum(i)
-		lat := kernel.ClearPhysPage(vm.hv.cfg.Clear, vm.hv.h, 0, vm.hv.cfg.Mode, p)
-		vm.hv.clearCycles.Add(uint64(lat))
-		if vm.hv.cfg.Mode != kernel.ZeroNone {
-			vm.hv.pagesCleared.Inc()
-		}
-		vm.held[p] = true
-		vm.hv.pagesGranted.Inc()
-	}
-	vm.hv.grants.Inc()
-	return base, true
-}
-
 // PoolSize returns the VM's currently free (granted but unused) pages.
 func (vm *VM) PoolSize() int { return len(vm.pool) }
-
-// Held returns the total pages the VM owns.
-func (vm *VM) Held() int { return len(vm.held) }
 
 // grant moves up to n pages from the host pool into the VM, shredding
 // each one at the hypervisor level (inter-VM isolation, Figure 1 step 2).
@@ -143,8 +110,7 @@ func (hv *Hypervisor) grant(vm *VM, n int) int {
 		if !ok {
 			break
 		}
-		lat := kernel.ClearPhysPage(hv.cfg.Clear, hv.h, 0, hv.cfg.Mode, p)
-		hv.clearCycles.Add(uint64(lat))
+		kernel.ClearPhysPage(hv.cfg.Clear, hv.h, 0, hv.cfg.Mode, p)
 		if hv.cfg.Mode != kernel.ZeroNone {
 			hv.pagesCleared.Inc()
 		}
@@ -208,19 +174,3 @@ func (hv *Hypervisor) PagesCleared() uint64 { return hv.pagesCleared.Value() }
 
 // Reclaims returns balloon operations performed.
 func (hv *Hypervisor) Reclaims() uint64 { return hv.reclaims.Value() }
-
-// ClearCycles returns total cycles the hypervisor spent clearing pages.
-func (hv *Hypervisor) ClearCycles() clock.Cycles {
-	return clock.Cycles(hv.clearCycles.Value())
-}
-
-// StatsSet exposes hypervisor statistics.
-func (hv *Hypervisor) StatsSet() *stats.Set {
-	s := stats.NewSet("hypervisor")
-	s.RegisterCounter("grants", &hv.grants)
-	s.RegisterCounter("pages_granted", &hv.pagesGranted)
-	s.RegisterCounter("pages_cleared", &hv.pagesCleared)
-	s.RegisterCounter("reclaims", &hv.reclaims)
-	s.RegisterCounter("clear_cycles", &hv.clearCycles)
-	return s
-}

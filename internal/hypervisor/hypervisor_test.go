@@ -179,44 +179,3 @@ func TestExhaustedHostPool(t *testing.T) {
 		t.Fatal("alloc from empty host must fail")
 	}
 }
-
-func TestStatsSet(t *testing.T) {
-	m := hostMachine(t, memctrl.SilentShredder, kernel.ZeroShred)
-	hv := newHV(t, m, kernel.ZeroShred, 2)
-	hv.NewVM().AllocPage()
-	s := hv.StatsSet()
-	if v, ok := s.Get("pages_granted"); !ok || v != 2 {
-		t.Fatalf("pages_granted = %v %v", v, ok)
-	}
-	if hv.ClearCycles() == 0 {
-		t.Fatal("clear cycles not tracked")
-	}
-}
-
-func TestGuestHugePages(t *testing.T) {
-	m := hostMachine(t, memctrl.SilentShredder, kernel.ZeroShred)
-	hv := newHV(t, m, kernel.ZeroShred, 8)
-	vm := hv.NewVM()
-	gk, err := hv.GuestKernel(vm, kernel.DefaultConfig(kernel.ZeroShred))
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc := gk.NewProcess()
-	rt := apprt.New(gk, 0, proc, cpu.New(0))
-	va := gk.MmapHuge(proc, 1)
-	cleared0 := hv.PagesCleared()        // guest-kernel boot granted a batch already
-	rt.Store(va+addr.Virt(1024*1024), 9) // touch the middle of the huge page
-	if gk.HugeFaults() != 1 {
-		t.Fatalf("guest huge faults = %d", gk.HugeFaults())
-	}
-	// Both layers shredded: hypervisor on grant, guest per 4KB frame.
-	if got := hv.PagesCleared() - cleared0; got != kernel.HugePages {
-		t.Fatalf("hypervisor cleared %d, want %d", got, kernel.HugePages)
-	}
-	if gk.PagesCleared() != kernel.HugePages {
-		t.Fatalf("guest cleared %d, want %d", gk.PagesCleared(), kernel.HugePages)
-	}
-	if m.MC.ZeroingWrites() != 0 {
-		t.Fatal("huge-page duplicate shredding must cost zero data writes")
-	}
-}

@@ -8,6 +8,7 @@ import (
 	"silentshredder/internal/addr"
 	"silentshredder/internal/clock"
 	"silentshredder/internal/obs"
+	"silentshredder/internal/stats"
 )
 
 func smallConfig() Config {
@@ -319,7 +320,13 @@ func TestCachedStatsAndReset(t *testing.T) {
 		tr.Verify(1, blockWith(1))
 		tr.PersistBarrier()
 		s := tr.StatsSet()
-		if got := s.Names(); !reflect.DeepEqual(got, tc.names) {
+		var r stats.Registry
+		r.Register(s)
+		var got []string
+		for _, st := range r.Snapshot().Sets[0].Stats {
+			got = append(got, st.Name)
+		}
+		if !reflect.DeepEqual(got, tc.names) {
 			t.Fatalf("capacity %d: registered stats %v, want %v", tc.capacity, got, tc.names)
 		}
 		tr.ResetStats()

@@ -62,7 +62,7 @@ func TestEagerLazySettleEquivalence(t *testing.T) {
 
 	type snap struct{ updates, verifies, hashOps, events uint64 }
 	take := func() snap {
-		return snap{tr.updates.Value(), tr.verifies.Value(), tr.HashOps(), bus.Seq()}
+		return snap{tr.updates.Value(), tr.verifies.Value(), tr.HashOps(), uint64(len(bus.Events())) + bus.Dropped()}
 	}
 	for step := 0; step < 3000; step++ {
 		p := addr.PageNum(rng.Intn(96))

@@ -126,17 +126,12 @@ func (s *LinearSource) AllocPage() (addr.PageNum, bool) {
 // FreePage returns a page to the free list.
 func (s *LinearSource) FreePage(p addr.PageNum) { s.free = append(s.free, p) }
 
-// FreePages returns the current free-list length.
-func (s *LinearSource) FreePages() int { return len(s.free) }
-
 // Process is one running process.
 type Process struct {
 	PID   int
 	AS    *mmu.AddressSpace
 	next  addr.Virt // mmap cursor
 	pages map[addr.VPageNum]addr.PageNum
-	// hugeRanges lists the base VPNs of reserved 2MB huge mappings.
-	hugeRanges []addr.VPageNum
 }
 
 // Kernel is the simulated operating system.
@@ -147,12 +142,10 @@ type Kernel struct {
 	src  PageSource
 	tlbs []*mmu.TLB // per core
 
-	zeroPPN     addr.PageNum // the shared read-only Zero Page
-	procs       map[int]*Process
-	enclaves    map[int]*Enclave
-	nextPID     int
-	nextASID    int
-	nextEnclave int
+	zeroPPN  addr.PageNum // the shared read-only Zero Page
+	procs    map[int]*Process
+	nextPID  int
+	nextASID int
 
 	persistent       map[string]*persistentRegion // live registry
 	persistedJournal map[string]*persistentRegion // committed to NVM
@@ -164,18 +157,15 @@ type Kernel struct {
 	// but the frame is dropped on the way back through the allocator.
 	retired map[addr.PageNum]bool
 
-	pageFaults           stats.Counter
-	hugeFaults           stats.Counter
-	cowFaults            stats.Counter
-	pagesCleared         stats.Counter // pages shredded/zeroed at allocation
-	ntZeroWrites         stats.Counter // NVM writes issued by non-temporal zeroing
-	zeroCycles           stats.Counter // core cycles spent clearing pages
-	faultCycles          stats.Counter // total page-fault cycles including clearing
-	oomEvents            stats.Counter
-	enclavePagesShredded stats.Counter
-	persistFlushes       stats.Counter
-	journalCommits       stats.Counter
-	pagesRetired         stats.Counter
+	pageFaults     stats.Counter
+	cowFaults      stats.Counter
+	pagesCleared   stats.Counter // pages shredded/zeroed at allocation
+	ntZeroWrites   stats.Counter // NVM writes issued by non-temporal zeroing
+	zeroCycles     stats.Counter // core cycles spent clearing pages
+	faultCycles    stats.Counter // total page-fault cycles including clearing
+	oomEvents      stats.Counter
+	journalCommits stats.Counter
+	pagesRetired   stats.Counter
 
 	bus *obs.Bus // nil unless observability is enabled
 }
@@ -200,7 +190,6 @@ func New(cfg Config, h *hier.Hierarchy, src PageSource) (*Kernel, error) {
 		src:              src,
 		zeroPPN:          zp,
 		procs:            make(map[int]*Process),
-		enclaves:         make(map[int]*Enclave),
 		persistent:       make(map[string]*persistentRegion),
 		persistedJournal: make(map[string]*persistentRegion),
 		retired:          make(map[addr.PageNum]bool),
@@ -211,9 +200,6 @@ func New(cfg Config, h *hier.Hierarchy, src PageSource) (*Kernel, error) {
 	}
 	return k, nil
 }
-
-// Config returns the kernel configuration.
-func (k *Kernel) Config() Config { return k.cfg }
 
 // Hierarchy returns the cache hierarchy the kernel drives.
 func (k *Kernel) Hierarchy() *hier.Hierarchy { return k.h }
@@ -295,15 +281,6 @@ func (k *Kernel) Translate(core int, p *Process, va addr.Virt, write bool) (addr
 			k.cowFaults.Inc()
 			k.bus.Emit(obs.EvCoWFault, uint64(va), 0)
 		}
-		if base, huge := p.hugeBase(vpn); huge && !mapped {
-			if hlat, ok := k.faultHuge(core, p, base); ok {
-				lat += hlat
-				pte, _ = p.AS.Lookup(vpn)
-				k.tlbs[core].Invalidate(p.AS.ID, vpn)
-				k.tlbs[core].Fill(p.AS.ID, vpn)
-				break
-			}
-		}
 		lat += k.fault(core, p, vpn)
 		pte, _ = p.AS.Lookup(vpn)
 		k.tlbs[core].Invalidate(p.AS.ID, vpn)
@@ -329,19 +306,6 @@ func (k *Kernel) allocPage() (addr.PageNum, bool) {
 	return ppn, ok
 }
 
-// rangeRetired reports whether any frame in [ppn, ppn+n) is retired.
-func (k *Kernel) rangeRetired(ppn addr.PageNum, n int) bool {
-	if len(k.retired) == 0 {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if k.retired[ppn+addr.PageNum(i)] {
-			return true
-		}
-	}
-	return false
-}
-
 // RetirePage withdraws physical page ppn from circulation: it will never
 // be handed out by a future allocation. If the page is currently mapped
 // the mapping stays usable (the memory controller's line remapping backs
@@ -361,9 +325,6 @@ func (k *Kernel) RetirePage(ppn addr.PageNum) {
 // degradation threshold. The kernel's policy is to retire the whole frame
 // so the spare region stops bleeding capacity into a dying page.
 func (k *Kernel) PageDegraded(p addr.PageNum, linesLost int) { k.RetirePage(p) }
-
-// PageRetired reports whether physical page ppn has been retired.
-func (k *Kernel) PageRetired(ppn addr.PageNum) bool { return k.retired[ppn] }
 
 // PagesRetired returns the number of physical pages retired.
 func (k *Kernel) PagesRetired() uint64 { return k.pagesRetired.Value() }
@@ -507,9 +468,6 @@ func (k *Kernel) Munmap(p *Process, va addr.Virt, npages int) {
 // ZeroPPN returns the shared Zero Page's physical page number.
 func (k *Kernel) ZeroPPN() addr.PageNum { return k.zeroPPN }
 
-// PageFaults returns the number of allocating page faults.
-func (k *Kernel) PageFaults() uint64 { return k.pageFaults.Value() }
-
 // PagesCleared returns the number of pages cleared at allocation.
 func (k *Kernel) PagesCleared() uint64 { return k.pagesCleared.Value() }
 
@@ -522,30 +480,10 @@ func (k *Kernel) ZeroCycles() uint64 { return k.zeroCycles.Value() }
 // FaultCycles returns total page-fault cycles (overhead + clearing).
 func (k *Kernel) FaultCycles() uint64 { return k.faultCycles.Value() }
 
-// OOMEvents returns failed allocations.
-func (k *Kernel) OOMEvents() uint64 { return k.oomEvents.Value() }
-
-// ResetStats clears kernel statistics.
-func (k *Kernel) ResetStats() {
-	k.pageFaults.Reset()
-	k.hugeFaults.Reset()
-	k.cowFaults.Reset()
-	k.pagesCleared.Reset()
-	k.ntZeroWrites.Reset()
-	k.zeroCycles.Reset()
-	k.faultCycles.Reset()
-	k.oomEvents.Reset()
-	k.enclavePagesShredded.Reset()
-	k.persistFlushes.Reset()
-	k.journalCommits.Reset()
-	k.pagesRetired.Reset()
-}
-
 // StatsSet exposes kernel statistics.
 func (k *Kernel) StatsSet() *stats.Set {
 	s := stats.NewSet("kernel")
 	s.RegisterCounter("page_faults", &k.pageFaults)
-	s.RegisterCounter("huge_faults", &k.hugeFaults)
 	s.RegisterCounter("cow_faults", &k.cowFaults)
 	s.RegisterCounter("pages_cleared", &k.pagesCleared)
 	s.RegisterCounter("nt_zero_writes", &k.ntZeroWrites)

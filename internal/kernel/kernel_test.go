@@ -90,12 +90,42 @@ func TestLinearSource(t *testing.T) {
 		t.Fatal("exhausted source must fail")
 	}
 	s.FreePage(p1)
-	if s.FreePages() != 1 {
+	if len(s.free) != 1 {
 		t.Fatal("free list wrong")
 	}
 	p3, ok := s.AllocPage()
 	if !ok || p3 != p1 {
 		t.Fatal("LIFO reuse expected")
+	}
+}
+
+// Munmap returns a written page's frame to the free list and drops its
+// translation from every TLB; an untouched page in the range is skipped.
+func TestMunmapFreesFramesAndFlushesTLBs(t *testing.T) {
+	k := testKernel(t, memctrl.SilentShredder, ZeroShred)
+	p := k.NewProcess()
+	va := k.Mmap(p, 2)
+	write(k, 0, p, va, []byte{1})
+	read(k, 1, p, va, 1)
+	pte, _ := p.AS.Lookup(va.Page())
+	k.Munmap(p, va, 2)
+	if _, ok := p.AS.Lookup(va.Page()); ok {
+		t.Fatal("page still mapped after Munmap")
+	}
+	if n := len(k.src.(*LinearSource).free); n != 1 {
+		t.Fatalf("free list holds %d frames, want the one written", n)
+	}
+	for core := 0; core < 2; core++ {
+		if _, hit := k.TLB(core).Access(p.AS.ID, va.Page()); hit {
+			t.Fatalf("core %d TLB still translates the unmapped page", core)
+		}
+	}
+	// The next fault reuses the frame, shredded.
+	q := k.NewProcess()
+	vb := k.Mmap(q, 1)
+	write(k, 0, q, vb, []byte{2})
+	if got, _ := q.AS.Lookup(vb.Page()); got.PPN != pte.PPN {
+		t.Fatalf("fault took frame %v, want the freed %v", got.PPN, pte.PPN)
 	}
 }
 
@@ -107,7 +137,7 @@ func TestReadOfUntouchedPageIsZeroAndAllocatesNothing(t *testing.T) {
 	if !bytes.Equal(got, make([]byte, 8)) {
 		t.Fatalf("untouched read = %v", got)
 	}
-	if k.PageFaults() != 0 {
+	if k.pageFaults.Value() != 0 {
 		t.Fatal("read must not allocate")
 	}
 	// Mapped to the shared Zero Page.
@@ -122,8 +152,8 @@ func TestFirstWriteFaultsAllocatesAndClears(t *testing.T) {
 	p := k.NewProcess()
 	va := k.Mmap(p, 1)
 	write(k, 0, p, va, []byte{1, 2, 3})
-	if k.PageFaults() != 1 || k.PagesCleared() != 1 {
-		t.Fatalf("faults/cleared = %d/%d", k.PageFaults(), k.PagesCleared())
+	if k.pageFaults.Value() != 1 || k.PagesCleared() != 1 {
+		t.Fatalf("faults/cleared = %d/%d", k.pageFaults.Value(), k.PagesCleared())
 	}
 	pte, _ := p.AS.Lookup(va.Page())
 	if !pte.Writable || pte.ZeroPage {
@@ -144,8 +174,8 @@ func TestCOWUpgradeAfterRead(t *testing.T) {
 	va := k.Mmap(p, 1)
 	read(k, 0, p, va, 8)          // maps zero page
 	write(k, 0, p, va, []byte{7}) // COW break
-	if k.PageFaults() != 1 {
-		t.Fatalf("PageFaults = %d", k.PageFaults())
+	if k.pageFaults.Value() != 1 {
+		t.Fatalf("PageFaults = %d", k.pageFaults.Value())
 	}
 	if got := read(k, 0, p, va, 1); got[0] != 7 {
 		t.Fatalf("after COW: %v", got)
@@ -300,8 +330,8 @@ func TestOOMFallsBackToZeroPage(t *testing.T) {
 	va := k.Mmap(p, 2)
 	write(k, 0, p, va, []byte{1})
 	write(k, 0, p, va+addr.PageSize, []byte{2}) // OOM
-	if k.OOMEvents() != 1 {
-		t.Fatalf("OOMEvents = %d", k.OOMEvents())
+	if k.oomEvents.Value() != 1 {
+		t.Fatalf("OOMEvents = %d", k.oomEvents.Value())
 	}
 }
 
@@ -311,16 +341,16 @@ func TestTranslateChargesTLBWalk(t *testing.T) {
 	va := k.Mmap(p, 1)
 	read(k, 0, p, va, 1)
 	_, lat := k.Translate(0, p, va, false)
-	if lat != k.Config().TLB.HitLatency {
+	if lat != k.cfg.TLB.HitLatency {
 		t.Fatalf("warm translate lat = %d", lat)
 	}
 	_, lat = k.Translate(0, p, va+addr.PageSize, false)
-	if lat < k.Config().TLB.WalkLatency {
+	if lat < k.cfg.TLB.WalkLatency {
 		t.Fatalf("cold translate lat = %d, must include walk", lat)
 	}
 }
 
-func TestStatsSetAndReset(t *testing.T) {
+func TestStatsSet(t *testing.T) {
 	k := testKernel(t, memctrl.SilentShredder, ZeroShred)
 	p := k.NewProcess()
 	write(k, 0, p, k.Mmap(p, 1), []byte{1})
@@ -330,9 +360,5 @@ func TestStatsSetAndReset(t *testing.T) {
 	}
 	if k.ZeroCycles() == 0 || k.FaultCycles() == 0 {
 		t.Fatal("cycle accounting missing")
-	}
-	k.ResetStats()
-	if k.PageFaults() != 0 {
-		t.Fatal("reset failed")
 	}
 }

@@ -77,21 +77,6 @@ func (k *Kernel) RecoverPersistent(p *Process, name string) (addr.Virt, error) {
 	return base, nil
 }
 
-// UnlinkPersistent destroys a persistent region: its pages return to the
-// pool (shredded on next allocation) and the journal entry is removed.
-func (k *Kernel) UnlinkPersistent(name string) error {
-	region, ok := k.persistent[name]
-	if !ok {
-		return fmt.Errorf("kernel: no persistent region %q", name)
-	}
-	for _, ppn := range region.Pages {
-		k.src.FreePage(ppn)
-	}
-	delete(k.persistent, name)
-	k.commitJournal()
-	return nil
-}
-
 // PersistRange flushes the cached blocks of npages at va to NVM — the
 // clwb loop + sfence/pcommit sequence that makes prior stores durable.
 // Returns the cycles charged to the calling core.
@@ -107,7 +92,6 @@ func (k *Kernel) PersistRange(core int, p *Process, va addr.Virt, npages int) cl
 		}
 	}
 	_ = core
-	k.persistFlushes.Inc()
 	return lat
 }
 

@@ -18,13 +18,13 @@ func TestRetirePageWithdrawsFrame(t *testing.T) {
 	va := addr.Virt(0x5000_0000)
 	pa, _ := k.Translate(0, p, va, true)
 	ppn := pa.Page()
-	if k.PageRetired(ppn) {
+	if k.retired[ppn] {
 		t.Fatal("fresh frame reported retired")
 	}
 
 	k.RetirePage(ppn)
-	if !k.PageRetired(ppn) || k.PagesRetired() != 1 {
-		t.Fatalf("retired=%v count=%d", k.PageRetired(ppn), k.PagesRetired())
+	if !k.retired[ppn] || k.PagesRetired() != 1 {
+		t.Fatalf("retired=%v count=%d", k.retired[ppn], k.PagesRetired())
 	}
 	// Idempotent: retiring again does not double-count.
 	k.RetirePage(ppn)
@@ -64,7 +64,7 @@ func TestPageDegradedRetires(t *testing.T) {
 	pa, _ := k.Translate(0, p, addr.Virt(0x6000_0000), true)
 	// The controller-facing FaultSink entry point.
 	k.PageDegraded(pa.Page(), 8)
-	if !k.PageRetired(pa.Page()) {
+	if !k.retired[pa.Page()] {
 		t.Fatal("PageDegraded did not retire the frame")
 	}
 }
@@ -72,22 +72,7 @@ func TestPageDegradedRetires(t *testing.T) {
 func TestZeroPageRetirementRefused(t *testing.T) {
 	k := testKernel(t, memctrl.SilentShredder, ZeroShred)
 	k.RetirePage(k.zeroPPN)
-	if k.PageRetired(k.zeroPPN) || k.PagesRetired() != 0 {
+	if k.retired[k.zeroPPN] || k.PagesRetired() != 0 {
 		t.Fatal("the shared Zero Page must be immortal")
-	}
-}
-
-func TestRangeRetired(t *testing.T) {
-	k := testKernel(t, memctrl.SilentShredder, ZeroShred)
-	base := addr.PageNum(100)
-	if k.rangeRetired(base, 8) {
-		t.Fatal("clean range reported retired")
-	}
-	k.RetirePage(base + 5)
-	if !k.rangeRetired(base, 8) {
-		t.Fatal("range with a retired frame reported clean")
-	}
-	if k.rangeRetired(base+6, 2) {
-		t.Fatal("disjoint range reported retired")
 	}
 }

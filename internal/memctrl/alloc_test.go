@@ -119,7 +119,7 @@ func TestCounterFetchAndDeuceWriteZeroAllocs(t *testing.T) {
 		mc.Flush() // the four counter lines now exist on the device
 		i := 0
 		if n := testing.AllocsPerRun(runs, func() {
-			mc.ReadCounters(mc.cc.CtrAddr(addr.PageNum(i % 4)))
+			mc.ReadCounters(ctrAddr(addr.PageNum(i % 4)))
 			i++
 		}); n != 0 {
 			t.Fatalf("ReadCounters allocates %v per call, want 0", n)

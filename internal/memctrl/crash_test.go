@@ -36,8 +36,8 @@ func TestCrashRecoverImageRebuildsFromCiphertext(t *testing.T) {
 	img.Write(pGhost.BlockAddr(7), garbage)
 
 	mc.RecoverImage()
-	if mc.CrashRecoveries() != 1 {
-		t.Fatalf("CrashRecoveries = %d, want 1", mc.CrashRecoveries())
+	if mc.crashRecoveries.Value() != 1 {
+		t.Fatalf("CrashRecoveries = %d, want 1", mc.crashRecoveries.Value())
 	}
 
 	got := make([]byte, addr.BlockSize)
@@ -67,7 +67,7 @@ func TestCrashRecoverImageFoldsRetiredLines(t *testing.T) {
 		inj.queueFlips(a, 1)
 		mc.ReadBlock(a, make([]byte, addr.BlockSize))
 	}
-	if !mc.Remap().Retired(a) {
+	if mc.ecc.remap.Resolve(a) == a {
 		t.Fatal("line not retired")
 	}
 	mc.Flush()
@@ -97,7 +97,7 @@ func TestShredOptionStrings(t *testing.T) {
 
 func TestControllerAccessors(t *testing.T) {
 	mc, dev, img := newMC(t, SilentShredder)
-	if mc.Mode() != SilentShredder || mc.ShredOpt() != OptionReserveZero {
+	if mc.Mode() != SilentShredder || mc.cfg.Shred != OptionReserveZero {
 		t.Fatal("mode/shred accessors wrong")
 	}
 	if mc.Device() != dev || mc.Image() != img {
@@ -111,15 +111,6 @@ func TestControllerAccessors(t *testing.T) {
 	}
 	if mc.ECCEnabled() {
 		t.Fatal("ECC reported on for a perfect-device controller")
-	}
-	if mc.Remap() != nil || mc.FaultLog() != nil {
-		t.Fatal("remap/fault log must be nil without ECC")
-	}
-
-	// Quantile accessor: after one read there is a nonzero latency sample.
-	mc.ReadBlock(addr.PageNum(1).BlockAddr(0), make([]byte, addr.BlockSize))
-	if q := mc.ReadLatencyQuantile(0.5); q <= 0 {
-		t.Fatalf("ReadLatencyQuantile(0.5) = %v", q)
 	}
 
 	ecc, _, _, _ := newECCMC(t)

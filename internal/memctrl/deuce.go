@@ -43,11 +43,8 @@ type deuceState struct {
 	mask  map[addr.Phys]uint8 // bit i = chunk i modified this epoch
 }
 
-func newDeuceState(epoch int) *deuceState {
-	if epoch <= 1 {
-		epoch = DefaultDeuceEpoch
-	}
-	return &deuceState{epoch: epoch, mask: make(map[addr.Phys]uint8)}
+func newDeuceState() *deuceState {
+	return &deuceState{epoch: DefaultDeuceEpoch, mask: make(map[addr.Phys]uint8)}
 }
 
 // trailing returns the trailing counter for a leading minor counter:

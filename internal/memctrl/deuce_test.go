@@ -18,12 +18,12 @@ func newDeuceMC(t *testing.T, mode Mode, epoch int, writeMode nvm.WriteMode) (*C
 	img := physmem.New(true)
 	cfg := DefaultConfig(mode)
 	cfg.DEUCE = true
-	cfg.DeuceEpoch = epoch
 	cfg.VerifyPlaintext = true
 	mc, err := New(cfg, dev, img)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mc.deuce.epoch = epoch
 	return mc, dev, img
 }
 
@@ -123,10 +123,12 @@ func TestDeuceReducesBitFlipsUnderDCW(t *testing.T) {
 		img := physmem.New(true)
 		cfg := DefaultConfig(Baseline)
 		cfg.DEUCE = deuce
-		cfg.DeuceEpoch = 64
 		mc, err := New(cfg, dev, img)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if deuce {
+			mc.deuce.epoch = 64
 		}
 		a := addr.PageNum(1).BlockAddr(0)
 		data := make([]byte, addr.BlockSize)

@@ -11,9 +11,9 @@
 //   - a correction (1 flipped bit): the stored code word is re-read, the
 //     delivered copy repaired, and the event counted. A line that keeps
 //     needing correction has a permanently stuck cell; after
-//     RetireAfterCorrections corrections it is proactively retired with
-//     its contents preserved.
-//   - a typed *UncorrectableError (>=2 flipped bits, or a torn write's
+//     DefaultRetireAfterCorrections corrections it is proactively retired
+//     with its contents preserved.
+//   - an uncorrectable error (>=2 flipped bits, or a torn write's
 //     inconsistent code word): never silently returned as garbage. The
 //     line is retired into the spare region, its 64B of data are lost and
 //     architecturally replaced with zeros (re-encrypted under a freshly
@@ -30,9 +30,9 @@
 // standard for NVM metadata), so dropped/torn writes never target them —
 // see fault.Injector.SetWriteProtect.
 //
-// When a page loses RetirePageLines or more lines, the controller notifies
-// its FaultSink (the kernel), which retires the whole physical page from
-// the allocation pool.
+// When a page loses DefaultRetirePageLines or more lines, the controller
+// notifies its FaultSink (the kernel), which retires the whole physical
+// page from the allocation pool.
 package memctrl
 
 import (
@@ -46,7 +46,7 @@ import (
 	"silentshredder/internal/wearlevel"
 )
 
-// Default ECC policy knobs (overridable via Config).
+// ECC policy knobs.
 const (
 	// DefaultRetireAfterCorrections is how many ECC corrections a line
 	// endures before being proactively retired (contents preserved).
@@ -55,30 +55,6 @@ const (
 	// before the FaultSink is asked to retire the whole page.
 	DefaultRetirePageLines = 8
 )
-
-// UncorrectableError is the typed error raised when ECC detects a
-// multi-bit or torn-write corruption it cannot correct. The controller
-// never returns the garbage data; it retires the line and degrades its
-// contents to zeros, recording the error in the fault log.
-type UncorrectableError struct {
-	Addr      addr.Phys // logical block address
-	Line      addr.Phys // physical line that failed (post-remap)
-	BitErrors int
-	Torn      bool
-	Counter   bool // the failed line held a counter block
-}
-
-func (e *UncorrectableError) Error() string {
-	kind := "data"
-	if e.Counter {
-		kind = "counter"
-	}
-	cause := fmt.Sprintf("%d bit errors", e.BitErrors)
-	if e.Torn {
-		cause = "torn write"
-	}
-	return fmt.Sprintf("memctrl: uncorrectable ECC error on %s line %v (physical %v): %s", kind, e.Addr, e.Line, cause)
-}
 
 // FaultSink receives graceful-degradation notifications from the
 // controller. The kernel implements it to retire physical pages that have
@@ -108,7 +84,6 @@ type eccState struct {
 	lostLines   map[addr.PageNum]int
 	pending     []faultWork
 	draining    bool
-	log         []*UncorrectableError
 
 	retireAfter int
 	pageLines   int
@@ -118,21 +93,14 @@ type eccState struct {
 	ctrBuf [addr.BlockSize]byte
 }
 
-func newECCState(cfg Config) *eccState {
-	e := &eccState{
-		remap:       wearlevel.NewRemap(cfg.SpareLines),
+func newECCState() *eccState {
+	return &eccState{
+		remap:       wearlevel.NewRemap(wearlevel.DefaultSpareLines),
 		corrections: make(map[addr.Phys]int),
 		lostLines:   make(map[addr.PageNum]int),
-		retireAfter: cfg.RetireAfterCorrections,
-		pageLines:   cfg.RetirePageLines,
+		retireAfter: DefaultRetireAfterCorrections,
+		pageLines:   DefaultRetirePageLines,
 	}
-	if e.retireAfter <= 0 {
-		e.retireAfter = DefaultRetireAfterCorrections
-	}
-	if e.pageLines <= 0 {
-		e.pageLines = DefaultRetirePageLines
-	}
-	return e
 }
 
 // ECCEnabled reports whether the SECDED/retirement layer is active.
@@ -141,31 +109,6 @@ func (mc *Controller) ECCEnabled() bool { return mc.ecc != nil }
 // SetFaultSink installs the receiver of page-degradation notifications
 // (typically the kernel). No-op without ECC.
 func (mc *Controller) SetFaultSink(s FaultSink) { mc.sink = s }
-
-// Remap returns the line-retirement table (nil without ECC).
-func (mc *Controller) Remap() *wearlevel.Remap {
-	if mc.ecc == nil {
-		return nil
-	}
-	return mc.ecc.remap
-}
-
-// FaultLog returns the uncorrectable errors raised so far (capped; the
-// counters keep exact totals).
-func (mc *Controller) FaultLog() []*UncorrectableError {
-	if mc.ecc == nil {
-		return nil
-	}
-	return append([]*UncorrectableError(nil), mc.ecc.log...)
-}
-
-const faultLogCap = 64
-
-func (mc *Controller) recordFault(e *UncorrectableError) {
-	if len(mc.ecc.log) < faultLogCap {
-		mc.ecc.log = append(mc.ecc.log, e)
-	}
-}
 
 // mapData resolves a logical block address to the physical line backing
 // it (identity without ECC or for healthy lines).
@@ -237,7 +180,6 @@ func (mc *Controller) readData(a addr.Phys, buf []byte) (clock.Cycles, bool) {
 func (mc *Controller) loseDataLine(a, pa addr.Phys, oc nvm.ReadOutcome) {
 	mc.eccUncorrectable.Inc()
 	mc.bus.Emit(obs.EvECCUncorrectable, uint64(a), uint64(oc.BitErrors))
-	mc.recordFault(&UncorrectableError{Addr: a, Line: pa, BitErrors: oc.BitErrors, Torn: oc.Torn})
 	mc.retireLine(a, nil)
 	if mc.img.Enabled() {
 		var zeros [addr.BlockSize]byte
@@ -332,7 +274,6 @@ func (mc *Controller) ReadCounters(ctrA addr.Phys) clock.Cycles {
 		mc.eccUncorrectable.Inc()
 		mc.bus.Emit(obs.EvECCUncorrectable, uint64(ctrA), uint64(oc.BitErrors))
 		p := mc.cc.PageOf(ctrA)
-		mc.recordFault(&UncorrectableError{Addr: ctrA, Line: pa, BitErrors: oc.BitErrors, Torn: oc.Torn, Counter: true})
 		cb := mc.cc.PersistedValue(p)
 		enc := cb.Encode()
 		mc.retireLine(ctrA, enc[:])
@@ -383,6 +324,3 @@ func (mc *Controller) EccUncorrectable() uint64 { return mc.eccUncorrectable.Val
 
 // LinesRetired returns lines retired into the spare region.
 func (mc *Controller) LinesRetired() uint64 { return mc.linesRetired.Value() }
-
-// CrashRecoveries returns post-crash image recoveries performed.
-func (mc *Controller) CrashRecoveries() uint64 { return mc.crashRecoveries.Value() }

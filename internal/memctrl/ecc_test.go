@@ -11,9 +11,11 @@ import (
 	"testing"
 
 	"silentshredder/internal/addr"
+	"silentshredder/internal/countercache"
 	"silentshredder/internal/ctr"
 	"silentshredder/internal/nvm"
 	"silentshredder/internal/physmem"
+	"silentshredder/internal/wearlevel"
 )
 
 // scriptInjector implements nvm.Injector with fully scripted syndromes:
@@ -22,6 +24,11 @@ import (
 type scriptInjector struct {
 	flips map[addr.Phys][]int // queue of BitErrors counts per address
 	torn  map[addr.Phys]bool
+}
+
+// ctrAddr is the counter-region device address of page p's counter line.
+func ctrAddr(p addr.PageNum) addr.Phys {
+	return countercache.RegionBase + addr.Phys(p)<<addr.BlockShift
 }
 
 func newScriptInjector() *scriptInjector {
@@ -67,11 +74,11 @@ func newECCMC(t *testing.T) (*Controller, *scriptInjector, *physmem.Image, *sink
 	img := physmem.New(true)
 	cfg := DefaultConfig(SilentShredder)
 	cfg.ECC = true
-	cfg.SpareLines = 64
 	mc, err := New(cfg, dev, img)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mc.ecc.remap = wearlevel.NewRemap(64)
 	sink := &sinkRecorder{}
 	mc.SetFaultSink(sink)
 	return mc, inj, img, sink
@@ -103,7 +110,7 @@ func TestECCProactiveRetirementPreservesContents(t *testing.T) {
 	data := bytes.Repeat([]byte{0xA7}, addr.BlockSize)
 	store(mc, img, a, data)
 
-	// RetireAfterCorrections (default 4) corrections on the same line
+	// DefaultRetireAfterCorrections (4) corrections on the same line
 	// trigger proactive retirement with contents preserved.
 	for i := 0; i < DefaultRetireAfterCorrections; i++ {
 		inj.queueFlips(a, 1)
@@ -116,7 +123,7 @@ func TestECCProactiveRetirementPreservesContents(t *testing.T) {
 	if mc.LinesRetired() != 1 {
 		t.Fatalf("LinesRetired = %d, want 1", mc.LinesRetired())
 	}
-	if !mc.Remap().Retired(a) {
+	if mc.ecc.remap.Resolve(a) == a {
 		t.Fatal("line not in the remap")
 	}
 	// The data survives on the spare line, readable through the remap.
@@ -147,13 +154,6 @@ func TestECCUncorrectableLosesLineGracefully(t *testing.T) {
 	}
 	if mc.EccUncorrectable() != 1 || mc.LinesRetired() != 1 {
 		t.Fatalf("uncorr=%d retired=%d, want 1/1", mc.EccUncorrectable(), mc.LinesRetired())
-	}
-	log := mc.FaultLog()
-	if len(log) != 1 || log[0].Addr != a || log[0].BitErrors != 2 || log[0].Counter {
-		t.Fatalf("fault log %+v", log)
-	}
-	if log[0].Error() == "" {
-		t.Fatal("empty error message")
 	}
 	// The loss is per-line: neighbours are intact, and the lost line keeps
 	// reading zeros on subsequent (fault-free) reads.
@@ -194,10 +194,10 @@ func TestECCCounterLineCorrection(t *testing.T) {
 	data := bytes.Repeat([]byte{0x44}, addr.BlockSize)
 	store(mc, img, p.BlockAddr(0), data)
 	mc.Flush()
-	// Evict the counters so the next access re-fetches through the
+	// Empty the counter cache so the next access re-fetches through the
 	// ECC-checked backend with a queued single-bit syndrome.
-	mc.cc.Invalidate(p)
-	ctrA := mc.cc.CtrAddr(p)
+	mc.cc.Crash()
+	ctrA := ctrAddr(p)
 	inj.queueFlips(ctrA, 1)
 	before := mc.EccCorrections()
 	got := make([]byte, addr.BlockSize)
@@ -217,8 +217,8 @@ func TestECCCounterLineLossDegradesPage(t *testing.T) {
 		store(mc, img, p.BlockAddr(i), bytes.Repeat([]byte{0x66}, addr.BlockSize))
 	}
 	mc.Flush()
-	mc.cc.Invalidate(p)
-	ctrA := mc.cc.CtrAddr(p)
+	mc.cc.Crash()
+	ctrA := ctrAddr(p)
 	inj.queueFlips(ctrA, 2) // uncorrectable counter line
 	got := make([]byte, addr.BlockSize)
 	// The discovering read completes under the recovered persistent
@@ -233,12 +233,8 @@ func TestECCCounterLineLossDegradesPage(t *testing.T) {
 	if sink.pages[p] != addr.BlocksPerPage {
 		t.Fatalf("sink reported %d lines, want whole page", sink.pages[p])
 	}
-	log := mc.FaultLog()
-	if len(log) == 0 || !log[len(log)-1].Counter {
-		t.Fatal("counter-line loss not recorded as a counter fault")
-	}
-	if log[len(log)-1].Error() == "" {
-		t.Fatal("empty counter fault message")
+	if mc.EccUncorrectable() == 0 || mc.ecc.remap.Resolve(ctrA) == ctrA {
+		t.Fatal("counter-line loss not counted and retired")
 	}
 }
 
@@ -248,11 +244,11 @@ func TestECCSpareExhaustionFailsStop(t *testing.T) {
 	dev.SetInjector(inj)
 	cfg := DefaultConfig(SilentShredder)
 	cfg.ECC = true
-	cfg.SpareLines = 1
 	mc, err := New(cfg, dev, physmem.New(true))
 	if err != nil {
 		t.Fatal(err)
 	}
+	mc.ecc.remap = wearlevel.NewRemap(1)
 	img := physmem.New(true) // unused shadow; stores go through mc.img anyway
 	_ = img
 	a0 := addr.PageNum(1).BlockAddr(0)

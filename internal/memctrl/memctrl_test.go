@@ -138,10 +138,10 @@ func TestFirstWriteAfterShredUsesMinorOne(t *testing.T) {
 	if cb.Minor[2] != ctr.MinorFirst {
 		t.Fatalf("minor = %d, want %d", cb.Minor[2], ctr.MinorFirst)
 	}
-	if mc.IsShredded(p, 2) {
+	if cb.Shredded(2) {
 		t.Fatal("written block must leave shredded state")
 	}
-	if !mc.IsShredded(p, 3) {
+	if !cb.Shredded(3) {
 		t.Fatal("untouched block must stay shredded")
 	}
 	// And it must decrypt correctly afterwards.
@@ -192,7 +192,7 @@ func TestZeroFillReadFasterThanNVMRead(t *testing.T) {
 	if zeroLat >= nvmLat {
 		t.Fatalf("zero-fill latency %d not faster than NVM read %d", zeroLat, nvmLat)
 	}
-	if zeroLat != mc.CounterCache().Config().HitLatency {
+	if zeroLat != mc.cfg.CounterCache.HitLatency {
 		t.Fatalf("zero-fill latency = %d, want counter-cache hit latency", zeroLat)
 	}
 }
@@ -442,10 +442,11 @@ func TestControllerBankStorm(t *testing.T) {
 		t.Error("storm produced no drain stalls on depth-2 queues; not a storm")
 	}
 	dev.Quiesce()
-	for b := 0; b < dev.NumBanks(); b++ {
-		if occ := dev.BankOccupancy(b); occ != 0 {
-			t.Fatalf("bank %d occupancy %d after quiesce, want 0", b, occ)
-		}
+	s := dev.StatsSet("nvm")
+	enq, _ := s.Get("wq_enqueued")
+	drained, _ := s.Get("wq_drained")
+	if enq == 0 || enq != drained {
+		t.Fatalf("%v writes queued, %v drained after quiesce", enq, drained)
 	}
 	if err := dev.CheckBankInvariants(); err != nil {
 		t.Fatal(err)

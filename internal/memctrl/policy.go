@@ -26,9 +26,10 @@ const (
 	// overwrite) before the logical shred, removing the remanent
 	// ciphertext at the cost of a full page of device writes.
 	PolicyDutyToDelete
-	// PolicyMultiPass overwrites each invalidated line ScrubPasses times
-	// with the classic fixed patterns (the ggg::shred idiom) before the
-	// logical shred — the most conservative, most write-expensive policy.
+	// PolicyMultiPass overwrites each invalidated line DefaultScrubPasses
+	// times with the classic fixed patterns (the ggg::shred idiom) before
+	// the logical shred — the most conservative, most write-expensive
+	// policy.
 	PolicyMultiPass
 )
 
@@ -57,8 +58,7 @@ func ParseShredPolicy(s string) (ShredPolicy, error) {
 	return 0, fmt.Errorf("memctrl: unknown shred policy %q (want zero-cost, duty-to-delete or multi-pass)", s)
 }
 
-// DefaultScrubPasses is the multi-pass overwrite count when
-// Config.ScrubPasses is zero.
+// DefaultScrubPasses is the multi-pass overwrite count.
 const DefaultScrubPasses = 4
 
 // multiPassPatterns are the per-pass fill bytes of PolicyMultiPass
@@ -89,10 +89,7 @@ func (mc *Controller) ScrubPage(p addr.PageNum) int {
 	case PolicyDutyToDelete:
 		passes = 1
 	case PolicyMultiPass:
-		passes = mc.cfg.ScrubPasses
-		if passes <= 0 {
-			passes = DefaultScrubPasses
-		}
+		passes = DefaultScrubPasses
 	default:
 		return 0
 	}
@@ -134,9 +131,6 @@ func (mc *Controller) ScrubPage(p addr.PageNum) int {
 func ScrubLatency(writes int, perLine clock.Cycles) clock.Cycles {
 	return clock.Cycles(writes) * perLine
 }
-
-// Policy returns the configured shred policy.
-func (mc *Controller) Policy() ShredPolicy { return mc.cfg.Policy }
 
 // ScrubWrites returns device block writes issued by the shred policy's
 // physical overwrite passes.

@@ -9,12 +9,11 @@ import (
 	"silentshredder/internal/physmem"
 )
 
-func newPolicyMC(t *testing.T, policy ShredPolicy, passes int) (*Controller, *nvm.Device) {
+func newPolicyMC(t *testing.T, policy ShredPolicy) (*Controller, *nvm.Device) {
 	t.Helper()
 	dev := nvm.New(nvm.DefaultConfig())
 	cfg := DefaultConfig(SilentShredder)
 	cfg.Policy = policy
-	cfg.ScrubPasses = passes
 	mc, err := New(cfg, dev, physmem.New(true))
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +49,7 @@ func TestParseShredPolicy(t *testing.T) {
 }
 
 func TestScrubPageZeroCostIsNoop(t *testing.T) {
-	mc, dev := newPolicyMC(t, PolicyZeroCost, 0)
+	mc, dev := newPolicyMC(t, PolicyZeroCost)
 	if w := mc.ScrubPage(7); w != 0 {
 		t.Fatalf("zero-cost scrub issued %d writes", w)
 	}
@@ -58,15 +57,13 @@ func TestScrubPageZeroCostIsNoop(t *testing.T) {
 		t.Fatalf("zero-cost scrub touched the device: dev=%d stat=%d", dev.Writes(), mc.ScrubWrites())
 	}
 	// And the stat stays out of the registry on zero-cost machines.
-	for _, name := range mc.StatsSet().Names() {
-		if name == "scrub_writes" {
-			t.Fatal("scrub_writes registered on a zero-cost controller")
-		}
+	if _, ok := mc.StatsSet().Get("scrub_writes"); ok {
+		t.Fatal("scrub_writes registered on a zero-cost controller")
 	}
 }
 
 func TestScrubPageMultiPassPatterns(t *testing.T) {
-	mc, dev := newPolicyMC(t, PolicyMultiPass, 0)
+	mc, dev := newPolicyMC(t, PolicyMultiPass)
 	const page = addr.PageNum(3)
 	if w := mc.ScrubPage(page); w != DefaultScrubPasses*addr.BlocksPerPage {
 		t.Fatalf("multi-pass writes = %d, want %d", w, DefaultScrubPasses*addr.BlocksPerPage)
@@ -87,17 +84,13 @@ func TestScrubPageMultiPassPatterns(t *testing.T) {
 		}
 	}
 	// Registered only on overwrite-policy machines.
-	found := false
-	for _, name := range mc.StatsSet().Names() {
-		found = found || name == "scrub_writes"
-	}
-	if !found {
+	if _, ok := mc.StatsSet().Get("scrub_writes"); !ok {
 		t.Fatal("scrub_writes not registered on a multi-pass controller")
 	}
 }
 
 func TestScrubPageDutyToDelete(t *testing.T) {
-	mc, dev := newPolicyMC(t, PolicyDutyToDelete, 0)
+	mc, dev := newPolicyMC(t, PolicyDutyToDelete)
 	const page = addr.PageNum(5)
 	if w := mc.ScrubPage(page); w != addr.BlocksPerPage {
 		t.Fatalf("duty-to-delete writes = %d, want %d", w, addr.BlocksPerPage)
@@ -115,7 +108,7 @@ func TestScrubPageDutyToDelete(t *testing.T) {
 	if first == again {
 		t.Fatal("repeated scrubs wrote identical bytes; want epoch-varied garbage")
 	}
-	mc2, dev2 := newPolicyMC(t, PolicyDutyToDelete, 0)
+	mc2, dev2 := newPolicyMC(t, PolicyDutyToDelete)
 	mc2.ScrubPage(page)
 	var replay [addr.BlockSize]byte
 	dev2.Peek(page.BlockAddr(0), replay[:])
@@ -130,7 +123,7 @@ func TestScrubPageDutyToDelete(t *testing.T) {
 // attacker can recover, never the architectural contents.
 func TestScrubThenShredReadsZero(t *testing.T) {
 	for _, policy := range []ShredPolicy{PolicyDutyToDelete, PolicyMultiPass} {
-		mc, _ := newPolicyMC(t, policy, 0)
+		mc, _ := newPolicyMC(t, policy)
 		mc.cfg.CounterCache.WriteThrough = true
 		const page = addr.PageNum(2)
 		data := bytes.Repeat([]byte{0xab}, addr.BlockSize)

@@ -12,7 +12,7 @@ import (
 // TestStatsSetCoversAllAccessors drives every event counter the controller
 // exposes through an exported accessor to a nonzero value, then asserts
 // that StatsSet registers a stat for each one whose value matches the
-// accessor. This pins the harness-visible surface: Registry.Lookup/Dump
+// accessor. This pins the harness-visible surface: the stats snapshot
 // used to silently miss reads_blocked_by_writes and integrity_failures
 // because they were never registered.
 func TestStatsSetCoversAllAccessors(t *testing.T) {
@@ -53,7 +53,7 @@ func TestStatsSetCoversAllAccessors(t *testing.T) {
 	forged := mc.CounterCache().PersistedValue(2)
 	forged.Major += 7
 	mc.CounterCache().TamperPersisted(2, forged)
-	mc.CounterCache().Invalidate(2)
+	mc.CounterCache().Crash()
 	mc.ReadBlock(a, buf)
 
 	s := mc.StatsSet()

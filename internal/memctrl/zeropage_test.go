@@ -74,11 +74,13 @@ func newZeroPageRig(t *testing.T, zc zeroPageConfig) *zeroPageRig {
 		r.inj.SetWriteProtect(wearlevel.SpareBase)
 		r.dev.SetInjector(r.inj)
 		cfg.ECC = true
-		cfg.RetirePageLines = 2
 	}
 	mc, err := New(cfg, r.dev, r.img)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if mc.ecc != nil {
+		mc.ecc.pageLines = 2
 	}
 	r.mc = mc
 	r.bus = obs.NewBus(obs.Config{})
@@ -168,7 +170,6 @@ func TestZeroPageDirectMatchesPerBlockLoop(t *testing.T) {
 		{name: "baseline", mode: Baseline},
 		{name: "shredder", mode: SilentShredder},
 		{name: "write-through", mode: Baseline, edit: func(c *Config) { c.CounterCache.WriteThrough = true }},
-		{name: "prefetch", mode: Baseline, edit: func(c *Config) { c.CounterCache.PrefetchNext = true }},
 		{name: "merkle-eager", mode: Baseline, edit: func(c *Config) { c.Integrity = true }},
 		{name: "merkle-lazy", mode: SilentShredder, edit: func(c *Config) {
 			c.Integrity = true
@@ -224,10 +225,11 @@ func TestZeroPageDirectMatchesPerBlockLoop(t *testing.T) {
 					}
 					pg.prep(r)
 				}
-				reenc, misses := want.mc.Reencryptions(), want.mc.cc.Misses()
+				ctrMisses := func() float64 { v, _ := want.mc.cc.StatsSet().Get("misses"); return v }
+				reenc, misses := want.mc.Reencryptions(), ctrMisses()
 				got.zero((*Controller).ZeroPageDirect, p)
 				want.zero(zeroPageRef, p)
-				if fetched := want.mc.cc.Misses() > misses; fetched != (pg.name == "evicted") {
+				if fetched := ctrMisses() > misses; fetched != (pg.name == "evicted") {
 					t.Fatalf("the zeroing fetched the page's counters: %v", fetched)
 				}
 				if pg.name == "overflow" && want.mc.Reencryptions() == reenc {

@@ -53,7 +53,6 @@ type AddressSpace struct {
 	chunks map[uint64]*ptChunk
 	lastK  uint64
 	last   *ptChunk // one-chunk lookup cache; nil when empty
-	mapped int
 }
 
 // NewAddressSpace creates an empty address space with the given ASID.
@@ -86,7 +85,6 @@ func (as *AddressSpace) Map(vpn addr.VPageNum, pte PTE) {
 	e := &c.e[uint64(vpn)&ptChunkMask]
 	if !e.Present {
 		c.used++
-		as.mapped++
 	}
 	*e = pte
 }
@@ -104,7 +102,6 @@ func (as *AddressSpace) Unmap(vpn addr.VPageNum) (PTE, bool) {
 	old := *e
 	*e = PTE{}
 	c.used--
-	as.mapped--
 	if c.used == 0 {
 		delete(as.chunks, uint64(vpn)>>ptChunkShift)
 		if as.last == c {
@@ -122,26 +119,6 @@ func (as *AddressSpace) Lookup(vpn addr.VPageNum) (PTE, bool) {
 	}
 	pte := c.e[uint64(vpn)&ptChunkMask]
 	return pte, pte.Present
-}
-
-// Mapped returns the number of present translations.
-func (as *AddressSpace) Mapped() int { return as.mapped }
-
-// Pages calls fn for every mapped page. Chunk order follows Go map
-// iteration (unordered, as with the previous flat-map layout); callers
-// needing determinism must collect and sort.
-func (as *AddressSpace) Pages(fn func(vpn addr.VPageNum, pte PTE)) {
-	for k, c := range as.chunks {
-		if c.used == 0 {
-			continue
-		}
-		base := k << ptChunkShift
-		for i := range c.e {
-			if c.e[i].Present {
-				fn(addr.VPageNum(base|uint64(i)), c.e[i])
-			}
-		}
-	}
 }
 
 // TLBConfig describes a TLB.
@@ -253,12 +230,6 @@ func (t *TLB) FlushASID(asid int) {
 	}
 }
 
-// Hits returns TLB hits.
-func (t *TLB) Hits() uint64 { return t.hits.Value() }
-
-// Misses returns TLB misses.
-func (t *TLB) Misses() uint64 { return t.misses.Value() }
-
 // MissRate returns the miss ratio.
 func (t *TLB) MissRate() float64 {
 	tot := t.hits.Value() + t.misses.Value()
@@ -266,14 +237,6 @@ func (t *TLB) MissRate() float64 {
 		return 0
 	}
 	return float64(t.misses.Value()) / float64(tot)
-}
-
-// ResetStats clears the TLB's access statistics, leaving resident
-// translations intact (a measurement-phase boundary does not flush the
-// TLB, it only re-scopes what is counted).
-func (t *TLB) ResetStats() {
-	t.hits.Reset()
-	t.misses.Reset()
 }
 
 // StatsSet exposes TLB statistics under the given name.

@@ -21,7 +21,7 @@
 //
 // Enabling the model (Config.BankQueueDepth > 0) replaces the heuristic.
 // Time is the device's logical arrival clock: every access advances it
-// by Config.BankArrival cycles (a stand-in for the modeled access rate,
+// by DefaultBankArrival cycles (a stand-in for the modeled access rate,
 // like BankWindow was), and all bank state (busy-until timestamps, queue
 // completion times) lives on that clock. The model is fully
 // deterministic: timing depends only on the access sequence.
@@ -195,14 +195,6 @@ func (s *bankSched) quiesce() int {
 	return n
 }
 
-// occupancy returns bank bi's current queue occupancy.
-func (s *bankSched) occupancy(bi int) int {
-	b := &s.banks[bi]
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.q)
-}
-
 // check validates the per-bank invariants: occupancy never exceeds the
 // bounded depth and completion times are strictly ordered.
 func (s *bankSched) check() error {
@@ -223,9 +215,10 @@ func (s *bankSched) check() error {
 }
 
 // reset clears all bank state (queues and busy-until timestamps) without
-// recreating the banks. Machine.ResetStats uses it so warmup-phase queue
-// occupancy cannot charge the measured phase — the same contract as the
-// controller's modeled write queue.
+// recreating the banks. Device.ResetStats, which the controller's
+// ResetStats calls, uses it so warmup-phase queue occupancy cannot charge
+// the measured phase — the same contract as the controller's modeled
+// write queue.
 func (s *bankSched) reset() {
 	for i := range s.banks {
 		b := &s.banks[i]
@@ -235,10 +228,6 @@ func (s *bankSched) reset() {
 		b.mu.Unlock()
 	}
 }
-
-// BankedModel reports whether the banked write-queue scheduler is active
-// (Config.BankQueueDepth > 0) rather than the legacy penalty heuristic.
-func (d *Device) BankedModel() bool { return d.sched != nil }
 
 // Quiesce drains every bank's posted-write queue (an idle period long
 // enough for all programming to complete). Returns writes retired. A
@@ -250,24 +239,6 @@ func (d *Device) Quiesce() int {
 	n := d.sched.quiesce()
 	d.wqDrained.Add(uint64(n))
 	return n
-}
-
-// BankOccupancy returns bank b's current posted-write queue occupancy
-// (0 on the legacy model).
-func (d *Device) BankOccupancy(b int) int {
-	if d.sched == nil {
-		return 0
-	}
-	return d.sched.occupancy(b)
-}
-
-// NumBanks returns the total bank count across channels (0 when bank
-// modeling is disabled).
-func (d *Device) NumBanks() int {
-	if d.cfg.Banks <= 0 {
-		return 0
-	}
-	return d.cfg.Banks * d.cfg.Channels
 }
 
 // CheckBankInvariants validates the banked scheduler's structural

@@ -87,10 +87,6 @@ type Config struct {
 	// back-to-back before admitting the stalled producer
 	// (0 = DefaultBankDrainBatch).
 	BankDrainBatch int
-	// BankArrival is the logical inter-arrival time the device clock
-	// advances per access under the banked model
-	// (0 = DefaultBankArrival).
-	BankArrival clock.Cycles
 
 	// Energy model (picojoules). PCM reads sense cells cheaply; writes
 	// pay per programmed cell, which is what makes eliminated writes and
@@ -180,8 +176,8 @@ type Device struct {
 
 	// Banked drain-scheduler model (bank.go); nil = legacy heuristic.
 	sched   *bankSched
-	now     uint64 // device arrival clock, advanced BankArrival per access
-	arrival uint64
+	now     uint64 // device arrival clock, advanced arrival per access
+	arrival uint64 // DefaultBankArrival; tests may set another interval
 
 	wqEnqueued, wqDrained      stats.Counter
 	wqDrainStalls, readArounds stats.Counter
@@ -207,10 +203,7 @@ func New(cfg Config) *Device {
 	}
 	if cfg.BankQueueDepth > 0 {
 		d.sched = newBankSched(cfg.Channels*cfg.Banks, cfg)
-		d.arrival = uint64(cfg.BankArrival)
-		if d.arrival == 0 {
-			d.arrival = uint64(DefaultBankArrival)
-		}
+		d.arrival = uint64(DefaultBankArrival)
 	}
 	return d
 }
@@ -250,9 +243,6 @@ func (d *Device) Config() Config { return d.cfg }
 // SetInjector attaches (or, with nil, detaches) a fault injector. With no
 // injector the device is exactly the perfect device it always was.
 func (d *Device) SetInjector(inj Injector) { d.inj = inj }
-
-// Injector returns the attached fault injector (nil for a perfect device).
-func (d *Device) Injector() Injector { return d.inj }
 
 // SetWriteHook installs a function called at the top of every WriteBlock,
 // before any state is committed. The crash-anywhere harness uses it to
@@ -616,9 +606,6 @@ func (d *Device) ForEachPage(fn func(p addr.PageNum, data *[addr.PageSize]byte))
 	d.pages.ForEach(fn)
 }
 
-// Wear returns the write count of the block at a.
-func (d *Device) Wear(a addr.Phys) uint64 { return d.wearOf(a.Block()) }
-
 // MaxWear returns the highest per-block write count seen so far.
 func (d *Device) MaxWear() uint64 { return d.maxWear }
 
@@ -635,9 +622,6 @@ func (d *Device) EnergyPJ() float64 {
 // BankConflicts returns accesses delayed by a busy bank.
 func (d *Device) BankConflicts() uint64 { return d.bankConflicts.Value() }
 
-// Reads returns the total block reads serviced.
-func (d *Device) Reads() uint64 { return d.reads.Value() }
-
 // Writes returns the total block writes performed (excluding skipped).
 func (d *Device) Writes() uint64 { return d.writes.Value() }
 
@@ -646,9 +630,6 @@ func (d *Device) SkippedWrites() uint64 { return d.skippedWrites.Value() }
 
 // BitsFlipped returns the total cells actually programmed.
 func (d *Device) BitsFlipped() uint64 { return d.bitsFlipped.Value() }
-
-// BitsWritten returns the total cells covered by write requests.
-func (d *Device) BitsWritten() uint64 { return d.bitsWritten.Value() }
 
 // ResetStats clears access statistics (wear state is preserved, since it
 // models physical cell degradation).

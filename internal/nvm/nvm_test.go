@@ -41,8 +41,8 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, w) {
 		t.Fatal("read back differs")
 	}
-	if d.Reads() != 1 || d.Writes() != 1 {
-		t.Fatalf("reads/writes = %d/%d", d.Reads(), d.Writes())
+	if d.reads.Value() != 1 || d.Writes() != 1 {
+		t.Fatalf("reads/writes = %d/%d", d.reads.Value(), d.Writes())
 	}
 }
 
@@ -68,12 +68,12 @@ func TestUnalignedAddressesShareBlock(t *testing.T) {
 func TestPeek(t *testing.T) {
 	d := New(DefaultConfig())
 	d.WriteBlock(0x40, blockOf(9))
-	reads := d.Reads()
+	reads := d.reads.Value()
 	got := make([]byte, addr.BlockSize)
 	if !d.Peek(0x40, got) {
 		t.Fatal("Peek must succeed with StoreData")
 	}
-	if got[0] != 9 || d.Reads() != reads {
+	if got[0] != 9 || d.reads.Value() != reads {
 		t.Fatal("Peek must return data without counting a read")
 	}
 	if !d.Peek(0x123450, got) || got[0] != 0 {
@@ -94,11 +94,11 @@ func TestTimingOnlyMode(t *testing.T) {
 	d := New(cfg)
 	d.WriteBlock(0, blockOf(1))
 	d.ReadBlock(0, nil)
-	if d.Writes() != 1 || d.Reads() != 1 {
+	if d.Writes() != 1 || d.reads.Value() != 1 {
 		t.Fatal("timing-only accesses must still be counted")
 	}
-	if d.BitsWritten() != 512 {
-		t.Fatalf("BitsWritten = %d, want 512", d.BitsWritten())
+	if d.bitsWritten.Value() != 512 {
+		t.Fatalf("BitsWritten = %d, want 512", d.bitsWritten.Value())
 	}
 }
 
@@ -183,8 +183,8 @@ func TestWearTracking(t *testing.T) {
 		d.WriteBlock(0x40, blockOf(byte(i)))
 	}
 	d.WriteBlock(0x80, blockOf(1))
-	if d.Wear(0x40) != 5 || d.Wear(0x80) != 1 {
-		t.Fatalf("wear = %d/%d", d.Wear(0x40), d.Wear(0x80))
+	if d.wearOf(0x40) != 5 || d.wearOf(0x80) != 1 {
+		t.Fatalf("wear = %d/%d", d.wearOf(0x40), d.wearOf(0x80))
 	}
 	if d.MaxWear() != 5 {
 		t.Fatalf("MaxWear = %d", d.MaxWear())
@@ -215,10 +215,10 @@ func TestResetStatsPreservesWear(t *testing.T) {
 	d.WriteBlock(0, blockOf(1))
 	d.ReadBlock(0, make([]byte, 64))
 	d.ResetStats()
-	if d.Reads() != 0 || d.Writes() != 0 {
+	if d.reads.Value() != 0 || d.Writes() != 0 {
 		t.Fatal("stats not reset")
 	}
-	if d.Wear(0) != 1 {
+	if d.wearOf(0) != 1 {
 		t.Fatal("wear must survive stat reset")
 	}
 }

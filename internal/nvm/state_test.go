@@ -29,11 +29,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if !d2.Peek(a, got) || !bytes.Equal(got, bytes.Repeat([]byte{0xFF}, addr.BlockSize)) {
 		t.Fatal("restored contents wrong")
 	}
-	if d2.Wear(a) != d.Wear(a)-1 {
-		t.Fatalf("restored wear = %d, device wear = %d", d2.Wear(a), d.Wear(a))
+	if d2.wearOf(a) != d.wearOf(a)-1 {
+		t.Fatalf("restored wear = %d, device wear = %d", d2.wearOf(a), d.wearOf(a))
 	}
-	if d2.MaxWear() != d2.Wear(a) {
-		t.Fatalf("MaxWear not rebuilt: %d vs %d", d2.MaxWear(), d2.Wear(a))
+	if d2.MaxWear() != d2.wearOf(a) {
+		t.Fatalf("MaxWear not rebuilt: %d vs %d", d2.MaxWear(), d2.wearOf(a))
 	}
 
 	pages := 0
@@ -62,9 +62,9 @@ func TestWearSaturatesAndRoundTrips(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		d.WriteBlock(a, bytes.Repeat([]byte{byte(i + 1)}, addr.BlockSize))
 	}
-	if d.Wear(a) != math.MaxUint32 || d.MaxWear() != math.MaxUint32 || d.Wear(b) != 3 {
+	if d.wearOf(a) != math.MaxUint32 || d.MaxWear() != math.MaxUint32 || d.wearOf(b) != 3 {
 		t.Fatalf("wear %d and %d, max %d; want %d, 3 and %d",
-			d.Wear(a), d.Wear(b), d.MaxWear(), uint64(math.MaxUint32), uint64(math.MaxUint32))
+			d.wearOf(a), d.wearOf(b), d.MaxWear(), uint64(math.MaxUint32), uint64(math.MaxUint32))
 	}
 
 	st := d.Snapshot()
@@ -73,8 +73,8 @@ func TestWearSaturatesAndRoundTrips(t *testing.T) {
 	}
 	d2 := New(DefaultConfig())
 	d2.Restore(st)
-	if d2.Wear(a) != math.MaxUint32 || d2.Wear(b) != 3 || d2.MaxWear() != math.MaxUint32 {
-		t.Fatalf("restored wear %d and %d, max %d", d2.Wear(a), d2.Wear(b), d2.MaxWear())
+	if d2.wearOf(a) != math.MaxUint32 || d2.wearOf(b) != 3 || d2.MaxWear() != math.MaxUint32 {
+		t.Fatalf("restored wear %d and %d, max %d", d2.wearOf(a), d2.wearOf(b), d2.MaxWear())
 	}
 	if st2 := d2.Snapshot(); len(st2.Wear) != 2 || st2.Wear[a] != st.Wear[a] || st2.Wear[b] != st.Wear[b] {
 		t.Fatalf("second snapshot wear = %v, want %v", st2.Wear, st.Wear)
@@ -82,8 +82,8 @@ func TestWearSaturatesAndRoundTrips(t *testing.T) {
 
 	st.Wear = map[addr.Phys]uint64{b: math.MaxUint32 + 7}
 	d2.Restore(st)
-	if d2.Wear(b) != math.MaxUint32 || d2.MaxWear() != math.MaxUint32 || d2.Wear(a) != 0 {
-		t.Fatalf("over-cap restore: wear %d and %d, max %d", d2.Wear(b), d2.Wear(a), d2.MaxWear())
+	if d2.wearOf(b) != math.MaxUint32 || d2.MaxWear() != math.MaxUint32 || d2.wearOf(a) != 0 {
+		t.Fatalf("over-cap restore: wear %d and %d, max %d", d2.wearOf(b), d2.wearOf(a), d2.MaxWear())
 	}
 }
 
@@ -141,7 +141,7 @@ func TestReadBlockCheckedDeliversSyndrome(t *testing.T) {
 
 	inj := &checkedInjector{}
 	d.SetInjector(inj)
-	if d.Injector() == nil {
+	if d.inj == nil {
 		t.Fatal("Injector accessor lost the injector")
 	}
 	_, oc := d.ReadBlockChecked(a, got)

@@ -1,13 +1,14 @@
 // Package obs is the machine's observability layer: a typed,
 // ring-buffered event bus that components emit into, with exporters to
 // the Chrome trace_event JSON format (chrome://tracing / Perfetto) and
-// a compact binary spill format for bounded-memory long runs.
+// a compact binary format, the one a non-.json -obs-trace file gets.
 //
 // The bus is designed to cost nothing when disabled: every component
 // holds a possibly-nil *Bus and calls Emit unconditionally; a nil
 // receiver returns immediately and the call is allocation-free (see
 // TestDisabledEmitAllocs). When enabled, events land in a preallocated
-// ring, so the steady-state enabled path is allocation-free too.
+// ring that drops its oldest event when full, so the steady-state
+// enabled path is allocation-free too.
 //
 // Determinism contract: a Bus is single-goroutine, like the machine it
 // observes. Under the parallel sweep engine each worker's machine gets
@@ -18,16 +19,14 @@
 // wall-clock time.
 package obs
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Kind identifies an event type.
 type Kind uint8
 
 // Event kinds. The numbering is part of the binary spill format; append
-// only.
+// only. No component emits EvCtrPrefetch or EvHugeFault any more; they
+// keep their numbers so that older spill files decode unchanged.
 const (
 	// EvShred: the controller executed a shred command for a page.
 	// Addr = physical page base.
@@ -43,8 +42,8 @@ const (
 	// EvCtrEvict: a dirty counter block was written back on eviction.
 	// Addr = physical page base of the victim.
 	EvCtrEvict
-	// EvCtrPrefetch: a neighboring counter block was prefetched.
-	// Addr = physical page base prefetched.
+	// EvCtrPrefetch: a neighboring counter block was prefetched (no
+	// longer emitted). Addr = physical page base prefetched.
 	EvCtrPrefetch
 	// EvReencrypt: a minor-counter wrap forced a page re-encryption.
 	// Addr = physical page base, Arg = blocks rewritten.
@@ -67,8 +66,8 @@ const (
 	EvCrash
 	EvRecover
 	// EvPageFault / EvCoWFault / EvHugeFault: kernel demand-fill,
-	// copy-on-write, and hugepage faults. Addr = faulting virtual
-	// address.
+	// copy-on-write, and (no longer emitted) huge-page faults. Addr =
+	// faulting virtual address.
 	EvPageFault
 	EvCoWFault
 	EvHugeFault
@@ -180,30 +179,21 @@ const DefaultRingCap = 1 << 20
 type Config struct {
 	// RingCap is the in-memory event capacity (DefaultRingCap if 0).
 	RingCap int
-	// Spill, when non-nil, receives the ring's contents in the binary
-	// spill format each time it fills, bounding memory for arbitrarily
-	// long runs. When nil, a full ring drops the oldest events instead
-	// (Dropped counts them).
-	Spill io.Writer
 }
 
-// Bus collects events from one machine. A nil *Bus is a valid,
-// permanently-disabled bus: all methods are no-ops. A non-nil Bus is
-// not safe for concurrent use; under the parallel sweep engine each
+// Bus collects events from one machine in a ring that, once full,
+// overwrites its oldest event (Dropped counts them). A nil *Bus is a
+// valid, permanently-disabled bus: all methods are no-ops. A non-nil Bus
+// is not safe for concurrent use; under the parallel sweep engine each
 // worker machine owns its own Bus.
 type Bus struct {
-	ring  []Event
-	n     int // events currently in ring
-	start int // index of oldest event (ring is circular when dropping)
-	seq   uint64
+	ring    []Event
+	start   int // index of the oldest event once the ring has wrapped
+	seq     uint64
+	dropped uint64 // events overwritten by a full ring
 
 	now  uint64
 	core int32
-
-	spill    io.Writer
-	spillErr error
-	spilled  uint64 // events written to spill
-	dropped  uint64 // events overwritten (no spill configured)
 }
 
 // NewBus creates an enabled bus.
@@ -212,11 +202,8 @@ func NewBus(cfg Config) *Bus {
 	if cap <= 0 {
 		cap = DefaultRingCap
 	}
-	return &Bus{ring: make([]Event, 0, cap), core: -1, spill: cfg.Spill}
+	return &Bus{ring: make([]Event, 0, cap), core: -1}
 }
-
-// Enabled reports whether the bus records events.
-func (b *Bus) Enabled() bool { return b != nil }
 
 // SetNow updates the bus's notion of current time: the issuing core and
 // its cycle count. Components emit relative to the most recent SetNow.
@@ -229,14 +216,6 @@ func (b *Bus) SetNow(core int, cycles uint64) {
 	b.now = cycles
 }
 
-// Now returns the bus's current cycle count (0 on a nil bus).
-func (b *Bus) Now() uint64 {
-	if b == nil {
-		return 0
-	}
-	return b.now
-}
-
 // Emit records one event at the current time. No-op (and
 // allocation-free) on a nil bus.
 func (b *Bus) Emit(kind Kind, addrOp, arg uint64) {
@@ -247,107 +226,38 @@ func (b *Bus) Emit(kind Kind, addrOp, arg uint64) {
 	b.seq++
 	if len(b.ring) < cap(b.ring) {
 		b.ring = append(b.ring, ev)
-		b.n = len(b.ring)
 		return
 	}
-	// Ring is full.
-	if b.spill != nil {
-		b.flushRingToSpill()
-		b.ring = b.ring[:1]
-		b.ring[0] = ev
-		b.n = 1
-		b.start = 0
-		return
-	}
-	// No spill: overwrite the oldest event.
+	// The ring is full: overwrite the oldest event.
 	b.ring[b.start] = ev
 	b.start = (b.start + 1) % len(b.ring)
 	b.dropped++
 }
 
-func (b *Bus) flushRingToSpill() {
-	if b.spillErr != nil {
-		b.spilled += uint64(b.n)
-		return
-	}
-	if err := writeSpill(b.spill, b.orderedRing()); err != nil {
-		b.spillErr = err
-	}
-	b.spilled += uint64(b.n)
-}
-
-// orderedRing returns the ring's events oldest-first. The returned
-// slice aliases internal storage when no wrap occurred.
-func (b *Bus) orderedRing() []Event {
-	if b.start == 0 {
-		return b.ring
-	}
-	out := make([]Event, 0, b.n)
-	out = append(out, b.ring[b.start:]...)
-	out = append(out, b.ring[:b.start]...)
-	return out
-}
-
-// Events returns the buffered events in emission order. When a spill
-// writer is configured the returned slice holds only events since the
-// last spill; call Flush first to push everything to the writer
-// instead. The slice is a copy and remains valid after further emits.
+// Events returns the buffered events in emission order. The slice is a
+// copy and remains valid after further emits.
 func (b *Bus) Events() []Event {
 	if b == nil {
 		return nil
 	}
-	ord := b.orderedRing()
-	out := make([]Event, len(ord))
-	copy(out, ord)
-	return out
+	out := make([]Event, 0, len(b.ring))
+	out = append(out, b.ring[b.start:]...)
+	return append(out, b.ring[:b.start]...)
 }
 
-// Flush writes any buffered events to the spill writer (no-op when no
-// spill is configured) and returns the first write error encountered
-// over the bus's lifetime.
-func (b *Bus) Flush() error {
-	if b == nil {
-		return nil
-	}
-	if b.spill != nil && b.n > 0 {
-		b.flushRingToSpill()
-		b.ring = b.ring[:0]
-		b.n = 0
-		b.start = 0
-	}
-	return b.spillErr
-}
-
-// Len returns the number of buffered (unspilled) events.
+// Len returns the number of buffered events.
 func (b *Bus) Len() int {
 	if b == nil {
 		return 0
 	}
-	return b.n
+	return len(b.ring)
 }
 
 // Dropped returns how many events were overwritten because the ring
-// filled with no spill writer configured.
+// filled.
 func (b *Bus) Dropped() uint64 {
 	if b == nil {
 		return 0
 	}
 	return b.dropped
-}
-
-// Spilled returns how many events were written to the spill writer.
-func (b *Bus) Spilled() uint64 {
-	if b == nil {
-		return 0
-	}
-	return b.spilled
-}
-
-// Seq returns the total number of events emitted over the bus's
-// lifetime (including spilled and dropped ones).
-func (b *Bus) Seq() uint64 {
-	if b == nil {
-		return 0
-	}
-	return b.seq
 }

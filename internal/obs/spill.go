@@ -19,51 +19,15 @@ import (
 //	18     8    Addr
 //	26     8    Arg
 //
-// The format is append-only: a writer may emit the header once and then
-// stream records in batches (the Bus does exactly that on ring
-// overflow), and files from multiple flushes concatenate trivially.
+// Streams concatenate: obscli writes one header and its records per run
+// into the same file, and DecodeSpill reads them back as one slice.
 
 var spillMagic = [8]byte{'S', 'S', 'O', 'B', 'S', 1, 0, 0}
 
 const spillRecordSize = 34
 
-// SpillWriter streams events to w in the binary spill format, writing
-// the header lazily on first use. It exists so CLIs can hand a Bus a
-// file-backed spill target with a single object owning header state.
-type SpillWriter struct {
-	w      io.Writer
-	wrote  bool
-	nawrit uint64
-}
-
-// NewSpillWriter wraps w.
-func NewSpillWriter(w io.Writer) *SpillWriter { return &SpillWriter{w: w} }
-
-// Write implements io.Writer; the Bus calls it with pre-encoded record
-// batches via writeSpill.
-func (sw *SpillWriter) Write(p []byte) (int, error) { return sw.w.Write(p) }
-
-// writeSpill encodes events and writes them to w. If w is a
-// *SpillWriter the magic header is emitted exactly once, before the
-// first record batch; any other writer receives the header on every
-// call only if it has not been wrapped (callers should wrap once).
-func writeSpill(w io.Writer, events []Event) error {
-	if sw, ok := w.(*SpillWriter); ok {
-		if !sw.wrote {
-			if _, err := sw.w.Write(spillMagic[:]); err != nil {
-				return err
-			}
-			sw.wrote = true
-		}
-		sw.nawrit += uint64(len(events))
-		return writeRecords(sw.w, events)
-	}
-	return writeRecords(w, events)
-}
-
 // EncodeSpill writes the full spill representation (header + records)
-// of events to w. Use this for one-shot encoding of an in-memory event
-// slice; for streaming use a SpillWriter as the Bus's Spill target.
+// of events to w.
 func EncodeSpill(w io.Writer, events []Event) error {
 	if _, err := w.Write(spillMagic[:]); err != nil {
 		return err
@@ -96,7 +60,7 @@ func writeRecords(w io.Writer, events []Event) error {
 
 // DecodeSpill reads a spill stream (header + records) back into an
 // event slice. It tolerates concatenated streams (repeated headers), as
-// produced by multiple flushes through distinct writers.
+// obscli writes one stream per run.
 func DecodeSpill(r io.Reader) ([]Event, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

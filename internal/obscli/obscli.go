@@ -265,8 +265,7 @@ func (f *Flags) writeSpans(w io.Writer, captures []Capture) error {
 	return nil
 }
 
-// writeEpochJSON merges every run into one JSON array (stats.EpochJSON
-// writes one array per call, which would not concatenate validly).
+// writeEpochJSON merges every run into one JSON array.
 func writeEpochJSON(w io.Writer, captures []Capture, cols []stats.EpochColumn) error {
 	ew := &errWriter{w: w}
 	ew.str("[\n")

@@ -68,10 +68,11 @@ func FuzzBankSchedule(f *testing.F) {
 		// machine-wide invariants (including the bank sweep) must hold.
 		m.Hier.FlushAll()
 		m.MC.Flush()
-		for b := 0; b < dev.NumBanks(); b++ {
-			if occ := dev.BankOccupancy(b); occ != 0 {
-				t.Fatalf("bank %d occupancy %d after flush, want 0", b, occ)
-			}
+		s := dev.StatsSet("nvm")
+		enq, _ := s.Get("wq_enqueued")
+		drained, _ := s.Get("wq_drained")
+		if enq != drained {
+			t.Fatalf("%v writes queued, %v drained after flush", enq, drained)
 		}
 		if err := m.RunInvariantSweep(); err != nil {
 			t.Fatal(err)

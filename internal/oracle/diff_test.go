@@ -10,6 +10,7 @@ package oracle_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"silentshredder/internal/addr"
@@ -143,11 +144,8 @@ func TestDifferentialFreedRegionsReadZeros(t *testing.T) {
 func TestCheckerReportsActivity(t *testing.T) {
 	w := oracle.Generate(oracle.DefaultGenConfig(5))
 	m, _ := replayChecked(t, personalities()[2], w)
-	c := m.Checker()
-	if c.Ops() == 0 || c.LoadsChecked() == 0 || c.Sweeps() == 0 {
-		t.Fatalf("checker idle: ops=%d loads=%d sweeps=%d", c.Ops(), c.LoadsChecked(), c.Sweeps())
-	}
-	if got := m.CheckReport(); got == "" {
-		t.Fatal("empty check report")
+	report := m.CheckReport()
+	if strings.Contains(report, " 0 ops") || strings.Contains(report, " 0 loads") || strings.Contains(report, " 0 invariant sweeps") {
+		t.Fatalf("checker idle: %s", report)
 	}
 }

@@ -47,7 +47,6 @@ type Oracle struct {
 	mem map[addr.VPageNum]*[addr.PageSize]byte
 	gen map[addr.VPageNum]uint64 // shred generation per virtual page
 
-	ops    uint64
 	checks uint64
 }
 
@@ -120,15 +119,8 @@ func (o *Oracle) ZeroRange(va addr.Virt, npages int) {
 	}
 }
 
-// Generation returns the shred generation of the page containing va: the
-// number of Free/ShredRange events that have architecturally zeroed it.
-func (o *Oracle) Generation(va addr.Virt) uint64 { return o.gen[va.Page()] }
-
 // Pages returns the number of materialized pages.
 func (o *Oracle) Pages() int { return len(o.mem) }
-
-// Ops returns the number of operations observed.
-func (o *Oracle) Ops() uint64 { return o.ops }
 
 // LoadsChecked returns the number of loads validated via CheckLoad/CheckBytes.
 func (o *Oracle) LoadsChecked() uint64 { return o.checks }
@@ -138,7 +130,6 @@ func (o *Oracle) LoadsChecked() uint64 { return o.checks }
 // because untouched memory already reads as zeros and the kernel's mmap
 // cursor never reuses virtual addresses.
 func (o *Oracle) Observe(op apprt.TraceOp) {
-	o.ops++
 	switch op.Kind {
 	case apprt.TraceStore:
 		// An 8-byte store. The machine translates only the first byte's
@@ -174,7 +165,6 @@ func (o *Oracle) Observe(op apprt.TraceOp) {
 // ObserveStoreBytes applies a bulk store (apprt.StoreBytes has no single
 // trace record; the runtime reports it chunk by chunk).
 func (o *Oracle) ObserveStoreBytes(va addr.Virt, data []byte) {
-	o.ops++
 	o.write(va, data)
 }
 

@@ -75,11 +75,11 @@ func TestFreeAndShredRangeZeroAndBumpGeneration(t *testing.T) {
 	o.Observe(apprt.TraceOp{Kind: apprt.TraceStore, VA: va, Arg: 0xDEAD})
 	o.Observe(apprt.TraceOp{Kind: apprt.TraceStore, VA: va + addr.PageSize, Arg: 0xBEEF})
 
-	if g := o.Generation(va); g != 0 {
+	if g := o.gen[va.Page()]; g != 0 {
 		t.Fatalf("initial generation = %d", g)
 	}
 	o.Observe(apprt.TraceOp{Kind: apprt.TraceShredRange, VA: va, Arg: 2})
-	if g := o.Generation(va); g != 1 {
+	if g := o.gen[va.Page()]; g != 1 {
 		t.Fatalf("generation after shred = %d", g)
 	}
 	if got := o.Read(va, 8); !bytes.Equal(got, make([]byte, 8)) {
@@ -89,7 +89,7 @@ func TestFreeAndShredRangeZeroAndBumpGeneration(t *testing.T) {
 	o.Observe(apprt.TraceOp{Kind: apprt.TraceStore, VA: va, Arg: 1})
 	// Free with a byte size that rounds up to whole pages.
 	o.Observe(apprt.TraceOp{Kind: apprt.TraceFree, VA: va, Arg: uint64(addr.PageSize + 1)})
-	if g := o.Generation(va + addr.PageSize); g != 2 {
+	if g := o.gen[(va + addr.PageSize).Page()]; g != 2 {
 		t.Fatalf("free must cover rounded-up pages, generation = %d", g)
 	}
 	if got := o.Read(va, 16); !bytes.Equal(got, make([]byte, 16)) {
@@ -218,8 +218,5 @@ func TestOracleSelfConsistentOverGeneratedStream(t *testing.T) {
 				t.Fatalf("freed region %v still holds data", r.VA)
 			}
 		}
-	}
-	if o.Ops() == 0 {
-		t.Fatal("ops not counted")
 	}
 }

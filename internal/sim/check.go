@@ -107,20 +107,14 @@ func (c *Checker) forProcess(p *kernel.Process) *procOracle {
 
 // Oracle returns the reference model for the given PID (nil if that
 // process never ran under this checker). Tests use it to inject
-// out-of-band architectural events (e.g. enclave teardown, which shreds
-// pages at the controller without any runtime operation).
+// out-of-band architectural events (e.g. a shred issued at the controller
+// without any runtime operation).
 func (c *Checker) Oracle(pid int) *oracle.Oracle {
 	if po, ok := c.oracles[pid]; ok {
 		return po.o
 	}
 	return nil
 }
-
-// Ops returns runtime operations observed across all processes.
-func (c *Checker) Ops() uint64 { return c.ops }
-
-// Sweeps returns invariant sweeps executed.
-func (c *Checker) Sweeps() uint64 { return c.sweeps }
 
 // LoadsChecked returns loads validated against the oracle.
 func (c *Checker) LoadsChecked() uint64 {

@@ -1,11 +1,12 @@
 package sim
 
 import (
-	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"silentshredder/internal/addr"
+	"silentshredder/internal/apprt"
 	"silentshredder/internal/kernel"
 	"silentshredder/internal/memctrl"
 )
@@ -54,172 +55,139 @@ func TestCheckedRuntimeVerifiesLoads(t *testing.T) {
 	if c == nil {
 		t.Fatal("no checker attached")
 	}
-	if c.LoadsChecked() == 0 || c.Ops() == 0 {
-		t.Fatalf("checker idle: loads=%d ops=%d", c.LoadsChecked(), c.Ops())
+	if c.LoadsChecked() == 0 || c.ops == 0 {
+		t.Fatalf("checker idle: loads=%d ops=%d", c.LoadsChecked(), c.ops)
 	}
-	if c.Sweeps() == 0 {
-		t.Fatalf("no sweeps after %d ops with CheckEvery=%d", c.Ops(), m.Cfg.CheckEvery)
+	if c.sweeps == 0 {
+		t.Fatalf("no sweeps after %d ops with CheckEvery=%d", c.ops, m.Cfg.CheckEvery)
 	}
 	if !strings.Contains(m.CheckReport(), "no violations") {
 		t.Fatalf("report = %q", m.CheckReport())
 	}
 }
 
-// TestSweepDetectsImageCorruption proves the net actually catches
-// divergence: a byte flipped in architectural memory behind the oracle's
-// back must fail the oracle/image agreement pass.
-func TestSweepDetectsImageCorruption(t *testing.T) {
-	m := MustNew(checkedTestConfig(memctrl.SilentShredder, kernel.ZeroShred))
-	rt := m.Runtime(0)
-	va := rt.Malloc(addr.PageSize)
-	rt.Store(va, 0x1122334455667788)
-	if err := m.RunInvariantSweep(); err != nil {
-		t.Fatalf("clean machine: %v", err)
+// TestSweepDetectsViolations plants one violation per row on a clean
+// checked machine and requires the net to catch it. Each machine holds
+// one written-back page at va, backed by frame ppn; a row's detect runs
+// the invariant sweep unless the violation is one a load must catch.
+func TestSweepDetectsViolations(t *testing.T) {
+	shred := func(m *Machine, rt *apprt.Runtime, va addr.Virt, ppn addr.PageNum) {
+		m.MC.Shred(ppn)
+		m.Hier.ShredInvalidate(ppn)
+		// Out-of-band architectural event: tell the oracle.
+		m.Checker().Oracle(rt.Process().PID).ZeroRange(va, 1)
 	}
-
-	pte, _ := rt.Process().AS.Lookup(va.Page())
-	m.Img.Write(pte.PPN.Addr(), []byte{0xEE}) // silent corruption
-	err := m.RunInvariantSweep()
-	if err == nil {
-		t.Fatal("corrupted image passed the sweep")
-	}
-	if !strings.Contains(err.Error(), "contract requires") {
-		t.Fatalf("unexpected violation: %v", err)
-	}
-}
-
-// TestSweepDetectsZeroPageCorruption: a write leaking through the shared
-// CoW zero page is visible to every process; the sweep must flag it.
-func TestSweepDetectsZeroPageCorruption(t *testing.T) {
-	m := MustNew(testConfig(memctrl.SilentShredder, kernel.ZeroShred))
-	if err := m.RunInvariantSweep(); err != nil {
-		t.Fatalf("clean machine: %v", err)
-	}
-	m.Img.Write(m.Kernel.ZeroPPN().Addr()+5, []byte{1})
-	if err := m.RunInvariantSweep(); err == nil {
-		t.Fatal("corrupted zero page passed the sweep")
-	} else if !strings.Contains(err.Error(), "zero page") {
-		t.Fatalf("unexpected violation: %v", err)
-	}
-}
-
-// TestSweepDetectsCounterRollback: rolling a counter back between sweeps
-// is the replay attack the integrity machinery exists to prevent; the
-// monotonicity pass must notice.
-func TestSweepDetectsCounterRollback(t *testing.T) {
-	m := MustNew(checkedTestConfig(memctrl.SilentShredder, kernel.ZeroShred))
-	rt := m.Runtime(0)
-	va := rt.Malloc(addr.PageSize)
-	rt.Store(va, 7)
-	pte, _ := rt.Process().AS.Lookup(va.Page())
-	m.Hier.FlushAll()
-	m.MC.Flush()
-	if err := m.RunInvariantSweep(); err != nil {
-		t.Fatalf("clean machine: %v", err)
-	}
-
-	// Snapshot, shred (major++), then roll the counter region back.
-	before := m.MC.CounterCache().SnapshotRegion()
-	m.MC.Shred(pte.PPN)
-	m.Hier.ShredInvalidate(pte.PPN)
-	// Out-of-band architectural event: tell the oracle.
-	m.Checker().Oracle(rt.Process().PID).ZeroRange(va, 1)
-	if err := m.RunInvariantSweep(); err != nil {
-		t.Fatalf("after shred: %v", err)
-	}
-	m.MC.CounterCache().RestoreRegion(before)
-	if err := m.RunInvariantSweep(); err == nil {
-		t.Fatal("counter rollback passed the sweep")
-	} else if !strings.Contains(err.Error(), "rolled back") {
-		t.Fatalf("unexpected violation: %v", err)
-	}
-}
-
-// TestHugePageShredUnderInvariantSweep drives the 2MB-page path (one
-// shred per 4KB frame, per §5) with the oracle attached and periodic
-// sweeps running.
-func TestHugePageShredUnderInvariantSweep(t *testing.T) {
-	cfg := checkedTestConfig(memctrl.SilentShredder, kernel.ZeroShred)
-	cfg.CheckEvery = 64
-	m := MustNew(cfg)
-	rt := m.Runtime(0)
-	base := m.Kernel.MmapHuge(rt.Process(), 1)
-
-	// First store faults the whole huge page in: 512 frames shredded.
-	rt.Store(base, 0xFEED)
-	if m.Kernel.HugeFaults() != 1 {
-		t.Fatalf("huge faults = %d", m.Kernel.HugeFaults())
-	}
-	// Touch frames across the huge page; every load is oracle-checked.
-	for i := 0; i < kernel.HugePages; i += 16 {
-		va := base + addr.Virt(i*addr.PageSize)
-		rt.Store(va, uint64(i))
-		if got := rt.Load(va); got != uint64(i) {
-			t.Fatalf("frame %d = %d", i, got)
+	sweep := func(t *testing.T, m *Machine) {
+		t.Helper()
+		if err := m.RunInvariantSweep(); err != nil {
+			t.Fatalf("unplanted state failed the sweep: %v", err)
 		}
 	}
-	// Shred a range inside the huge mapping through the syscall.
-	rt.ShredRange(base, 64)
-	if got := rt.LoadBytes(base, addr.BlockSize); !bytes.Equal(got, make([]byte, addr.BlockSize)) {
-		t.Fatalf("shredded huge frames read % x", got[:8])
+	rows := []struct {
+		name  string
+		plant func(t *testing.T, m *Machine, rt *apprt.Runtime, va addr.Virt, ppn addr.PageNum)
+		load  bool // detected by a checked load of va, not by the sweep
+		want  string
+	}{
+		{
+			// A byte flipped in architectural memory behind the oracle's
+			// back fails the oracle/image agreement pass.
+			name: "image-corruption",
+			plant: func(t *testing.T, m *Machine, rt *apprt.Runtime, va addr.Virt, ppn addr.PageNum) {
+				m.Img.Write(ppn.Addr(), []byte{0xEE})
+			},
+			want: "contract requires",
+		},
+		{
+			// A write leaking through the shared CoW zero page is visible
+			// to every process.
+			name: "zero-page-corruption",
+			plant: func(t *testing.T, m *Machine, rt *apprt.Runtime, va addr.Virt, ppn addr.PageNum) {
+				m.Img.Write(m.Kernel.ZeroPPN().Addr()+5, []byte{1})
+			},
+			want: "zero page",
+		},
+		{
+			// Rolling a shred's major counter back is the replay attack
+			// the integrity machinery exists to prevent.
+			name: "major-rollback",
+			plant: func(t *testing.T, m *Machine, rt *apprt.Runtime, va addr.Virt, ppn addr.PageNum) {
+				before := m.MC.CounterCache().SnapshotRegion()
+				shred(m, rt, va, ppn)
+				sweep(t, m)
+				m.MC.CounterCache().RestoreRegion(before)
+			},
+			want: "major counter rolled back",
+		},
+		{
+			// A write back bumps a minor counter; rolling it back under
+			// the same major is a replay too.
+			name: "minor-rollback",
+			plant: func(t *testing.T, m *Machine, rt *apprt.Runtime, va addr.Virt, ppn addr.PageNum) {
+				before := m.MC.CounterCache().SnapshotRegion()
+				rt.Store(va, 8)
+				m.Hier.FlushAll()
+				m.MC.Flush()
+				sweep(t, m)
+				m.MC.CounterCache().RestoreRegion(before)
+			},
+			want: "minor counter rolled back",
+		},
+		{
+			// A block under the reserved shredded minor counter that no
+			// cache holds must read as zeros.
+			name: "shredded-block-not-zero",
+			plant: func(t *testing.T, m *Machine, rt *apprt.Runtime, va addr.Virt, ppn addr.PageNum) {
+				shred(m, rt, va, ppn)
+				sweep(t, m)
+				m.Img.Write(ppn.BlockAddr(1), []byte{0xEE})
+			},
+			want: "reserved shredded counter",
+		},
+		{
+			// A load whose bytes differ from the oracle's panics at once.
+			// The block is cached first, so the controller's plaintext
+			// check on the NVM read does not catch it before the oracle.
+			name: "load-mismatch",
+			plant: func(t *testing.T, m *Machine, rt *apprt.Runtime, va addr.Virt, ppn addr.PageNum) {
+				rt.Load(va)
+				m.Img.Write(ppn.Addr(), []byte{0xEE})
+			},
+			load: true,
+			want: "architectural contract violated",
+		},
 	}
-	if err := m.RunInvariantSweep(); err != nil {
-		t.Fatalf("final sweep: %v", err)
-	}
-	if m.Checker().Sweeps() == 0 {
-		t.Fatal("no periodic sweeps ran")
-	}
-}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			m := MustNew(checkedTestConfig(memctrl.SilentShredder, kernel.ZeroShred))
+			rt := m.Runtime(0)
+			va := rt.Malloc(addr.PageSize)
+			rt.Store(va, 7)
+			pte, _ := rt.Process().AS.Lookup(va.Page())
+			m.Hier.FlushAll()
+			m.MC.Flush()
+			sweep(t, m)
 
-// TestEnclaveTeardownUnderInvariantSweep: enclave teardown shreds pages
-// at the controller with no runtime operation, so the test injects the
-// architectural event into the oracle out of band and then requires full
-// agreement — cached and evicted variants.
-func TestEnclaveTeardownUnderInvariantSweep(t *testing.T) {
-	const npages = 4
-	for _, p := range securityPersonalities() {
-		for _, evict := range []bool{false, true} {
-			variant := "cached"
-			if evict {
-				variant = "evicted"
+			row.plant(t, m, rt, va, pte.PPN)
+			var err error
+			if row.load {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							err = fmt.Errorf("%v", r)
+						}
+					}()
+					rt.Load(va)
+				}()
+			} else {
+				err = m.RunInvariantSweep()
 			}
-			t.Run(p.name+"/"+variant, func(t *testing.T) {
-				m := MustNew(checkedTestConfig(p.mode, p.zm))
-				rt := m.Runtime(0)
-				proc := rt.Process()
-				va := rt.Malloc(npages * addr.PageSize)
-				for i := 0; i < npages; i++ {
-					rt.StoreBytes(va+addr.Virt(i*addr.PageSize), secretBlock)
-				}
-				e, err := m.Kernel.CreateEnclave(0, proc, va, npages)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if e.Pages() != npages {
-					t.Fatalf("enclave pages = %d", e.Pages())
-				}
-				if evict {
-					m.Hier.FlushAll()
-					m.MC.Flush()
-				}
-
-				if lat := m.Kernel.DestroyEnclave(e); lat == 0 {
-					t.Fatal("teardown must cost cycles")
-				}
-				// The hardware shredded the pages; tell the oracle.
-				m.Checker().Oracle(proc.PID).ZeroRange(va, npages)
-
-				if err := m.RunInvariantSweep(); err != nil {
-					t.Fatalf("sweep after teardown: %v", err)
-				}
-				got := rt.LoadBytes(va, npages*addr.PageSize)
-				if !bytes.Equal(got, make([]byte, len(got))) {
-					t.Fatalf("enclave memory survived teardown: % x ...", got[:16])
-				}
-				if m.Kernel.EnclavePagesShredded() != npages {
-					t.Fatalf("pages shredded = %d", m.Kernel.EnclavePagesShredded())
-				}
-			})
-		}
+			if err == nil {
+				t.Fatal("planted violation went undetected")
+			}
+			if !strings.Contains(err.Error(), row.want) {
+				t.Fatalf("violation %q, want one naming %q", err, row.want)
+			}
+		})
 	}
 }

@@ -58,11 +58,12 @@ func TestPostShredReadsNeverLeakSecrets(t *testing.T) {
 					m.MC.Flush()
 				}
 
-				freeBefore := m.Source.FreePages()
-				m.Kernel.ExitProcess(procA)
-				if got := m.Source.FreePages(); got != freeBefore+npages {
-					t.Fatalf("exit freed %d pages, want %d", got-freeBefore, npages)
+				victim := make(map[addr.PageNum]bool, npages)
+				for i := 0; i < npages; i++ {
+					pte, _ := procA.AS.Lookup((va + addr.Virt(i*addr.PageSize)).Page())
+					victim[pte.PPN] = true
 				}
+				m.Kernel.ExitProcess(procA)
 
 				// Attacker process allocates; the LIFO free list hands it
 				// the victim's physical frames.
@@ -73,8 +74,11 @@ func TestPostShredReadsNeverLeakSecrets(t *testing.T) {
 					// reuses (and must shred/zero) a freed frame.
 					rtB.Store(vb+addr.Virt(i*addr.PageSize), 0)
 				}
-				if got := m.Source.FreePages(); got != freeBefore {
-					t.Fatalf("reuse did not consume the freed frames: free list %d, want %d", got, freeBefore)
+				for i := 0; i < npages; i++ {
+					pte, _ := rtB.Process().AS.Lookup((vb + addr.Virt(i*addr.PageSize)).Page())
+					if !victim[pte.PPN] {
+						t.Fatalf("page %d: frame %d is not one the victim freed", i, pte.PPN)
+					}
 				}
 
 				// Every byte the attacker can read must be zero — never

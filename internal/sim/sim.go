@@ -346,26 +346,6 @@ func (m *Machine) Crash() {
 	m.Kernel.RecoverJournal()
 }
 
-// ResetStats clears all statistics (cores, caches, controller, device,
-// kernel) without disturbing architectural state — used to exclude
-// warmup from measurement, like the paper's checkpoint-based sampling.
-func (m *Machine) ResetStats() {
-	for _, c := range m.Cores {
-		c.Reset()
-	}
-	m.Hier.ResetStats()
-	m.MC.ResetStats()
-	m.Kernel.ResetStats()
-	if m.Injector != nil {
-		m.Injector.ResetStats()
-	}
-	for i := 0; i < m.Cfg.Hier.Cores; i++ {
-		// The per-core TLB stats are part of the registry (tlb0..tlbN), so
-		// a measurement-phase reset must cover them too.
-		m.Kernel.TLB(i).ResetStats()
-	}
-}
-
 // Snapshot captures every component's statistics as plain values that are
 // safe to send across goroutine boundaries (see stats.Snapshot). The
 // parallel sweep harness uses this: the Machine stays confined to its

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"silentshredder/internal/addr"
+	"silentshredder/internal/fault"
 	"silentshredder/internal/hier"
 	"silentshredder/internal/kernel"
 	"silentshredder/internal/memctrl"
@@ -91,7 +93,7 @@ func TestMachineEndToEnd(t *testing.T) {
 	if !bytes.Equal(got, []byte("hello world")) {
 		t.Fatalf("round trip = %q", got)
 	}
-	if m.Kernel.PageFaults() == 0 {
+	if v, _ := m.Snapshot().Lookup("kernel.page_faults"); v == 0 {
 		t.Fatal("first touch must fault")
 	}
 	if m.TotalInstructions() == 0 || m.MaxCycles() == 0 {
@@ -151,30 +153,16 @@ func TestShredMachineAvoidsZeroWrites(t *testing.T) {
 	}
 }
 
-func TestResetStatsPreservesState(t *testing.T) {
-	m := MustNew(testConfig(memctrl.SilentShredder, kernel.ZeroShred))
-	rt := m.Runtime(0)
-	va := rt.Malloc(addr.PageSize)
-	rt.Store(va, 42)
-	m.ResetStats()
-	if m.TotalInstructions() != 0 || m.Kernel.PageFaults() != 0 {
-		t.Fatal("stats not cleared")
-	}
-	if rt.Load(va) != 42 {
-		t.Fatal("architectural state lost by ResetStats")
-	}
-}
-
 func TestRegistryExposesComponents(t *testing.T) {
 	m := MustNew(testConfig(memctrl.SilentShredder, kernel.ZeroShred))
 	rt := m.Runtime(0)
 	rt.Store(rt.Malloc(addr.PageSize), 1)
-	r := m.Registry()
+	snap := m.Snapshot()
 	for _, path := range []string{
 		"core0.instructions", "memctrl.shred_commands", "kernel.page_faults",
 		"nvm.writes", "ctrcache.misses", "hier.llc_misses", "tlb0.misses",
 	} {
-		if _, ok := r.Lookup(path); !ok {
+		if _, ok := snap.Lookup(path); !ok {
 			t.Errorf("registry missing %s", path)
 		}
 	}
@@ -215,10 +203,67 @@ func TestTimingOnlyMode(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		rt.Store(va+addr.Virt(i*addr.PageSize), 7)
 	}
-	if m.Kernel.PageFaults() != 16 {
-		t.Fatalf("faults = %d", m.Kernel.PageFaults())
+	if v, _ := m.Snapshot().Lookup("kernel.page_faults"); v != 16 {
+		t.Fatalf("faults = %v", v)
 	}
 	if m.Img.Enabled() {
 		t.Fatal("image must be disabled")
+	}
+}
+
+// TestRegistryPathsStable guards the stat paths the epoch exporter's
+// default columns depend on (obscli.DefaultColumns): renaming one would
+// silently flatline the exported series.
+func TestRegistryPathsStable(t *testing.T) {
+	m := MustNew(testConfig(memctrl.SilentShredder, kernel.ZeroShred))
+	reg := m.Snapshot()
+	for _, path := range []string{
+		"memctrl.shred_commands",
+		"memctrl.writes_avoided",
+		"memctrl.zero_fill_reads",
+		"ctrcache.hits",
+		"ctrcache.misses",
+		"nvm.writes",
+		"kernel.page_faults",
+	} {
+		if _, ok := reg.Lookup(path); !ok {
+			t.Errorf("registry path %q missing", path)
+		}
+	}
+	// lines_retired is conditional on ECC; make sure the default machine
+	// does NOT register it (dump stability) …
+	if _, ok := reg.Lookup("memctrl.lines_retired"); ok {
+		t.Error("memctrl.lines_retired registered on a perfect-device machine")
+	}
+	// … and a faulty machine does.
+	cfg := testConfig(memctrl.SilentShredder, kernel.ZeroShred)
+	cfg.VerifyPlaintext = false
+	cfg.Faults = fault.Config{Seed: 1, StuckPerWrite: 1e-4}
+	fm := MustNew(cfg)
+	if _, ok := fm.Snapshot().Lookup("memctrl.lines_retired"); !ok {
+		t.Error("memctrl.lines_retired missing on an ECC machine")
+	}
+	// Dump must not mention obs anywhere: observability adds no stats.
+	if s := fm.Snapshot().Dump(); strings.Contains(s, "obs") {
+		t.Errorf("registry dump mentions obs:\n%s", s)
+	}
+	// Banked-model stats are conditional on BankQueueDepth the same way
+	// ECC stats are conditional on faults: absent on the default machine
+	// (dump stability) …
+	if _, ok := reg.Lookup("nvm.wq_enqueued"); ok {
+		t.Error("nvm.wq_enqueued registered on a legacy-model machine")
+	}
+	// … and present once the banked scheduler is enabled.
+	bcfg := testConfig(memctrl.SilentShredder, kernel.ZeroShred)
+	bcfg.NVM.BankQueueDepth = 8
+	bm := MustNew(bcfg)
+	for _, path := range []string{
+		"nvm.wq_enqueued", "nvm.wq_drained", "nvm.wq_drain_stalls",
+		"nvm.read_around_writes", "nvm.wq_occupancy_mean",
+		"nvm.wq_occupancy_max", "nvm.wq_occupancy_p99",
+	} {
+		if _, ok := bm.Snapshot().Lookup(path); !ok {
+			t.Errorf("registry path %q missing on a banked-model machine", path)
+		}
 	}
 }

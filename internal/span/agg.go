@@ -67,42 +67,6 @@ func (a *Agg) observe(sp *Span) {
 	}
 }
 
-// Merge folds another aggregate into this one (the sweep collector
-// merges per-worker aggregates in submission order).
-func (a *Agg) Merge(b *Agg) {
-	if b == nil {
-		return
-	}
-	mergeTable(&a.Total, &b.Total)
-	for id, t := range b.tenants {
-		if a.tenants == nil {
-			a.tenants = make(map[int32]*[OpCount]OpAgg)
-		}
-		dst := a.tenants[id]
-		if dst == nil {
-			dst = new([OpCount]OpAgg)
-			a.tenants[id] = dst
-		}
-		mergeTable(dst, t)
-	}
-}
-
-func mergeTable(dst, src *[OpCount]OpAgg) {
-	for op := range src {
-		s := &src[op]
-		if s.Count == 0 {
-			continue
-		}
-		d := &dst[op]
-		d.Count += s.Count
-		d.Cycles += s.Cycles
-		for l, c := range s.Seg {
-			d.Seg[l] += c
-		}
-		d.Hist.Merge(&s.Hist)
-	}
-}
-
 // Tenants returns the tenant ids with recorded spans, ascending.
 func (a *Agg) Tenants() []int32 {
 	ids := make([]int32, 0, len(a.tenants))
@@ -117,15 +81,6 @@ func (a *Agg) Tenants() []int32 {
 // spans).
 func (a *Agg) Tenant(id int32) *[OpCount]OpAgg {
 	return a.tenants[id]
-}
-
-// Spans returns the total number of spans folded into the aggregate.
-func (a *Agg) Spans() uint64 {
-	var n uint64
-	for op := range a.Total {
-		n += a.Total[op].Count
-	}
-	return n
 }
 
 // breakdownRow flattens one (tenant, op) cell for export.
@@ -215,12 +170,6 @@ func (a *Agg) WriteBreakdownCSV(w io.Writer, run string, header bool) error {
 		}
 	}
 	return nil
-}
-
-// WriteBreakdownJSON renders the aggregate as a JSON array of
-// per-(tenant, op) breakdown objects in the same order as the CSV.
-func (a *Agg) WriteBreakdownJSON(w io.Writer, run string) error {
-	return WriteBreakdownJSONRuns(w, []NamedAgg{{Run: run, Agg: a}})
 }
 
 // NamedAgg pairs a run label with its aggregate for merged multi-run

@@ -191,9 +191,6 @@ func NewRecorder(cfg Config) *Recorder {
 	return &Recorder{ring: make([]Span, 0, cap), core: -1, tenant: -1}
 }
 
-// Enabled reports whether the recorder records spans.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // SetNow updates the recorder's notion of current time: the issuing
 // core and its cycle count. No-op on a nil recorder.
 func (r *Recorder) SetNow(core int, cycles uint64) {
@@ -325,15 +322,6 @@ func (r *Recorder) Dropped() uint64 {
 		return 0
 	}
 	return r.dropped
-}
-
-// Seq returns the total number of spans completed over the recorder's
-// lifetime (including dropped ones).
-func (r *Recorder) Seq() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.seq
 }
 
 // Aggregate returns the recorder's running per-op-class attribution

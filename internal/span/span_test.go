@@ -19,8 +19,6 @@ func TestDisabledSpanAllocs(t *testing.T) {
 		r.Attribute(LayerCtrCache, 90, mk)
 		r.End(150)
 		_ = r.Dropped()
-		_ = r.Seq()
-		_ = r.Enabled()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled span path allocates: %v allocs/op", allocs)
@@ -143,8 +141,8 @@ func TestRingDropOldest(t *testing.T) {
 	if len(spans) != 2 || spans[0].Addr != 3 || spans[1].Addr != 4 {
 		t.Fatalf("ring contents: %+v", spans)
 	}
-	if r.Seq() != 5 {
-		t.Fatalf("seq = %d, want 5", r.Seq())
+	if r.seq != 5 {
+		t.Fatalf("seq = %d, want 5", r.seq)
 	}
 	// The aggregate still covers every span, dropped or not.
 	if got := r.Aggregate().Total[OpRead].Count; got != 5 {
@@ -204,39 +202,6 @@ func TestTenantAggregation(t *testing.T) {
 	}
 }
 
-func TestAggMerge(t *testing.T) {
-	a := NewRecorder(Config{})
-	a.SetTenant(1)
-	a.Begin(OpRead, 0)
-	a.Add(LayerDevice, 60)
-	a.End(60)
-
-	b := NewRecorder(Config{})
-	b.SetTenant(1)
-	b.Begin(OpRead, 0)
-	b.Add(LayerDevice, 60)
-	b.End(60)
-	b.SetTenant(2)
-	b.Begin(OpWrite, 0)
-	b.End(150)
-
-	var merged Agg
-	merged.Merge(a.Aggregate())
-	merged.Merge(b.Aggregate())
-	if merged.Total[OpRead].Count != 2 || merged.Total[OpRead].Seg[LayerDevice] != 120 {
-		t.Fatalf("merged reads: %+v", merged.Total[OpRead])
-	}
-	if merged.Total[OpRead].Hist.Count() != 2 {
-		t.Fatalf("merged histogram count: %d", merged.Total[OpRead].Hist.Count())
-	}
-	if merged.Tenant(1)[OpRead].Count != 2 || merged.Tenant(2)[OpWrite].Count != 1 {
-		t.Fatalf("merged tenants: %v", merged.Tenants())
-	}
-	if merged.Spans() != 3 {
-		t.Fatalf("merged spans = %d, want 3", merged.Spans())
-	}
-}
-
 func TestBreakdownExportDeterminism(t *testing.T) {
 	r := NewRecorder(Config{})
 	r.SetTenant(2)
@@ -281,7 +246,7 @@ func TestBreakdownExportDeterminism(t *testing.T) {
 	}
 
 	var j strings.Builder
-	if err := r.Aggregate().WriteBreakdownJSON(&j, "run0"); err != nil {
+	if err := WriteBreakdownJSONRuns(&j, []NamedAgg{{Run: "run0", Agg: r.Aggregate()}}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(j.String(), `"tenant": "all"`) || !strings.Contains(j.String(), `"op": "shred"`) {
@@ -293,7 +258,7 @@ func TestBreakdownExportDeterminism(t *testing.T) {
 func TestBreakdownJSONEmpty(t *testing.T) {
 	var a Agg
 	var b strings.Builder
-	if err := a.WriteBreakdownJSON(&b, "x"); err != nil {
+	if err := WriteBreakdownJSONRuns(&b, []NamedAgg{{Run: "x", Agg: &a}}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.TrimSpace(b.String()) != "[]" {

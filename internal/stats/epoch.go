@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -79,15 +78,6 @@ func (s *EpochSampler) ExtraNames() []string {
 		}
 	}
 	return out
-}
-
-// Interval returns the sampling interval in cycles (0 on a nil
-// sampler).
-func (s *EpochSampler) Interval() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.every
 }
 
 // Tick advances machine time to now (monotonic max) and samples once if
@@ -200,18 +190,9 @@ func formatEpochValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', 6, 64)
 }
 
-// EpochCSV writes the series as CSV: a header row ("run,epoch,cycles"
-// plus column names) then one row per epoch. run labels the series so
-// multiple runs concatenate into one file.
-func EpochCSV(w io.Writer, run string, epochs []Epoch, cols []EpochColumn) error {
-	if err := EpochCSVHeader(w, cols); err != nil {
-		return err
-	}
-	return EpochCSVRows(w, run, epochs, cols)
-}
-
-// EpochCSVHeader writes only the header row — call once, then
-// EpochCSVRows per run, to merge several runs into one file.
+// EpochCSVHeader writes the CSV header row ("run,epoch,cycles" plus
+// column names). Call it once, then EpochCSVRows per run, to merge
+// several runs into one file.
 func EpochCSVHeader(w io.Writer, cols []EpochColumn) error {
 	ew := &epochErrWriter{w: w}
 	ew.str("run,epoch,cycles")
@@ -240,28 +221,6 @@ func EpochCSVRows(w io.Writer, run string, epochs []Epoch, cols []EpochColumn) e
 		ew.str("\n")
 	}
 	return ew.err
-}
-
-// EpochJSON writes the series as a JSON array of objects with run,
-// epoch, cycles and one key per column.
-func EpochJSON(w io.Writer, run string, epochs []Epoch, cols []EpochColumn) error {
-	type row struct {
-		Run    string             `json:"run"`
-		Epoch  uint64             `json:"epoch"`
-		Cycles uint64             `json:"cycles"`
-		Values map[string]float64 `json:"values"`
-	}
-	rows := make([]row, 0, len(epochs))
-	for i, ep := range epochs {
-		vals := make(map[string]float64, len(cols))
-		for _, c := range cols {
-			vals[c.Name] = c.Value(i, epochs)
-		}
-		rows = append(rows, row{Run: run, Epoch: ep.Index, Cycles: ep.Cycles, Values: vals})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
 }
 
 type epochErrWriter struct {

@@ -28,8 +28,8 @@ func epochFixture() (*Registry, *Counter, *Histogram, *EpochSampler) {
 
 func TestEpochSamplerBoundaries(t *testing.T) {
 	_, c, _, s := epochFixture()
-	if s.Interval() != 100 {
-		t.Fatalf("interval = %d", s.Interval())
+	if s.every != 100 {
+		t.Fatalf("interval = %d", s.every)
 	}
 	c.Add(1)
 	s.Tick(10) // before first boundary: no sample
@@ -96,7 +96,7 @@ func TestNilEpochSampler(t *testing.T) {
 	s.Tick(100)
 	s.Finish(200)
 	s.TrackHistogram("x", &Histogram{}, []float64{0.5})
-	if s.Epochs() != nil || s.Interval() != 0 || s.ExtraNames() != nil {
+	if s.Epochs() != nil || s.ExtraNames() != nil {
 		t.Fatal("nil sampler not inert")
 	}
 }
@@ -130,22 +130,13 @@ func TestEpochCSVGolden(t *testing.T) {
 		PathColumn("mc.missing_stat"), // absent paths export 0
 	}
 	var buf bytes.Buffer
-	if err := EpochCSV(&buf, "unit", s.Epochs(), cols); err != nil {
+	if err := EpochCSVHeader(&buf, cols); err != nil {
+		t.Fatal(err)
+	}
+	if err := EpochCSVRows(&buf, "unit", s.Epochs(), cols); err != nil {
 		t.Fatal(err)
 	}
 	compareGolden(t, filepath.Join("testdata", "epoch_golden.csv"), buf.Bytes())
-
-	// Header-once + rows composition must equal the one-shot form.
-	var split bytes.Buffer
-	if err := EpochCSVHeader(&split, cols); err != nil {
-		t.Fatal(err)
-	}
-	if err := EpochCSVRows(&split, "unit", s.Epochs(), cols); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(split.Bytes(), buf.Bytes()) {
-		t.Fatal("EpochCSVHeader+Rows differs from EpochCSV")
-	}
 }
 
 // TestExtraColumnEdgeCases: a tracked-histogram column whose index does
@@ -196,28 +187,14 @@ func TestExtraColumnEdgeCases(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	cols := []EpochColumn{PathColumn("mc.writes"), ExtraColumn("lat_p50", 0), ExtraColumn("bogus", -3)}
-	if err := EpochCSV(&buf, "bare", bareEps, cols); err != nil {
+	if err := EpochCSVHeader(&buf, cols); err != nil {
+		t.Fatal(err)
+	}
+	if err := EpochCSVRows(&buf, "bare", bareEps, cols); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := buf.String(), "run,epoch,cycles,mc.writes,lat_p50,bogus\nbare,0,10,1,0,0\n"; got != want {
 		t.Fatalf("bare CSV = %q, want %q", got, want)
-	}
-}
-
-func TestEpochJSONWellFormed(t *testing.T) {
-	_, c, _, s := epochFixture()
-	c.Add(3)
-	s.Tick(100)
-	s.Finish(110)
-	var buf bytes.Buffer
-	if err := EpochJSON(&buf, "r", s.Epochs(), []EpochColumn{PathColumn("mc.writes")}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{`"run": "r"`, `"cycles": 100`, `"mc.writes": 3`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("JSON missing %q:\n%s", want, out)
-		}
 	}
 }
 

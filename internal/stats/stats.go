@@ -40,12 +40,6 @@ func (m *Mean) Observe(v float64) {
 	m.count++
 }
 
-// ObserveN records a sample value v occurring n times.
-func (m *Mean) ObserveN(v float64, n uint64) {
-	m.sum += v * float64(n)
-	m.count += n
-}
-
 // Mean returns the running mean, or 0 when no samples were observed.
 func (m *Mean) Mean() float64 {
 	if m.count == 0 {
@@ -53,12 +47,6 @@ func (m *Mean) Mean() float64 {
 	}
 	return m.sum / float64(m.count)
 }
-
-// Count returns the number of samples.
-func (m *Mean) Count() uint64 { return m.count }
-
-// Sum returns the total of all samples.
-func (m *Mean) Sum() float64 { return m.sum }
 
 // Reset clears all samples.
 func (m *Mean) Reset() { m.sum, m.count = 0, 0 }
@@ -107,21 +95,6 @@ func bucket(v float64) int {
 // method (rather than the struct-replace idiom) lets ResetStats clear them
 // without copying, and keeps any future non-resettable fields safe.
 func (h *Histogram) Reset() { *h = Histogram{} }
-
-// Merge folds another histogram's samples into this one. Buckets,
-// totals, sums, and the running max combine exactly, so merging
-// per-worker histograms in submission order yields the same result as
-// observing every sample on a single histogram.
-func (h *Histogram) Merge(o *Histogram) {
-	for i, n := range o.buckets {
-		h.buckets[i] += n
-	}
-	h.total += o.total
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-}
 
 // Count returns the number of samples observed.
 func (h *Histogram) Count() uint64 { return h.total }
@@ -264,13 +237,6 @@ func (s *Set) Get(name string) (float64, bool) {
 	return f(), true
 }
 
-// Names returns stat names in registration order.
-func (s *Set) Names() []string {
-	out := make([]string, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
 // String renders the set as "name{stat=value, ...}".
 func (s *Set) String() string {
 	var b strings.Builder
@@ -292,45 +258,6 @@ type Registry struct {
 
 // Register adds a component's statistics set.
 func (r *Registry) Register(s *Set) { r.sets = append(r.sets, s) }
-
-// Sets returns all registered sets in registration order.
-func (r *Registry) Sets() []*Set {
-	out := make([]*Set, len(r.sets))
-	copy(out, r.sets)
-	return out
-}
-
-// Lookup returns the value of "component.stat", e.g. "nvm.writes".
-func (r *Registry) Lookup(path string) (float64, bool) {
-	dot := strings.LastIndex(path, ".")
-	if dot < 0 {
-		return 0, false
-	}
-	comp, stat := path[:dot], path[dot+1:]
-	for _, s := range r.sets {
-		if s.name == comp {
-			if v, ok := s.Get(stat); ok {
-				return v, true
-			}
-		}
-	}
-	return 0, false
-}
-
-// Dump renders every registered set, one stat per line, sorted by
-// component name for stable output.
-func (r *Registry) Dump() string {
-	sets := r.Sets()
-	sort.SliceStable(sets, func(i, j int) bool { return sets[i].name < sets[j].name })
-	var b strings.Builder
-	for _, s := range sets {
-		for _, n := range s.Names() {
-			v, _ := s.Get(n)
-			fmt.Fprintf(&b, "%s.%s = %.6g\n", s.name, n, v)
-		}
-	}
-	return b.String()
-}
 
 // SnapshotStat is one captured statistic value.
 type SnapshotStat struct {
@@ -370,8 +297,8 @@ func (r *Registry) Snapshot() Snapshot {
 	return out
 }
 
-// Lookup returns the captured value of "component.stat", mirroring
-// Registry.Lookup.
+// Lookup returns the captured value of "component.stat", e.g.
+// "nvm.writes".
 func (s Snapshot) Lookup(path string) (float64, bool) {
 	dot := strings.LastIndex(path, ".")
 	if dot < 0 {
@@ -391,10 +318,9 @@ func (s Snapshot) Lookup(path string) (float64, bool) {
 	return 0, false
 }
 
-// Dump renders the snapshot in exactly Registry.Dump's format (one stat
-// per line, sets sorted by component name), so a run's output is
-// byte-identical whether it was printed live or captured, shipped across
-// a channel, and printed by the collector.
+// Dump renders the snapshot one stat per line, sets sorted by component
+// name, so a run's output is the same bytes however the snapshot travelled
+// from its machine to the printer.
 func (s Snapshot) Dump() string {
 	sets := make([]SnapshotSet, len(s.Sets))
 	copy(sets, s.Sets)

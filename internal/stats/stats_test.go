@@ -28,14 +28,18 @@ func TestMean(t *testing.T) {
 	if m.Mean() != 0 {
 		t.Fatal("empty mean must be 0")
 	}
-	m.Observe(2)
-	m.Observe(4)
-	m.ObserveN(6, 2)
+	for _, v := range []float64{2, 4, 6, 6} {
+		m.Observe(v)
+	}
 	if got := m.Mean(); got != 4.5 {
 		t.Fatalf("Mean = %v", got)
 	}
-	if m.Count() != 4 || m.Sum() != 18 {
-		t.Fatalf("Count/Sum = %d/%v", m.Count(), m.Sum())
+	if m.count != 4 || m.sum != 18 {
+		t.Fatalf("count/sum = %d/%v", m.count, m.sum)
+	}
+	m.Reset()
+	if m.Mean() != 0 || m.count != 0 {
+		t.Fatal("Reset kept samples")
 	}
 }
 
@@ -149,22 +153,26 @@ func TestSetAndRegistry(t *testing.T) {
 	if _, ok := s.Get("missing"); ok {
 		t.Fatal("missing stat must not resolve")
 	}
-	if got := s.Names(); len(got) != 3 || got[0] != "writes" {
-		t.Fatalf("Names = %v", got)
+	if got := s.order; len(got) != 3 || got[0] != "writes" {
+		t.Fatalf("names = %v", got)
+	}
+	if got, want := s.String(), "nvm{writes=7, lat=10, two=2}"; s.Name() != "nvm" || got != want {
+		t.Fatalf("set %q renders %q, want nvm and %q", s.Name(), got, want)
 	}
 
 	var r Registry
 	r.Register(s)
-	if v, ok := r.Lookup("nvm.lat"); !ok || v != 10 {
+	snap := r.Snapshot()
+	if v, ok := snap.Lookup("nvm.lat"); !ok || v != 10 {
 		t.Fatalf("Lookup = %v %v", v, ok)
 	}
-	if _, ok := r.Lookup("nope.writes"); ok {
+	if _, ok := snap.Lookup("nope.writes"); ok {
 		t.Fatal("unknown component must not resolve")
 	}
-	if _, ok := r.Lookup("noDot"); ok {
+	if _, ok := snap.Lookup("noDot"); ok {
 		t.Fatal("path without dot must not resolve")
 	}
-	dump := r.Dump()
+	dump := snap.Dump()
 	if !strings.Contains(dump, "nvm.writes = 7") {
 		t.Fatalf("Dump missing counter: %q", dump)
 	}
@@ -174,8 +182,8 @@ func TestSetDuplicateRegistration(t *testing.T) {
 	s := NewSet("x")
 	s.RegisterFunc("v", func() float64 { return 1 })
 	s.RegisterFunc("v", func() float64 { return 2 })
-	if got := len(s.Names()); got != 1 {
-		t.Fatalf("duplicate names registered: %v", s.Names())
+	if got := len(s.order); got != 1 {
+		t.Fatalf("duplicate names registered: %v", s.order)
 	}
 	if v, _ := s.Get("v"); v != 2 {
 		t.Fatalf("later registration must win, got %v", v)
@@ -252,14 +260,16 @@ func newTestRegistry() *Registry {
 func TestSnapshotMatchesRegistry(t *testing.T) {
 	r := newTestRegistry()
 	snap := r.Snapshot()
-	if got, want := snap.Dump(), r.Dump(); got != want {
-		t.Fatalf("Snapshot.Dump differs from Registry.Dump:\n%q\n%q", got, want)
+	if got, want := snap.Dump(), "alpha.ratio = 0.25\nalpha.count = 12\nbeta.writes = 3\n"; got != want {
+		t.Fatalf("Snapshot.Dump = %q, want %q", got, want)
 	}
-	for _, path := range []string{"beta.writes", "alpha.ratio", "alpha.count"} {
-		want, _ := r.Lookup(path)
-		got, ok := snap.Lookup(path)
-		if !ok || got != want {
-			t.Fatalf("Snapshot.Lookup(%q) = %v %v, want %v", path, got, ok, want)
+	for _, tc := range []struct {
+		path string
+		want float64
+	}{{"beta.writes", 3}, {"alpha.ratio", 0.25}, {"alpha.count", 12}} {
+		got, ok := snap.Lookup(tc.path)
+		if !ok || got != tc.want {
+			t.Fatalf("Snapshot.Lookup(%q) = %v %v, want %v", tc.path, got, ok, tc.want)
 		}
 	}
 	if _, ok := snap.Lookup("alpha.missing"); ok {
@@ -281,7 +291,7 @@ func TestSnapshotIsImmutableCapture(t *testing.T) {
 	if v, _ := snap.Lookup("live.n"); v != 0 {
 		t.Fatalf("snapshot value moved with the live counter: %v", v)
 	}
-	if v, _ := r.Lookup("live.n"); v != 100 {
+	if v, _ := s.Get("n"); v != 100 {
 		t.Fatalf("registry must stay live: %v", v)
 	}
 }

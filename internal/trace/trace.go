@@ -109,25 +109,6 @@ func (r *Reader) Next() (apprt.TraceOp, error) {
 	}, nil
 }
 
-// ReadAll decodes an entire trace.
-func ReadAll(r io.Reader) ([]apprt.TraceOp, error) {
-	tr, err := NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	var ops []apprt.TraceOp
-	for {
-		op, err := tr.Next()
-		if err == io.EOF {
-			return ops, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		ops = append(ops, op)
-	}
-}
-
 // Replay executes one record against a runtime. Memset records carry the
 // value and temporal/NT choice packed in Arg (size<<9 | nt<<8 | value).
 // The dispatch lives on the runtime itself (apprt.Runtime.Apply) so that

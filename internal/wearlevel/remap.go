@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"silentshredder/internal/addr"
-	"silentshredder/internal/stats"
 )
 
 // SpareBase is the base physical address of the spare-line region.
@@ -22,7 +21,7 @@ import (
 // device statistics and never collides with data or counter lines.
 const SpareBase addr.Phys = 1 << 45
 
-// DefaultSpareLines is the default spare-region capacity (lines). 4096
+// DefaultSpareLines is the spare-region capacity (lines). 4096
 // spare 64B lines is 256KB — in the ballpark of real DIMM spare
 // provisioning, and far more than any simulated workload should consume
 // unless its fault rates are apocalyptic.
@@ -36,22 +35,15 @@ const DefaultSpareLines = 4096
 // spare, so the table never chains.
 type Remap struct {
 	fwd  map[addr.Phys]addr.Phys // logical line -> spare line
-	rev  map[addr.Phys]addr.Phys // spare line -> logical line
 	next addr.Phys               // next unassigned spare line
 	cap  int
-
-	retired stats.Counter
 }
 
-// NewRemap creates a retirement table with the given spare capacity
-// (lines; 0 means DefaultSpareLines).
+// NewRemap creates a retirement table with the given spare capacity in
+// lines.
 func NewRemap(spareLines int) *Remap {
-	if spareLines <= 0 {
-		spareLines = DefaultSpareLines
-	}
 	return &Remap{
 		fwd:  make(map[addr.Phys]addr.Phys),
-		rev:  make(map[addr.Phys]addr.Phys),
 		next: SpareBase,
 		cap:  spareLines,
 	}
@@ -66,12 +58,6 @@ func (r *Remap) Resolve(a addr.Phys) addr.Phys {
 	return a
 }
 
-// Retired reports whether logical line a has been retired.
-func (r *Remap) Retired(a addr.Phys) bool {
-	_, ok := r.fwd[a.Block()]
-	return ok
-}
-
 // Retire maps logical line a to a fresh spare line and returns it. If a
 // was already remapped (its spare failed too), it is re-pointed at the
 // next spare. Returns an error when the spare region is exhausted — the
@@ -82,37 +68,14 @@ func (r *Remap) Retire(a addr.Phys) (addr.Phys, error) {
 	if r.Len() >= r.cap {
 		return 0, fmt.Errorf("wearlevel: spare region exhausted (%d lines retired); device end of life", r.Len())
 	}
-	if old, ok := r.fwd[a]; ok {
-		delete(r.rev, old)
-	}
 	s := r.next
 	r.next += addr.BlockSize
 	r.fwd[a] = s
-	r.rev[s] = a
-	r.retired.Inc()
 	return s, nil
-}
-
-// Original returns the logical line a spare physical line backs, if any.
-// Crash recovery uses it to fold spare-region contents back into the
-// logical address space.
-func (r *Remap) Original(spare addr.Phys) (addr.Phys, bool) {
-	l, ok := r.rev[spare.Block()]
-	return l, ok
 }
 
 // Len returns the number of lines currently remapped.
 func (r *Remap) Len() int { return len(r.fwd) }
-
-// SpareLinesLeft returns the remaining spare capacity.
-func (r *Remap) SpareLinesLeft() int { return r.cap - r.Len() }
-
-// Retirements returns total retirement events (re-retiring a failed spare
-// counts again).
-func (r *Remap) Retirements() uint64 { return r.retired.Value() }
-
-// RetiredCounter exposes the retirement counter for stats registration.
-func (r *Remap) RetiredCounter() *stats.Counter { return &r.retired }
 
 // ForEach calls fn for every remapped line in ascending logical-address
 // order (deterministic for recovery and reporting).
@@ -124,28 +87,5 @@ func (r *Remap) ForEach(fn func(logical, spare addr.Phys)) {
 	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
 	for _, l := range ls {
 		fn(l, r.fwd[l])
-	}
-}
-
-// Snapshot exports the remap table (checkpointing).
-func (r *Remap) Snapshot() map[addr.Phys]addr.Phys {
-	out := make(map[addr.Phys]addr.Phys, len(r.fwd))
-	for l, s := range r.fwd {
-		out[l] = s
-	}
-	return out
-}
-
-// Restore replaces the table's contents with m.
-func (r *Remap) Restore(m map[addr.Phys]addr.Phys) {
-	r.fwd = make(map[addr.Phys]addr.Phys, len(m))
-	r.rev = make(map[addr.Phys]addr.Phys, len(m))
-	r.next = SpareBase
-	for l, s := range m {
-		r.fwd[l] = s
-		r.rev[s] = l
-		if s+addr.BlockSize > r.next {
-			r.next = s + addr.BlockSize
-		}
 	}
 }

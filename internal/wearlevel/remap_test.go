@@ -9,7 +9,7 @@ import (
 func TestRemapBijection(t *testing.T) {
 	r := NewRemap(8)
 	a := addr.Phys(0x1000)
-	if r.Resolve(a) != a || r.Retired(a) {
+	if r.Resolve(a) != a || r.Len() != 0 {
 		t.Fatal("fresh remap must be identity")
 	}
 	spare, err := r.Retire(a)
@@ -19,25 +19,35 @@ func TestRemapBijection(t *testing.T) {
 	if spare < SpareBase {
 		t.Fatalf("spare %v below SpareBase", spare)
 	}
-	if r.Resolve(a) != spare || !r.Retired(a) {
-		t.Fatal("retired line not remapped")
-	}
-	if orig, ok := r.Original(spare); !ok || orig != a {
-		t.Fatal("reverse map broken")
-	}
-	if r.Len() != 1 || r.SpareLinesLeft() != 7 || r.Retirements() != 1 {
-		t.Fatalf("len=%d left=%d retirements=%d", r.Len(), r.SpareLinesLeft(), r.Retirements())
+	if r.Resolve(a) != spare || r.Len() != 1 {
+		t.Fatalf("retired line not remapped: resolves to %v, %d lines remapped", r.Resolve(a), r.Len())
 	}
 	// Re-retiring a failed spare moves the line to a fresh spare.
 	spare2, err := r.Retire(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spare2 == spare || r.Resolve(a) != spare2 {
+	if spare2 == spare || r.Resolve(a) != spare2 || r.Len() != 1 {
 		t.Fatal("re-retirement did not move the line")
 	}
-	if _, ok := r.Original(spare); ok {
-		t.Fatal("stale reverse mapping for the failed spare")
+}
+
+func TestRemapForEachAscending(t *testing.T) {
+	r := NewRemap(8)
+	for _, a := range []addr.Phys{0x3000, 0x1000, 0x2040} {
+		if _, err := r.Retire(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []addr.Phys
+	r.ForEach(func(logical, spare addr.Phys) {
+		if r.Resolve(logical) != spare {
+			t.Errorf("ForEach paired %v with %v, Resolve says %v", logical, spare, r.Resolve(logical))
+		}
+		got = append(got, logical)
+	})
+	if len(got) != 3 || got[0] != 0x1000 || got[1] != 0x2040 || got[2] != 0x3000 {
+		t.Fatalf("ForEach visited %v, want ascending logical lines", got)
 	}
 }
 
@@ -54,54 +64,7 @@ func TestRemapDistinctSpares(t *testing.T) {
 		}
 		seen[spare] = true
 	}
-	if r.SpareLinesLeft() != 0 {
-		t.Fatalf("SpareLinesLeft = %d, want 0", r.SpareLinesLeft())
-	}
 	if _, err := r.Retire(addr.Phys(99) * addr.BlockSize); err == nil {
 		t.Fatal("exhausted remap must refuse further retirements")
-	}
-}
-
-func TestRemapSnapshotRestore(t *testing.T) {
-	r := NewRemap(8)
-	a := addr.Phys(0x2000)
-	spare, err := r.Retire(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := r.Snapshot()
-	r2 := NewRemap(8)
-	r2.Restore(snap)
-	if r2.Resolve(a) != spare || r2.Len() != r.Len() {
-		t.Fatal("snapshot/restore lost mappings")
-	}
-	if orig, ok := r2.Original(spare); !ok || orig != a {
-		t.Fatal("restore did not rebuild the reverse map")
-	}
-	count := 0
-	r2.ForEach(func(logical, sp addr.Phys) {
-		if logical != a || sp != spare {
-			t.Fatalf("ForEach gave %v -> %v", logical, sp)
-		}
-		count++
-	})
-	if count != 1 {
-		t.Fatalf("ForEach visited %d entries", count)
-	}
-	// A fresh spare from the restored table must not collide with the
-	// restored mapping.
-	spare2, err := r2.Retire(addr.Phys(0x3000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spare2 == spare {
-		t.Fatal("restored remap reissued an occupied spare line")
-	}
-}
-
-func TestRemapZeroCapacityDefaults(t *testing.T) {
-	r := NewRemap(0)
-	if r.SpareLinesLeft() != DefaultSpareLines {
-		t.Fatalf("SpareLinesLeft = %d, want default %d", r.SpareLinesLeft(), DefaultSpareLines)
 	}
 }

@@ -234,14 +234,12 @@ func (g *Graph) ColorOrdered() int {
 	return maxColor
 }
 
-// KCore computes the maximum k such that a k-core exists, by monotone
-// peeling: vertices with degree < k are removed (decrementing their
-// neighbors) and k is raised whenever the remaining graph survives.
-func (g *Graph) KCore() int { return g.KCoreUpTo(0) }
-
-// KCoreUpTo is KCore bounded to at most maxK peeling rounds (0 = no
-// bound). Analytics pipelines typically want the k-core for a small fixed
-// k; bounding also keeps simulation cost linear in the graph size.
+// KCoreUpTo computes the maximum k <= maxK (0 = no bound) such that a
+// k-core exists, by monotone peeling: vertices with degree < k are
+// removed (decrementing their neighbors) and k is raised whenever the
+// remaining graph survives. Analytics pipelines typically want the k-core
+// for a small fixed k; bounding also keeps simulation cost linear in the
+// graph size.
 func (g *Graph) KCoreUpTo(maxK int) int {
 	deg := apprt.NewArray(g.rt, g.V)
 	for v := 0; v < g.V; v++ {
@@ -306,10 +304,4 @@ func (g *Graph) TriangleCount(sample int) uint64 {
 		})
 	}
 	return count
-}
-
-// Free releases the graph's simulated memory.
-func (g *Graph) Free() {
-	g.xadj.Free()
-	g.adj.Free()
 }

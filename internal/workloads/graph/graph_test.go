@@ -89,7 +89,7 @@ func TestBuildCausesShredding(t *testing.T) {
 	if rt.Kernel().Controller().ShredCommands() == 0 {
 		t.Fatal("construction must shred freshly allocated pages")
 	}
-	if rt.Kernel().PageFaults() == 0 {
+	if faults, _ := rt.Kernel().StatsSet().Get("page_faults"); faults == 0 {
 		t.Fatal("construction must page fault")
 	}
 }
@@ -124,7 +124,7 @@ func TestColoringProper(t *testing.T) {
 func TestKCore(t *testing.T) {
 	rt := testRT(t)
 	g := Build(rt, Gen{V: 32, E: 128, Seed: 3, Skew: 1.1})
-	k := g.KCore()
+	k := g.KCoreUpTo(0)
 	if k < 1 || k >= 32 {
 		t.Fatalf("kcore = %d", k)
 	}
@@ -204,7 +204,6 @@ func TestSGDReducesError(t *testing.T) {
 	if math.IsNaN(after) || after >= before {
 		t.Fatalf("SGD RMSE %v -> %v: no improvement", before, after)
 	}
-	f.Free()
 }
 
 func TestALSReducesError(t *testing.T) {

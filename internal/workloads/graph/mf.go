@@ -151,10 +151,3 @@ func sqrt(x float64) float64 {
 	}
 	return z
 }
-
-// Free releases the factorizer's simulated memory.
-func (f *Factorizer) Free() {
-	f.uf.Free()
-	f.itf.Free()
-	f.staged.Free()
-}

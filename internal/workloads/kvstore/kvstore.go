@@ -21,8 +21,6 @@ type Store struct {
 	table apprt.Array // capacity*slotWords
 	cap   int
 	used  int
-
-	resizes uint64
 }
 
 // New creates a store with the given initial capacity (rounded up to a
@@ -34,16 +32,6 @@ func New(rt *apprt.Runtime, capacity int) *Store {
 	}
 	return &Store{rt: rt, table: apprt.NewArray(rt, c*slotWords), cap: c}
 }
-
-// Len returns the number of live keys.
-func (s *Store) Len() int { return s.used }
-
-// Cap returns the current slot capacity.
-func (s *Store) Cap() int { return s.cap }
-
-// Resizes returns how many times the table grew (each one is an
-// allocate-rehash-free cycle through the kernel).
-func (s *Store) Resizes() uint64 { return s.resizes }
 
 // hash is a 64-bit mix (splitmix64 finalizer); key 0 is reserved.
 func hash(key uint64) uint64 {
@@ -151,7 +139,6 @@ func (s *Store) grow() {
 	old := s.table
 	oldCap := s.cap
 	s.cap *= 2
-	s.resizes++
 	s.table = apprt.NewArray(s.rt, s.cap*slotWords)
 	s.used = 0
 	for i := 0; i < oldCap; i++ {

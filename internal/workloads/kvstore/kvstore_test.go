@@ -41,8 +41,8 @@ func TestPutGet(t *testing.T) {
 	if v, _ := s.Get(1); v != 111 {
 		t.Fatalf("update lost: %v", v)
 	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
+	if s.used != 2 {
+		t.Fatalf("Len = %d", s.used)
 	}
 }
 
@@ -69,32 +69,29 @@ func TestDelete(t *testing.T) {
 			t.Fatalf("key %d broken after delete: %v %v", k, v, ok)
 		}
 	}
-	if s.Len() != 29 {
-		t.Fatalf("Len = %d", s.Len())
+	if s.used != 29 {
+		t.Fatalf("Len = %d", s.used)
 	}
 }
 
 func TestGrowRehashesEverything(t *testing.T) {
 	rt := testRT(t)
 	s := New(rt, 64)
-	faults0 := rt.Kernel().PageFaults()
+	faults0, _ := rt.Kernel().StatsSet().Get("page_faults")
 	const n = 2000
 	for k := uint64(1); k <= n; k++ {
 		s.Put(k, k^0xABCD)
 	}
-	if s.Resizes() == 0 {
-		t.Fatal("expected growth")
-	}
-	if s.Cap() < n {
-		t.Fatalf("cap = %d", s.Cap())
+	if s.cap < n {
+		t.Fatalf("cap = %d, want growth past %d", s.cap, n)
 	}
 	for k := uint64(1); k <= n; k++ {
 		if v, ok := s.Get(k); !ok || v != k^0xABCD {
-			t.Fatalf("key %d lost across %d resizes", k, s.Resizes())
+			t.Fatalf("key %d lost across growth to %d slots", k, s.cap)
 		}
 	}
 	// Resizing churns allocations: the kernel shredded fresh pages.
-	if rt.Kernel().PageFaults() == faults0 {
+	if faults, _ := rt.Kernel().StatsSet().Get("page_faults"); faults == faults0 {
 		t.Fatal("no allocation churn observed")
 	}
 	if rt.Kernel().Controller().ShredCommands() == 0 {
@@ -131,7 +128,7 @@ func TestModelBasedProperty(t *testing.T) {
 				}
 			}
 		}
-		if s.Len() != len(ref) {
+		if s.used != len(ref) {
 			return false
 		}
 		for k, v := range ref {

@@ -75,11 +75,3 @@ func TouchPages(rt *apprt.Runtime, npages int) addr.Virt {
 	}
 	return va
 }
-
-// StreamReads reads nblocks sequentially starting at va (one load per
-// 64B block), modeling a scan over freshly initialized memory.
-func StreamReads(rt *apprt.Runtime, va addr.Virt, nblocks int) {
-	for i := 0; i < nblocks; i++ {
-		rt.Load(va + addr.Virt(i*addr.BlockSize))
-	}
-}

@@ -56,8 +56,8 @@ func runProfile(t *testing.T, p Profile, mode memctrl.Mode, zm kernel.ZeroMode) 
 func TestRunGeneratesExpectedTraffic(t *testing.T) {
 	p, _ := ByName("mcf")
 	m := runProfile(t, p, memctrl.SilentShredder, kernel.ZeroShred)
-	if m.Kernel.PageFaults() != 32 {
-		t.Fatalf("page faults = %d, want 32 (one per init page)", m.Kernel.PageFaults())
+	if faults, _ := m.Snapshot().Lookup("kernel.page_faults"); faults != 32 {
+		t.Fatalf("page faults = %v, want 32 (one per init page)", faults)
 	}
 	if m.MC.ShredCommands() != 32 {
 		t.Fatalf("shreds = %d", m.MC.ShredCommands())
