@@ -98,12 +98,14 @@ cover:
 		print "coverage " t "% is below the " floor "% floor"; exit 1 } }'
 
 # Benchmark pipeline. `bench` runs every benchmark (no unit tests),
-# records the raw text, and converts it into the committed trajectory
-# snapshot $(BENCH_JSON). The old `... | tee bench_output.txt` recipe
-# masked benchmark failures behind tee's exit status; writing the file
-# directly and catting it afterwards preserves both the transcript and
-# the exit code.
-BENCH_JSON ?= BENCH_9.json
+# records the raw text, and converts it into the snapshot $(BENCH_JSON),
+# bench_new.json by default (`make clean` deletes it). The committed
+# BENCH_<n>.json snapshots are history: write a new one only by naming
+# it, `make bench BENCH_JSON=BENCH_<n>.json`. The old `... | tee
+# bench_output.txt` recipe masked benchmark failures behind tee's exit
+# status; writing the file directly and catting it afterwards preserves
+# both the transcript and the exit code.
+BENCH_JSON ?= bench_new.json
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./... > bench_output.txt 2>&1 \
 		|| { cat bench_output.txt; exit 1; }

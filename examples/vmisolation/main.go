@@ -33,7 +33,7 @@ func main() {
 
 	// --- VM A boots, runs a workload with secrets ---
 	vmA := hv.NewVM()
-	guestA, err := hv.GuestKernel(vmA, kernel.DefaultConfig(kernel.ZeroShred))
+	guestA, err := hv.GuestKernel(vmA, kernel.ZeroShred)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func main() {
 
 	// --- VM B receives the recycled physical pages ---
 	vmB := hv.NewVM()
-	guestB, err := hv.GuestKernel(vmB, kernel.DefaultConfig(kernel.ZeroShred))
+	guestB, err := hv.GuestKernel(vmB, kernel.ZeroShred)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"silentshredder/internal/clock"
 	"silentshredder/internal/cpu"
 	"silentshredder/internal/kernel"
+	"silentshredder/internal/mmu"
 	"silentshredder/internal/physmem"
 	"silentshredder/internal/span"
 )
@@ -108,6 +109,11 @@ type TraceOp struct {
 // choice packed in Arg (size<<9 | nt<<8 | value). trace.Replay and the
 // crash-anywhere harness both drive machines through this dispatch.
 func (rt *Runtime) Apply(op TraceOp) error {
+	// A replayed address comes from outside the program: reject one the
+	// page tables cannot map, on which mmu.AddressSpace.Map panics.
+	if op.VA >= mmu.VirtLimit || op.Kind == TraceMemset && op.Arg>>9 > uint64(mmu.VirtLimit-op.VA) {
+		return fmt.Errorf("apprt: trace operation at %v reaches past %v, the end of the virtual address space", op.VA, mmu.VirtLimit)
+	}
 	switch op.Kind {
 	case TraceLoad:
 		rt.Load(op.VA)

@@ -1,6 +1,8 @@
 // Package cache implements the set-associative cache tag store used for
 // every level of the simulated hierarchy (Table 1: L1 64KB / L2 512KB /
-// L3 8MB / L4 64MB, all 8-way, 64B blocks) and for the counter cache.
+// L3 8MB / L4 64MB, all 8-way, 64B blocks), for the counter cache and
+// for the TLBs, whose entries are blocks tagged with a packed (ASID,
+// VPN) key.
 //
 // Caches here are timing/state models: they track presence, MESI state,
 // dirtiness and LRU order, while actual data contents live in the machine's
@@ -144,7 +146,7 @@ type Cache struct {
 	bodyMask uint64 // rank-word bytes that correspond to real ways
 	initRank uint64 // rank word of a freshly reset set
 
-	hits, misses, evictions, dirtyEvictions stats.Counter
+	hits, misses stats.Counter
 }
 
 // Validate reports whether cfg is a geometry New accepts: a positive
@@ -385,10 +387,6 @@ func (c *Cache) Fill(a addr.Phys, st State, dirty bool) (victim Line, evicted bo
 	}
 	if old := ways[vi]; old&tagMask != emptyWay {
 		victim, evicted = old.line(), true
-		c.evictions.Inc()
-		if victim.Dirty {
-			c.dirtyEvictions.Inc()
-		}
 	}
 	ways[vi] = packWay(tag, st, dirty)
 	c.touch(si, vi)
@@ -475,6 +473,4 @@ func (c *Cache) MissRate() float64 {
 func (c *Cache) ResetStats() {
 	c.hits.Reset()
 	c.misses.Reset()
-	c.evictions.Reset()
-	c.dirtyEvictions.Reset()
 }

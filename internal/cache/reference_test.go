@@ -22,10 +22,10 @@ type refWay struct {
 // a victim is the first invalid way or else the least recently touched
 // one, and a page invalidation scans every way.
 type refCache struct {
-	assoc, nsets                            int
-	ways                                    []refWay
-	clock                                   uint64
-	hits, misses, evictions, dirtyEvictions uint64
+	assoc, nsets int
+	ways         []refWay
+	clock        uint64
+	hits, misses uint64
 }
 
 func newRefCache(cfg Config) *refCache {
@@ -110,10 +110,6 @@ func (r *refCache) insert(a addr.Phys, st State, dirty bool) (Line, bool, int) {
 		}
 		v := &ways[vi]
 		victim, evicted = Line{Tag: v.tag, State: v.state, Dirty: v.dirty}, true
-		r.evictions++
-		if v.dirty {
-			r.dirtyEvictions++
-		}
 	}
 	ways[vi] = refWay{valid: true, tag: tag, state: st, dirty: dirty}
 	r.touch(&ways[vi])
@@ -217,7 +213,7 @@ var refPages = func() []addr.PageNum {
 // run only when the model holds the block at the way passed: their
 // contract is a block the caller knows sits there. After every
 // operation it compares the return values, the victim, the way Fill
-// used, the four counters and the contents of every way.
+// used, the two counters and the contents of every way.
 func FuzzCacheReference(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, 9, 0, 0, 10, 0, 0, 9, 0x81, 0x41, 9, 0, 0, 1, 0, 0})
@@ -355,10 +351,8 @@ func checkLines(t *testing.T, where string, got, want []Line) {
 // checkAgainstRef compares the counters and every way with the model.
 func checkAgainstRef(t *testing.T, where string, c *Cache, r *refCache) {
 	t.Helper()
-	if c.Hits() != r.hits || c.Misses() != r.misses || c.evictions.Value() != r.evictions || c.dirtyEvictions.Value() != r.dirtyEvictions {
-		t.Fatalf("%s: counters %d/%d/%d/%d, want %d/%d/%d/%d", where,
-			c.Hits(), c.Misses(), c.evictions.Value(), c.dirtyEvictions.Value(),
-			r.hits, r.misses, r.evictions, r.dirtyEvictions)
+	if c.Hits() != r.hits || c.Misses() != r.misses {
+		t.Fatalf("%s: counters %d/%d, want %d/%d", where, c.Hits(), c.Misses(), r.hits, r.misses)
 	}
 	for i, w := range c.ways {
 		rw := r.ways[i]

@@ -20,9 +20,8 @@ type Core struct {
 	cycles       clock.Cycles
 	instructions uint64
 
-	loadStalls  stats.Mean // per-load stall cycles
-	storeIssued stats.Counter
-	memReads    stats.Counter
+	loadStalls stats.Mean // per-load stall cycles
+	memReads   stats.Counter
 }
 
 // New creates core id.
@@ -49,7 +48,6 @@ func (c *Core) Load(lat clock.Cycles) {
 func (c *Core) Store(occupancy clock.Cycles) {
 	c.instructions++
 	c.cycles += 1 + occupancy
-	c.storeIssued.Inc()
 }
 
 // Stall charges cycles with no instruction retired (page-fault handling,
@@ -81,7 +79,6 @@ func (c *Core) Reset() {
 	c.cycles = 0
 	c.instructions = 0
 	c.loadStalls.Reset()
-	c.storeIssued.Reset()
 	c.memReads.Reset()
 }
 

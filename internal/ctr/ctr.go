@@ -224,8 +224,11 @@ type Engine struct {
 	// pads holds the cache's pads back to back, slot i at
 	// [i*BlockSize, (i+1)*BlockSize), so a page's 64 slots are one 4KB
 	// run; tags says which pad each slot holds.
-	pads               [padCacheSize * addr.BlockSize]byte
-	tags               [padCacheSize]padTag
+	pads [padCacheSize * addr.BlockSize]byte
+	tags [padCacheSize]padTag
+	// padHits and padMisses count pad-cache lookups. Only tests read
+	// them today; they stay because the benchmark's per-layer ladder
+	// needs the pads a run really generates (ROADMAP item 1).
 	padHits, padMisses uint64
 }
 

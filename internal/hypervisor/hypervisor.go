@@ -28,16 +28,12 @@ type Config struct {
 	// request large allocations to reduce hypervisor interventions and
 	// translation overhead (§1).
 	GrantBatch int
-
-	// Clear carries the per-page clearing costs (shared with the
-	// kernel's configuration).
-	Clear kernel.Config
 }
 
 // DefaultConfig returns a hypervisor with the given shredding mode and a
 // 512-page (2MB) grant batch.
 func DefaultConfig(mode kernel.ZeroMode) Config {
-	return Config{Mode: mode, GrantBatch: 512, Clear: kernel.DefaultConfig(mode)}
+	return Config{Mode: mode, GrantBatch: 512}
 }
 
 // Hypervisor manages the host pool and the VMs.
@@ -110,7 +106,7 @@ func (hv *Hypervisor) grant(vm *VM, n int) int {
 		if !ok {
 			break
 		}
-		kernel.ClearPhysPage(hv.cfg.Clear, hv.h, 0, hv.cfg.Mode, p)
+		kernel.ClearPhysPage(hv.h, 0, hv.cfg.Mode, p)
 		if hv.cfg.Mode != kernel.ZeroNone {
 			hv.pagesCleared.Inc()
 		}
@@ -159,8 +155,8 @@ func (hv *Hypervisor) DestroyVM(vm *VM) {
 // source is the VM's pool, with its own (guest-level) shredding mode.
 // The result is the full Figure 1 stack: hypervisor shredding on grant,
 // guest-kernel shredding on process page allocation.
-func (hv *Hypervisor) GuestKernel(vm *VM, cfg kernel.Config) (*kernel.Kernel, error) {
-	return kernel.New(cfg, hv.h, vm)
+func (hv *Hypervisor) GuestKernel(vm *VM, mode kernel.ZeroMode) (*kernel.Kernel, error) {
+	return kernel.New(mode, hv.h, vm)
 }
 
 // Grants returns the number of batched grant operations.

@@ -86,7 +86,7 @@ func TestDuplicateShreddingFigure1(t *testing.T) {
 	m := hostMachine(t, memctrl.SilentShredder, kernel.ZeroShred)
 	hv := newHV(t, m, kernel.ZeroShred, 4)
 	vm := hv.NewVM()
-	gk, err := hv.GuestKernel(vm, kernel.DefaultConfig(kernel.ZeroShred))
+	gk, err := hv.GuestKernel(vm, kernel.ZeroShred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestInterVMIsolation(t *testing.T) {
 
 	// VM A's guest process writes a secret.
 	vmA := hv.NewVM()
-	gkA, _ := hv.GuestKernel(vmA, kernel.DefaultConfig(kernel.ZeroShred))
+	gkA, _ := hv.GuestKernel(vmA, kernel.ZeroShred)
 	procA := gkA.NewProcess()
 	rtA := apprt.New(gkA, 0, procA, cpu.New(0))
 	vaA := rtA.Malloc(addr.PageSize)
@@ -123,7 +123,7 @@ func TestInterVMIsolation(t *testing.T) {
 
 	// VM B receives the recycled pages.
 	vmB := hv.NewVM()
-	gkB, _ := hv.GuestKernel(vmB, kernel.DefaultConfig(kernel.ZeroShred))
+	gkB, _ := hv.GuestKernel(vmB, kernel.ZeroShred)
 	procB := gkB.NewProcess()
 	rtB := apprt.New(gkB, 1, procB, cpu.New(1))
 	vaB := rtB.Malloc(addr.PageSize)

@@ -26,7 +26,7 @@ func benchKernel(b *testing.B, mcMode memctrl.Mode, zm ZeroMode) *Kernel {
 		L4:               cache.Config{Name: "l4", Size: 8 << 20, Assoc: 8, HitLatency: 35},
 		CoherencePenalty: 25, NTStoreCycles: 5,
 	}
-	k, err := New(DefaultConfig(zm), hier.New(hcfg, mc), NewLinearSource(0, 1<<22))
+	k, err := New(zm, hier.New(hcfg, mc), NewLinearSource(0, 1<<22))
 	if err != nil {
 		b.Fatal(err)
 	}

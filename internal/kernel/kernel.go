@@ -56,36 +56,21 @@ func (m ZeroMode) String() string {
 	}
 }
 
-// Config holds kernel parameters.
-type Config struct {
-	Mode ZeroMode
-
+// Kernel costs, in core cycles.
+const (
 	// FaultOverhead is the fixed page-fault handling cost (trap, vma
-	// lookup, allocator bookkeeping) excluding zeroing.
-	FaultOverhead clock.Cycles
+	// lookup, allocator bookkeeping) excluding zeroing: ~350ns.
+	FaultOverhead clock.Cycles = 700
 
 	// ShredOverhead is the cost of the shred command itself: the MMIO
 	// register write plus waiting for the invalidation/counter-update
 	// acknowledgement (Figure 6 steps 1,4,5).
-	ShredOverhead clock.Cycles
+	ShredOverhead clock.Cycles = 60
 
 	// InvalMsgCost is charged per invalidation message a shred or
 	// non-temporal zeroing causes in the cache hierarchy.
-	InvalMsgCost clock.Cycles
-
-	TLB mmu.TLBConfig
-}
-
-// DefaultConfig returns the kernel configuration used by the experiments.
-func DefaultConfig(mode ZeroMode) Config {
-	return Config{
-		Mode:          mode,
-		FaultOverhead: 700, // ~350ns trap+allocator path
-		ShredOverhead: 60,  // MMIO write + ack round trip
-		InvalMsgCost:  4,
-		TLB:           mmu.DefaultTLBConfig(),
-	}
-}
+	InvalMsgCost clock.Cycles = 4
+)
 
 // PageSource supplies physical pages. The default is a linear range with
 // a LIFO free list (maximizing reuse, hence shredding); the hypervisor
@@ -136,7 +121,7 @@ type Process struct {
 
 // Kernel is the simulated operating system.
 type Kernel struct {
-	cfg  Config
+	mode ZeroMode
 	h    *hier.Hierarchy
 	mc   *memctrl.Controller
 	src  PageSource
@@ -173,10 +158,11 @@ type Kernel struct {
 // SetBus attaches the observability event bus (nil disables).
 func (k *Kernel) SetBus(b *obs.Bus) { k.bus = b }
 
-// New creates a kernel managing the given hierarchy with pages from src.
-// The first page from src becomes the shared Zero Page.
-func New(cfg Config, h *hier.Hierarchy, src PageSource) (*Kernel, error) {
-	if cfg.Mode == ZeroShred && h.Controller().Mode() != memctrl.SilentShredder {
+// New creates a kernel that clears pages with the given strategy,
+// managing the given hierarchy with pages from src. The first page from
+// src becomes the shared Zero Page.
+func New(mode ZeroMode, h *hier.Hierarchy, src PageSource) (*Kernel, error) {
+	if mode == ZeroShred && h.Controller().Mode() != memctrl.SilentShredder {
 		return nil, fmt.Errorf("kernel: shred zeroing requires a Silent Shredder memory controller")
 	}
 	zp, ok := src.AllocPage()
@@ -184,7 +170,7 @@ func New(cfg Config, h *hier.Hierarchy, src PageSource) (*Kernel, error) {
 		return nil, fmt.Errorf("kernel: page source empty")
 	}
 	k := &Kernel{
-		cfg:              cfg,
+		mode:             mode,
 		h:                h,
 		mc:               h.Controller(),
 		src:              src,
@@ -196,7 +182,7 @@ func New(cfg Config, h *hier.Hierarchy, src PageSource) (*Kernel, error) {
 		nextPID:          1,
 	}
 	for i := 0; i < h.Config().Cores; i++ {
-		k.tlbs = append(k.tlbs, mmu.NewTLB(cfg.TLB))
+		k.tlbs = append(k.tlbs, mmu.NewTLB())
 	}
 	return k, nil
 }
@@ -340,9 +326,9 @@ func (k *Kernel) fault(core int, p *Process, vpn addr.VPageNum) clock.Cycles {
 		// Out of memory: reuse the zero page read-only; real kernels
 		// would OOM-kill. Experiments size their pools to avoid this.
 		p.AS.Map(vpn, mmu.PTE{PPN: k.zeroPPN, ZeroPage: true})
-		return k.cfg.FaultOverhead
+		return FaultOverhead
 	}
-	lat := k.cfg.FaultOverhead + k.ClearPage(core, ppn)
+	lat := FaultOverhead + k.ClearPage(core, ppn)
 	p.AS.Map(vpn, mmu.PTE{PPN: ppn, Writable: true})
 	p.pages[vpn] = ppn
 	k.faultCycles.Add(uint64(lat))
@@ -353,7 +339,7 @@ func (k *Kernel) fault(core int, p *Process, vpn addr.VPageNum) clock.Cycles {
 // the given strategy, returning the core cycles it cost. Both the kernel
 // (clear_page) and the hypervisor (inter-VM shredding, Figure 1) use this
 // path.
-func ClearPhysPage(cfg Config, h *hier.Hierarchy, core int, mode ZeroMode, ppn addr.PageNum) clock.Cycles {
+func ClearPhysPage(h *hier.Hierarchy, core int, mode ZeroMode, ppn addr.PageNum) clock.Cycles {
 	mc := h.Controller()
 	if mode == ZeroNone {
 		return 0
@@ -399,29 +385,29 @@ func ClearPhysPage(cfg Config, h *hier.Hierarchy, core int, mode ZeroMode, ppn a
 		// then write 64 encrypted zero blocks to NVM. The core sees
 		// store-buffer occupancy, not NVM write latency.
 		msgs := h.ShredInvalidate(ppn)
-		lat += clock.Cycles(msgs) * cfg.InvalMsgCost
+		lat += clock.Cycles(msgs) * InvalMsgCost
 		mc.ZeroPageDirect(ppn)
 		lat += clock.Cycles(addr.BlocksPerPage) * h.Config().NTStoreCycles
 	case ZeroShred:
 		// Silent Shredder: invalidate cached copies, flip the page's
 		// encryption counters, done. No data writes at all.
 		msgs := h.ShredInvalidate(ppn)
-		lat += clock.Cycles(msgs) * cfg.InvalMsgCost
+		lat += clock.Cycles(msgs) * InvalMsgCost
 		lat += mc.Shred(ppn)
-		lat += cfg.ShredOverhead
+		lat += ShredOverhead
 	}
 	rec.End(uint64(lat))
 	return lat
 }
 
-// ClearPage shreds/zeroes physical page ppn using the configured strategy
+// ClearPage shreds/zeroes physical page ppn using the kernel's strategy
 // and returns the core cycles it cost. This is the kernel's clear_page.
 func (k *Kernel) ClearPage(core int, ppn addr.PageNum) clock.Cycles {
-	lat := ClearPhysPage(k.cfg, k.h, core, k.cfg.Mode, ppn)
-	if k.cfg.Mode == ZeroNone {
+	lat := ClearPhysPage(k.h, core, k.mode, ppn)
+	if k.mode == ZeroNone {
 		return 0
 	}
-	if k.cfg.Mode == ZeroNonTemporal {
+	if k.mode == ZeroNonTemporal {
 		k.ntZeroWrites.Add(addr.BlocksPerPage)
 	}
 	k.pagesCleared.Inc()

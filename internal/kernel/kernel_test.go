@@ -8,6 +8,7 @@ import (
 	"silentshredder/internal/cache"
 	"silentshredder/internal/hier"
 	"silentshredder/internal/memctrl"
+	"silentshredder/internal/mmu"
 	"silentshredder/internal/nvm"
 	"silentshredder/internal/physmem"
 )
@@ -37,7 +38,7 @@ func testHier(t *testing.T, mode memctrl.Mode) *hier.Hierarchy {
 func testKernel(t *testing.T, mcMode memctrl.Mode, zmode ZeroMode) *Kernel {
 	t.Helper()
 	h := testHier(t, mcMode)
-	k, err := New(DefaultConfig(zmode), h, NewLinearSource(0, 4096))
+	k, err := New(zmode, h, NewLinearSource(0, 4096))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestZeroModeString(t *testing.T) {
 
 func TestShredModeRequiresSSController(t *testing.T) {
 	h := testHier(t, memctrl.Baseline)
-	if _, err := New(DefaultConfig(ZeroShred), h, NewLinearSource(0, 16)); err == nil {
+	if _, err := New(ZeroShred, h, NewLinearSource(0, 16)); err == nil {
 		t.Fatal("want error pairing shred kernel with baseline controller")
 	}
 }
@@ -322,7 +323,7 @@ func TestShredRangeClearsMappedPages(t *testing.T) {
 
 func TestOOMFallsBackToZeroPage(t *testing.T) {
 	h := testHier(t, memctrl.SilentShredder)
-	k, err := New(DefaultConfig(ZeroShred), h, NewLinearSource(0, 2)) // 1 page after zero page
+	k, err := New(ZeroShred, h, NewLinearSource(0, 2)) // 1 page after zero page
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,11 +342,11 @@ func TestTranslateChargesTLBWalk(t *testing.T) {
 	va := k.Mmap(p, 1)
 	read(k, 0, p, va, 1)
 	_, lat := k.Translate(0, p, va, false)
-	if lat != k.cfg.TLB.HitLatency {
+	if lat != mmu.TLBHitLatency {
 		t.Fatalf("warm translate lat = %d", lat)
 	}
 	_, lat = k.Translate(0, p, va+addr.PageSize, false)
-	if lat < k.cfg.TLB.WalkLatency {
+	if lat < mmu.TLBWalkLatency {
 		t.Fatalf("cold translate lat = %d, must include walk", lat)
 	}
 }

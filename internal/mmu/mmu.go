@@ -1,6 +1,7 @@
 // Package mmu models virtual memory translation: per-process page tables
-// and a TLB. The OS kernel (internal/kernel) owns the mappings; the MMU
-// provides the lookup mechanics and translation timing.
+// and a TLB, which keeps its entries in a cache.Cache tag store. The OS
+// kernel (internal/kernel) owns the mappings; the MMU provides the
+// lookup mechanics and translation timing.
 //
 // Two details matter to the paper's workloads:
 //
@@ -15,6 +16,7 @@ import (
 	"fmt"
 
 	"silentshredder/internal/addr"
+	"silentshredder/internal/cache"
 	"silentshredder/internal/clock"
 	"silentshredder/internal/stats"
 )
@@ -56,7 +58,11 @@ type AddressSpace struct {
 }
 
 // NewAddressSpace creates an empty address space with the given ASID.
+// It panics on an ASID that does not fit a TLB key.
 func NewAddressSpace(id int) *AddressSpace {
+	if uint64(id) >= 1<<asidBits {
+		panic(fmt.Sprintf("mmu: ASID %d does not fit in %d bits", id, asidBits))
+	}
 	return &AddressSpace{ID: id, chunks: make(map[uint64]*ptChunk)}
 }
 
@@ -72,8 +78,12 @@ func (as *AddressSpace) chunk(vpn addr.VPageNum) *ptChunk {
 	return c
 }
 
-// Map installs a translation.
+// Map installs a translation. It panics on a VPN that does not fit a
+// TLB key.
 func (as *AddressSpace) Map(vpn addr.VPageNum, pte PTE) {
+	if vpn >= 1<<vpnBits {
+		panic(fmt.Sprintf("mmu: %v does not fit in %d bits", vpn, vpnBits))
+	}
 	pte.Present = true
 	c := as.chunk(vpn)
 	if c == nil {
@@ -121,129 +131,82 @@ func (as *AddressSpace) Lookup(vpn addr.VPageNum) (PTE, bool) {
 	return pte, pte.Present
 }
 
-// TLBConfig describes a TLB.
-type TLBConfig struct {
-	Entries     int
-	Assoc       int
-	HitLatency  clock.Cycles
-	WalkLatency clock.Cycles // page-table walk cost on a miss
-}
-
-// DefaultTLBConfig returns a 64-entry 4-way TLB with a 1-cycle hit and a
+// TLB geometry and timing: 64 entries, 4 ways, a 1-cycle hit and a
 // 100-cycle walk (a 4-level walk mostly hitting on-chip caches).
-func DefaultTLBConfig() TLBConfig {
-	return TLBConfig{Entries: 64, Assoc: 4, HitLatency: 1, WalkLatency: 100}
-}
+const (
+	tlbEntries = 64
+	tlbAssoc   = 4
 
-type tlbEntry struct {
-	asid  int
-	vpn   addr.VPageNum
-	valid bool
-	lru   uint64
+	TLBHitLatency  clock.Cycles = 1
+	TLBWalkLatency clock.Cycles = 100 // page-table walk cost on a miss
+)
+
+// A TLB entry is a block of a cache.Cache whose tag is the packed key
+// (ASID, VPN): the VPN in the low vpnBits bits, so the set index is the
+// VPN's low bits, and the ASID in the asidBits above them. The 57 bits
+// keep every key below the tag store's all-ones empty-way tag (58
+// bits). NewAddressSpace rejects an ASID and Map a VPN that does not
+// fit, so every key the kernel fills is in range.
+const (
+	vpnBits  = 36 // a 48-bit virtual address space
+	asidBits = 21
+)
+
+// VirtLimit is the first virtual address past the space Map accepts.
+const VirtLimit = addr.Virt(1) << (vpnBits + addr.PageShift)
+
+// key returns the block address whose tag is (asid, vpn)'s packed key.
+func key(asid int, vpn addr.VPageNum) addr.Phys {
+	return addr.Phys(uint64(asid)<<vpnBits|uint64(vpn)) << addr.BlockShift
 }
 
 // TLB is a set-associative translation cache keyed by (ASID, VPN), so
-// context switches need no flush.
+// context switches need no flush. Its tag store's victim rule, the
+// first empty way or else the least recently used, is the TLB's.
 type TLB struct {
-	cfg     TLBConfig
-	sets    [][]tlbEntry
-	setMask uint64
-	clock   uint64
-
-	hits, misses stats.Counter
+	tags *cache.Cache
 }
 
-// NewTLB creates a TLB. Entries/Assoc must give a power-of-two set count.
-func NewTLB(cfg TLBConfig) *TLB {
-	if cfg.Assoc <= 0 || cfg.Entries <= 0 || cfg.Entries%cfg.Assoc != 0 {
-		panic(fmt.Sprintf("mmu: invalid TLB geometry %+v", cfg))
-	}
-	nsets := cfg.Entries / cfg.Assoc
-	if nsets&(nsets-1) != 0 {
-		panic(fmt.Sprintf("mmu: TLB set count %d not a power of two", nsets))
-	}
-	sets := make([][]tlbEntry, nsets)
-	backing := make([]tlbEntry, nsets*cfg.Assoc)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc]
-	}
-	return &TLB{cfg: cfg, sets: sets, setMask: uint64(nsets - 1)}
-}
-
-func (t *TLB) set(vpn addr.VPageNum) []tlbEntry {
-	return t.sets[uint64(vpn)&t.setMask]
+// NewTLB creates an empty TLB.
+func NewTLB() *TLB {
+	return &TLB{tags: cache.New(cache.Config{Name: "tlb", Size: tlbEntries * addr.BlockSize, Assoc: tlbAssoc})}
 }
 
 // Access models a translation attempt: it returns the translation latency
 // and whether the entry was resident. On a miss the caller performs the
 // walk through the page table and should Fill the TLB.
 func (t *TLB) Access(asid int, vpn addr.VPageNum) (clock.Cycles, bool) {
-	set := t.set(vpn)
-	for i := range set {
-		if set[i].valid && set[i].asid == asid && set[i].vpn == vpn {
-			t.hits.Inc()
-			t.clock++
-			set[i].lru = t.clock
-			return t.cfg.HitLatency, true
-		}
+	if t.tags.LookupHit(key(asid, vpn)) {
+		return TLBHitLatency, true
 	}
-	t.misses.Inc()
-	return t.cfg.HitLatency + t.cfg.WalkLatency, false
+	return TLBHitLatency + TLBWalkLatency, false
 }
 
-// Fill installs a translation after a walk.
+// Fill installs a translation the TLB does not hold, after a walk.
 func (t *TLB) Fill(asid int, vpn addr.VPageNum) {
-	set := t.set(vpn)
-	vi := 0
-	for i := range set {
-		if !set[i].valid {
-			vi = i
-			break
-		}
-		if set[i].lru < set[vi].lru {
-			vi = i
-		}
-	}
-	t.clock++
-	set[vi] = tlbEntry{asid: asid, vpn: vpn, valid: true, lru: t.clock}
+	t.tags.Fill(key(asid, vpn), cache.Shared, false)
 }
 
 // Invalidate removes one translation (e.g. after unmap or permission
 // change — the COW zero-page upgrade needs this).
 func (t *TLB) Invalidate(asid int, vpn addr.VPageNum) {
-	set := t.set(vpn)
-	for i := range set {
-		if set[i].valid && set[i].asid == asid && set[i].vpn == vpn {
-			set[i].valid = false
-		}
-	}
+	t.tags.Invalidate(key(asid, vpn))
 }
 
 // FlushASID drops all translations of one address space (process exit).
 func (t *TLB) FlushASID(asid int) {
-	for _, set := range t.sets {
-		for i := range set {
-			if set[i].asid == asid {
-				set[i].valid = false
-			}
+	t.tags.ForEachLine(func(l cache.Line) {
+		if l.Tag>>vpnBits == uint64(asid) {
+			t.tags.Invalidate(l.Addr())
 		}
-	}
-}
-
-// MissRate returns the miss ratio.
-func (t *TLB) MissRate() float64 {
-	tot := t.hits.Value() + t.misses.Value()
-	if tot == 0 {
-		return 0
-	}
-	return float64(t.misses.Value()) / float64(tot)
+	})
 }
 
 // StatsSet exposes TLB statistics under the given name.
 func (t *TLB) StatsSet(name string) *stats.Set {
 	s := stats.NewSet(name)
-	s.RegisterCounter("hits", &t.hits)
-	s.RegisterCounter("misses", &t.misses)
-	s.RegisterFunc("miss_rate", t.MissRate)
+	s.RegisterFunc("hits", func() float64 { return float64(t.tags.Hits()) })
+	s.RegisterFunc("misses", func() float64 { return float64(t.tags.Misses()) })
+	s.RegisterFunc("miss_rate", t.tags.MissRate)
 	return s
 }

@@ -30,7 +30,6 @@ type Config struct {
 	Hier    hier.Config
 	NVM     nvm.Config
 	MemCtrl memctrl.Config
-	Kernel  kernel.Config
 
 	// MemPages is the size of the kernel's allocatable physical pool.
 	MemPages int
@@ -90,7 +89,6 @@ func Table1Config(mode memctrl.Mode, zm kernel.ZeroMode) Config {
 		Hier:      hier.Table1Config(8),
 		NVM:       nvm.DefaultConfig(),
 		MemCtrl:   memctrl.DefaultConfig(mode),
-		Kernel:    kernel.DefaultConfig(zm),
 		MemPages:  512 << 10, // 2GB of allocatable pages
 		StoreData: true,
 	}
@@ -186,7 +184,6 @@ func New(cfg Config) (*Machine, error) {
 	cfg.NVM.StoreData = cfg.StoreData
 	cfg.MemCtrl.Mode = cfg.Mode
 	cfg.MemCtrl.VerifyPlaintext = cfg.VerifyPlaintext && cfg.StoreData
-	cfg.Kernel.Mode = cfg.ZeroMode
 
 	img := physmem.New(cfg.StoreData)
 	dev := nvm.New(cfg.NVM)
@@ -205,7 +202,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 	h := hier.New(cfg.Hier, mc)
 	src := kernel.NewLinearSource(0, cfg.MemPages)
-	k, err := kernel.New(cfg.Kernel, h, src)
+	k, err := kernel.New(cfg.ZeroMode, h, src)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}

@@ -10,6 +10,7 @@ import (
 	"silentshredder/internal/apprt"
 	"silentshredder/internal/kernel"
 	"silentshredder/internal/memctrl"
+	"silentshredder/internal/mmu"
 	"silentshredder/internal/sim"
 	"silentshredder/internal/workloads/spec"
 )
@@ -150,6 +151,19 @@ func TestUnknownKindRejectedOnReplay(t *testing.T) {
 	rt := m.Runtime(0)
 	if err := Replay(rt, apprt.TraceOp{Kind: 99}); err == nil {
 		t.Fatal("unknown kind accepted")
+	}
+}
+
+func TestAddressBeyondVirtualSpaceRejectedOnReplay(t *testing.T) {
+	rt := machine(t).Runtime(0)
+	for _, op := range []apprt.TraceOp{
+		{Kind: apprt.TraceLoad, VA: mmu.VirtLimit},
+		{Kind: apprt.TraceStore, VA: ^addr.Virt(0), Arg: 1},
+		{Kind: apprt.TraceMemset, VA: mmu.VirtLimit - addr.PageSize, Arg: 2 * addr.PageSize << 9},
+	} {
+		if err := Replay(rt, op); err == nil {
+			t.Errorf("%+v accepted", op)
+		}
 	}
 }
 
