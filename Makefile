@@ -85,6 +85,7 @@ fuzz:
 	$(GO) test ./internal/cache -run='^$$' -fuzz=FuzzCacheReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 	$(GO) test ./internal/hier -run='^$$' -fuzz=FuzzHierarchy -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 	$(GO) test ./internal/addr -run='^$$' -fuzz=FuzzPageTable -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/nvm -run='^$$' -fuzz=FuzzWearReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 
 # Coverage over all packages; prints the total and leaves cover.out for
 # `go tool cover -html=cover.out`. Fails when the total statement coverage

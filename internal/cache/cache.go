@@ -12,7 +12,9 @@
 // The store is laid out for the host running the simulation. Each way is
 // one 64-bit Way word holding the block's tag, dirty bit and MESI state,
 // so an 8-way set is exactly one 64-byte host cache line, and a probe,
-// a hit and a state or dirty update all stay inside it. Counting host
+// a hit and a state or dirty update all stay inside it. A set's LRU
+// order is one 32-bit rank word, a nibble per way, kept apart from the
+// ways, so sixteen sets' rank words share a host line. Counting host
 // cache lines per operation:
 //
 //   - Lookup, LookupHit: the set's line plus its LRU rank word (2).
@@ -129,22 +131,22 @@ func (w Way) line() Line { return Line{Tag: uint64(w & tagMask), State: w.State(
 // ways holds one Way per way, set-major (set i occupies
 // [i*assoc, (i+1)*assoc)); empty ways hold emptyWay.
 //
-// LRU order is a permutation, not a clock: each set has one rank word
-// in which byte i holds way i's recency rank (0 = least, assoc-1 = most
-// recent; unused bytes are 0xff), which is why a cache has at most 8
-// ways. Every touch moves a way to the top rank, exactly the total order
-// per-way clocks would record, in one word-sized read-modify-write
-// instead of a clock array 8x the size. Hit/miss outcomes, LRU order,
-// victim choice and all statistics are identical to the obvious
-// array-of-structs scan.
+// LRU order is a permutation, not a clock: each set has one 32-bit rank
+// word in which nibble i holds way i's recency rank (0 = least, assoc-1
+// = most recent; unused nibbles are 0xf), which is why a cache has at
+// most 8 ways. Every touch moves a way to the top rank, exactly the
+// total order per-way clocks would record, in one word-sized
+// read-modify-write instead of a clock array 16x the size. Hit/miss
+// outcomes, LRU order, victim choice and all statistics are identical
+// to the obvious array-of-structs scan.
 type Cache struct {
 	cfg      Config
 	ways     []Way
-	rank     []uint64 // one recency-rank word per set
+	rank     []uint32 // one recency-rank word per set
 	assoc    int
 	setMask  uint64
-	bodyMask uint64 // rank-word bytes that correspond to real ways
-	initRank uint64 // rank word of a freshly reset set
+	bodyMask uint32 // bit 3 of each rank-word nibble that is a real way
+	initRank uint32 // rank word of a freshly reset set
 
 	hits, misses stats.Counter
 }
@@ -179,14 +181,14 @@ func New(cfg Config) *Cache {
 	c := &Cache{
 		cfg:      cfg,
 		ways:     ways,
-		rank:     make([]uint64, nsets),
+		rank:     make([]uint32, nsets),
 		assoc:    cfg.Assoc,
 		setMask:  uint64(nsets - 1),
-		initRank: ^uint64(0),
+		initRank: ^uint32(0),
 	}
 	for i := 0; i < cfg.Assoc; i++ {
-		c.initRank = c.initRank&^(0xff<<(8*uint(i))) | uint64(i)<<(8*uint(i))
-		c.bodyMask |= 0x80 << (8 * uint(i))
+		c.initRank = c.initRank&^(0xf<<(4*uint(i))) | uint32(i)<<(4*uint(i))
+		c.bodyMask |= 0x8 << (4 * uint(i))
 	}
 	for i := range c.rank {
 		c.rank[i] = c.initRank
@@ -194,10 +196,12 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// SWAR constants for the rank-word update: one set bit per byte lane.
+// SWAR constants for the rank-word update: one set bit per nibble lane.
+// A rank needs 3 bits, so bit 3 of each lane is free to act as the
+// guard bit of the per-lane comparisons below.
 const (
-	rankLo = 0x0101010101010101
-	rankHi = 0x8080808080808080
+	rankLo = 0x11111111
+	rankHi = 0x88888888
 )
 
 // touch moves way i of set si to the top recency rank: every way ranked
@@ -205,12 +209,12 @@ const (
 // move-to-front step of true LRU, done bit-parallel on the rank word.
 func (c *Cache) touch(si uint64, i int) {
 	w := c.rank[si]
-	r := w >> (8 * uint(i)) & 0xff
-	// Per-byte b > r test: bit 7 of (b|0x80)-(r+1) is set iff b >= r+1
-	// (r+1 <= 8, so no cross-byte borrow). Restricted to real ways.
+	r := w >> (4 * uint(i)) & 0xf
+	// Per-nibble b > r test: bit 3 of (b|8)-(r+1) is set iff b >= r+1
+	// (r+1 <= 8, so no cross-nibble borrow). Restricted to real ways.
 	gt := ((w | rankHi) - (r+1)*rankLo) & c.bodyMask
-	w -= gt >> 7 // slide every higher-ranked way down one
-	w = w&^(0xff<<(8*uint(i))) | uint64(c.assoc-1)<<(8*uint(i))
+	w -= gt >> 3 // slide every higher-ranked way down one
+	w = w&^(0xf<<(4*uint(i))) | uint32(c.assoc-1)<<(4*uint(i))
 	c.rank[si] = w
 }
 
@@ -219,18 +223,18 @@ func (c *Cache) touch(si uint64, i int) {
 // first exploits temporal locality: on an MRU hit the move-to-top is a
 // no-op, so the whole scan-and-touch collapses to one tag compare.
 func (c *Cache) mruWay(si uint64) int {
-	w := c.rank[si] ^ uint64(c.assoc-1)*rankLo
+	w := c.rank[si] ^ uint32(c.assoc-1)*rankLo
 	z := (w - rankLo) & ^w & c.bodyMask
-	return bits.TrailingZeros64(z) >> 3
+	return bits.TrailingZeros32(z) >> 2
 }
 
 // lruWay returns the least-recently-used way of set si, consulted only
 // when every way is valid. Ranks are a permutation, so exactly one real
-// way holds rank 0; the zero-byte scan finds it.
+// way holds rank 0; the zero-nibble scan finds it.
 func (c *Cache) lruWay(si uint64) int {
 	w := c.rank[si]
 	z := (w - rankLo) & ^w & c.bodyMask
-	return bits.TrailingZeros64(z) >> 3
+	return bits.TrailingZeros32(z) >> 2
 }
 
 // Config returns the cache configuration.

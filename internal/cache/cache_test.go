@@ -38,6 +38,32 @@ func TestGeometryValidation(t *testing.T) {
 	if c := tiny(); len(c.ways)/c.assoc != 2 {
 		t.Fatalf("sets = %d", len(c.ways)/c.assoc)
 	}
+
+	// A store with fewer than 8 ways ranks them in the low nibbles of
+	// each rank word, and the unused nibbles stay 0xf through a full
+	// rotation: fills, evictions, and a hit on the LRU way per way, so
+	// every way takes every rank.
+	for _, assoc := range []int{1, 2, 4} {
+		c := New(Config{Name: "r", Size: assoc * addr.BlockSize, Assoc: assoc}) // one set
+		unused := ^uint32(0) << (4 * assoc)
+		check := func(step string) {
+			t.Helper()
+			if got := c.rank[0] & unused; got != unused {
+				t.Fatalf("%d ways, %s: rank word %#x, unused nibbles %#x, want %#x", assoc, step, c.rank[0], got, unused)
+			}
+		}
+		check("new")
+		for i := 0; i < 2*assoc; i++ {
+			c.Insert(addr.Phys(i)<<addr.BlockShift, Shared, false)
+			check("insert")
+		}
+		for i := 0; i < assoc; i++ {
+			if c.Lookup(c.ways[c.lruWay(0)].Addr()) == nil {
+				t.Fatalf("%d ways: the LRU way missed", assoc)
+			}
+			check("LRU hit")
+		}
+	}
 }
 
 func TestLookupInsert(t *testing.T) {

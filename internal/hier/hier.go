@@ -30,17 +30,20 @@ type Config struct {
 	L2    cache.Config // per core
 	L3    cache.Config // shared
 	L4    cache.Config // shared
+}
 
+// Coherence and non-temporal store costs, in core cycles.
+const (
 	// CoherencePenalty is charged for each invalidation or intervention
 	// round trip between private caches (through the shared level).
-	CoherencePenalty clock.Cycles
+	CoherencePenalty clock.Cycles = 25
 
 	// NTStoreCycles is the per-block core occupancy of a non-temporal
 	// store: the store retires once the block is handed to the write
 	// queue, so the core sees bus-bandwidth occupancy, not NVM write
 	// latency. Table 1's 12.8GB/s × 2 channels gives ~5 cycles per 64B.
-	NTStoreCycles clock.Cycles
-}
+	NTStoreCycles clock.Cycles = 5
+)
 
 // MaxCores is the most cores a hierarchy has: the paper's machine has 8,
 // and a directory sharer mask is one byte.
@@ -58,13 +61,11 @@ func (cfg Config) Validate() error {
 // Table1Config returns the paper's Table 1 hierarchy for n cores.
 func Table1Config(n int) Config {
 	return Config{
-		Cores:            n,
-		L1:               cache.Config{Name: "l1", Size: 64 << 10, Assoc: 8, HitLatency: 2},
-		L2:               cache.Config{Name: "l2", Size: 512 << 10, Assoc: 8, HitLatency: 8},
-		L3:               cache.Config{Name: "l3", Size: 8 << 20, Assoc: 8, HitLatency: 25},
-		L4:               cache.Config{Name: "l4", Size: 64 << 20, Assoc: 8, HitLatency: 35},
-		CoherencePenalty: 25,
-		NTStoreCycles:    5,
+		Cores: n,
+		L1:    cache.Config{Name: "l1", Size: 64 << 10, Assoc: 8, HitLatency: 2},
+		L2:    cache.Config{Name: "l2", Size: 512 << 10, Assoc: 8, HitLatency: 8},
+		L3:    cache.Config{Name: "l3", Size: 8 << 20, Assoc: 8, HitLatency: 25},
+		L4:    cache.Config{Name: "l4", Size: 64 << 20, Assoc: 8, HitLatency: 35},
 	}
 }
 
@@ -199,7 +200,7 @@ func (h *Hierarchy) Read(core int, a addr.Phys) clock.Cycles {
 			// The remote owner is the block's only sharer.
 			h.intervene(a, bits.TrailingZeros8(others))
 			dp.modified &^= 1 << bi
-			lat += h.cfg.CoherencePenalty
+			lat += CoherencePenalty
 		}
 		for ; others != 0; others &= others - 1 {
 			c := bits.TrailingZeros8(others)
@@ -250,7 +251,7 @@ func (h *Hierarchy) Write(core int, a addr.Phys) clock.Cycles {
 			inheritDirty = true
 		}
 		h.invalidations.Inc()
-		lat += h.cfg.CoherencePenalty
+		lat += CoherencePenalty
 	}
 	// Record the new owner before the fills below: a back-invalidation
 	// they cause then sees a mask that covers every private copy.
@@ -340,7 +341,7 @@ func (h *Hierarchy) WriteNonTemporal(a addr.Phys) clock.Cycles {
 		h.l4.InvalidateAt(a, l4Way(dp.ways[bi]))
 	}
 	h.mc.WriteBlock(a)
-	return h.cfg.NTStoreCycles
+	return NTStoreCycles
 }
 
 // ShredInvalidate removes every block of page p from every cache level

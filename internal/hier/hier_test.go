@@ -12,13 +12,11 @@ import (
 
 func tinyConfig(cores int) Config {
 	return Config{
-		Cores:            cores,
-		L1:               cache.Config{Name: "l1", Size: 512, Assoc: 2, HitLatency: 2},
-		L2:               cache.Config{Name: "l2", Size: 1024, Assoc: 2, HitLatency: 8},
-		L3:               cache.Config{Name: "l3", Size: 2048, Assoc: 2, HitLatency: 25},
-		L4:               cache.Config{Name: "l4", Size: 4096, Assoc: 2, HitLatency: 35},
-		CoherencePenalty: 25,
-		NTStoreCycles:    5,
+		Cores: cores,
+		L1:    cache.Config{Name: "l1", Size: 512, Assoc: 2, HitLatency: 2},
+		L2:    cache.Config{Name: "l2", Size: 1024, Assoc: 2, HitLatency: 8},
+		L3:    cache.Config{Name: "l3", Size: 2048, Assoc: 2, HitLatency: 25},
+		L4:    cache.Config{Name: "l4", Size: 4096, Assoc: 2, HitLatency: 35},
 	}
 }
 

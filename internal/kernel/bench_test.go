@@ -19,12 +19,11 @@ func benchKernel(b *testing.B, mcMode memctrl.Mode, zm ZeroMode) *Kernel {
 		b.Fatal(err)
 	}
 	hcfg := hier.Config{
-		Cores:            2,
-		L1:               cache.Config{Name: "l1", Size: 8 << 10, Assoc: 8, HitLatency: 2},
-		L2:               cache.Config{Name: "l2", Size: 64 << 10, Assoc: 8, HitLatency: 8},
-		L3:               cache.Config{Name: "l3", Size: 1 << 20, Assoc: 8, HitLatency: 25},
-		L4:               cache.Config{Name: "l4", Size: 8 << 20, Assoc: 8, HitLatency: 35},
-		CoherencePenalty: 25, NTStoreCycles: 5,
+		Cores: 2,
+		L1:    cache.Config{Name: "l1", Size: 8 << 10, Assoc: 8, HitLatency: 2},
+		L2:    cache.Config{Name: "l2", Size: 64 << 10, Assoc: 8, HitLatency: 8},
+		L3:    cache.Config{Name: "l3", Size: 1 << 20, Assoc: 8, HitLatency: 25},
+		L4:    cache.Config{Name: "l4", Size: 8 << 20, Assoc: 8, HitLatency: 35},
 	}
 	k, err := New(zm, hier.New(hcfg, mc), NewLinearSource(0, 1<<22))
 	if err != nil {

@@ -364,7 +364,7 @@ func ClearPhysPage(h *hier.Hierarchy, core int, mode ZeroMode, ppn addr.PageNum)
 	// uncommitted — recovery sees stale garbage, never a half-cleared
 	// page that claims to be shredded.
 	if writes := mc.ScrubPage(ppn); writes > 0 {
-		lat += memctrl.ScrubLatency(writes, h.Config().NTStoreCycles)
+		lat += memctrl.ScrubLatency(writes, hier.NTStoreCycles)
 	}
 	switch mode {
 	case ZeroTemporal:
@@ -387,7 +387,7 @@ func ClearPhysPage(h *hier.Hierarchy, core int, mode ZeroMode, ppn addr.PageNum)
 		msgs := h.ShredInvalidate(ppn)
 		lat += clock.Cycles(msgs) * InvalMsgCost
 		mc.ZeroPageDirect(ppn)
-		lat += clock.Cycles(addr.BlocksPerPage) * h.Config().NTStoreCycles
+		lat += clock.Cycles(addr.BlocksPerPage) * hier.NTStoreCycles
 	case ZeroShred:
 		// Silent Shredder: invalidate cached copies, flip the page's
 		// encryption counters, done. No data writes at all.

@@ -24,13 +24,11 @@ func testHier(t *testing.T, mode memctrl.Mode) *hier.Hierarchy {
 		t.Fatal(err)
 	}
 	hcfg := hier.Config{
-		Cores:            2,
-		L1:               cache.Config{Name: "l1", Size: 4 << 10, Assoc: 4, HitLatency: 2},
-		L2:               cache.Config{Name: "l2", Size: 16 << 10, Assoc: 4, HitLatency: 8},
-		L3:               cache.Config{Name: "l3", Size: 64 << 10, Assoc: 8, HitLatency: 25},
-		L4:               cache.Config{Name: "l4", Size: 256 << 10, Assoc: 8, HitLatency: 35},
-		CoherencePenalty: 25,
-		NTStoreCycles:    5,
+		Cores: 2,
+		L1:    cache.Config{Name: "l1", Size: 4 << 10, Assoc: 4, HitLatency: 2},
+		L2:    cache.Config{Name: "l2", Size: 16 << 10, Assoc: 4, HitLatency: 8},
+		L3:    cache.Config{Name: "l3", Size: 64 << 10, Assoc: 8, HitLatency: 25},
+		L4:    cache.Config{Name: "l4", Size: 256 << 10, Assoc: 8, HitLatency: 35},
 	}
 	return hier.New(hcfg, mc)
 }

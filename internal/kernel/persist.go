@@ -5,6 +5,7 @@ import (
 
 	"silentshredder/internal/addr"
 	"silentshredder/internal/clock"
+	"silentshredder/internal/hier"
 	"silentshredder/internal/mmu"
 )
 
@@ -88,7 +89,7 @@ func (k *Kernel) PersistRange(core int, p *Process, va addr.Virt, npages int) cl
 			dirty := k.h.FlushPage(pte.PPN)
 			// The core waits for the write queue to drain (pcommit
 			// semantics): bus occupancy per dirty line.
-			lat += clock.Cycles(dirty) * k.h.Config().NTStoreCycles
+			lat += clock.Cycles(dirty) * hier.NTStoreCycles
 		}
 	}
 	_ = core

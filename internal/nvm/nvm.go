@@ -4,7 +4,8 @@
 // The model captures the NVM properties the paper's evaluation depends on:
 //
 //   - asymmetric, slow writes (Table 1: 75ns reads, 150ns writes),
-//   - limited write endurance, tracked as per-block wear counts,
+//   - limited write endurance, tracked per block: which blocks of a page
+//     were written, and exact counts once one of them is rewritten,
 //   - cell-level write-reduction schemes — Data Comparison Write (DCW) and
 //     Flip-N-Write (FNW) — which the paper's motivation (§1) shows are
 //     defeated by encryption's diffusion; the device counts bit flips so
@@ -62,10 +63,11 @@ type Config struct {
 	StoreData    bool         // keep actual contents (required for DCW/FNW and functional checks)
 	WriteMode    WriteMode
 
-	// DisableWearTracking drops the per-block wear map. Giant
-	// timing-only sweeps (e.g. the 1GB memset experiment) enable this
-	// to bound host memory; endurance statistics then only report the
-	// aggregate write count.
+	// DisableWearTracking drops per-block wear tracking. Giant
+	// timing-only sweeps (e.g. the 1GB memset experiment, which
+	// rewrites every block and so would give every page counts) enable
+	// this to bound host memory; endurance statistics then only report
+	// the aggregate write count.
 	DisableWearTracking bool
 
 	// Banks per channel. Accesses hitting a recently used bank pay
@@ -136,15 +138,11 @@ type Injector interface {
 	CorruptRead(a addr.Phys, dst []byte) ReadOutcome
 }
 
-// wearPage holds the per-block wear counters of one page. The presence
-// bitmask records which blocks have ever been written, the distinction
-// State's flat per-block maps export. A counter saturates at
-// math.MaxUint32, far beyond the 10^8-10^9 writes a PCM cell endures;
-// 32-bit counters keep a page at 264 bytes.
-type wearPage struct {
-	present uint64
-	w       [addr.BlocksPerPage]uint32
-}
+// wearCounts holds the per-block wear counts of one page. A count
+// saturates at math.MaxUint32, far beyond the 10^8-10^9 writes a PCM
+// cell endures; 32-bit counts make a page exactly the 256-byte size
+// class.
+type wearCounts [addr.BlocksPerPage]uint32
 
 // flipPage holds the FNW flip-bit bytes of one page's blocks.
 type flipPage struct {
@@ -152,14 +150,26 @@ type flipPage struct {
 	f       [addr.BlocksPerPage]uint8
 }
 
-// Device is a simulated NVM DIMM population. Cell contents, wear counts
-// and Flip-N-Write flip bits are kept per page in page tables, each
-// page's chunk allocated on its first write.
+// Device is a simulated NVM DIMM population. Cell contents, wear and
+// Flip-N-Write flip bits are kept per page in page tables, each page's
+// chunk allocated on its first write.
+//
+// Wear is a mask per page until a block is rewritten: bit i of written
+// marks block i as written at least once, the distinction State's flat
+// per-block map exports, and a page without counts has wear 1 on each
+// marked block and 0 elsewhere. The first write of a block already
+// marked gives its page counts, seeded from the mask, and from then on
+// a write to that page touches only its counts, so a block a count
+// makes non-zero may lack its mask bit. A page has counts only if its
+// mask is non-zero. Most pages are never rewritten (Silent Shredder
+// writes no zeros), so most cost 8 bytes instead of a 256-byte count
+// array.
 type Device struct {
-	cfg   Config
-	pages addr.PageTable[*[addr.PageSize]byte]
-	flip  addr.PageTable[*flipPage] // FNW flip bit per 8-byte word, bit i = word i of block
-	wear  addr.PageTable[*wearPage]
+	cfg     Config
+	pages   addr.PageTable[*[addr.PageSize]byte]
+	flip    addr.PageTable[*flipPage] // FNW flip bit per 8-byte word, bit i = word i of block
+	written addr.PageTable[uint64]
+	counts  addr.PageTable[*wearCounts]
 
 	inj       Injector          // nil = perfect device
 	writeHook func(a addr.Phys) // crash scheduler; runs before any commit
@@ -217,14 +227,18 @@ func (d *Device) SetBus(b *obs.Bus) { d.bus = b }
 // to LayerBankWait on whatever span is active when an access arrives.
 func (d *Device) SetSpans(r *span.Recorder) { d.spans = r }
 
-// wearPageOf returns page p's wear chunk, creating it if needed.
-func (d *Device) wearPageOf(p addr.PageNum) *wearPage {
-	wp := d.wear.Get(p)
-	if wp == nil {
-		wp = &wearPage{}
-		d.wear.Set(p, wp)
+// countsOf returns page p's wear counts, creating them if needed with
+// a count of 1 for each block its mask marks.
+func (d *Device) countsOf(p addr.PageNum) *wearCounts {
+	c := d.counts.Get(p)
+	if c == nil {
+		c = new(wearCounts)
+		for rem := d.written.Get(p); rem != 0; rem &= rem - 1 {
+			c[bits.TrailingZeros64(rem)] = 1
+		}
+		d.counts.Set(p, c)
 	}
-	return wp
+	return c
 }
 
 // flipPageOf returns page p's flip chunk, creating it if needed.
@@ -460,24 +474,42 @@ func (d *Device) accountWrite(a addr.Phys, flipped, written uint64) {
 	if d.cfg.DisableWearTracking {
 		return
 	}
-	wp := d.wearPageOf(a.Page())
-	bi := a.BlockIndex()
-	wp.present |= 1 << bi
-	if wp.w[bi] < math.MaxUint32 {
-		wp.w[bi]++
+	p, bi := a.Page(), a.BlockIndex()
+	if c := d.counts.Get(p); c != nil {
+		if c[bi] < math.MaxUint32 {
+			c[bi]++
+		}
+		d.maxWear = max(d.maxWear, uint64(c[bi]))
+		return
 	}
-	if w := uint64(wp.w[bi]); w > d.maxWear {
-		d.maxWear = w
+	d.markWritten(p, bi)
+}
+
+// markWritten accounts a write of block bi of page p, which has no
+// counts: a first write sets the block's mask bit, and a rewrite gives
+// the page counts.
+func (d *Device) markWritten(p addr.PageNum, bi int) {
+	m := d.written.Ptr(p)
+	switch {
+	case m == nil:
+		d.written.Set(p, 1<<bi)
+	case *m&(1<<bi) == 0:
+		*m |= 1 << bi
+	default:
+		d.countsOf(p)[bi] = 2
+		d.maxWear = max(d.maxWear, 2)
+		return
 	}
+	d.maxWear = max(d.maxWear, 1)
 }
 
 // wearOf returns the wear count of block a (0 when never written).
 func (d *Device) wearOf(a addr.Phys) uint64 {
-	wp := d.wear.Get(a.Page())
-	if wp == nil {
-		return 0
+	p, bi := a.Page(), a.BlockIndex()
+	if c := d.counts.Get(p); c != nil {
+		return uint64(c[bi])
 	}
-	return uint64(wp.w[a.BlockIndex()])
+	return d.written.Get(p) >> bi & 1
 }
 
 // diffBits counts differing bits between two 64-byte blocks.
@@ -551,10 +583,18 @@ func (d *Device) Snapshot() *State {
 	d.pages.ForEach(func(p addr.PageNum, data *[addr.PageSize]byte) {
 		st.Pages[p] = append([]byte(nil), data[:]...)
 	})
-	d.wear.ForEach(func(p addr.PageNum, wp *wearPage) {
-		for rem := wp.present; rem != 0; rem &= rem - 1 {
-			bi := bits.TrailingZeros64(rem)
-			st.Wear[p.BlockAddr(bi)] = uint64(wp.w[bi])
+	d.written.ForEach(func(p addr.PageNum, m uint64) {
+		c := d.counts.Get(p)
+		if c == nil {
+			for rem := m; rem != 0; rem &= rem - 1 {
+				st.Wear[p.BlockAddr(bits.TrailingZeros64(rem))] = 1
+			}
+			return
+		}
+		for bi, w := range c {
+			if w != 0 || m&(1<<bi) != 0 {
+				st.Wear[p.BlockAddr(bi)] = uint64(w)
+			}
 		}
 	})
 	d.flip.ForEach(func(p addr.PageNum, fp *flipPage) {
@@ -575,17 +615,18 @@ func (d *Device) Restore(st *State) {
 		copy(pg[:], data)
 		d.pages.Set(p, pg)
 	}
-	d.wear.Reset()
+	d.written.Reset()
+	d.counts.Reset()
 	d.maxWear = 0
 	for a, w := range st.Wear {
 		a = a.Block()
-		wp := d.wearPageOf(a.Page())
-		bi := a.BlockIndex()
-		wp.present |= 1 << bi
-		w = min(w, math.MaxUint32)
-		wp.w[bi] = uint32(w)
-		if w > d.maxWear {
-			d.maxWear = w
+		d.written.Set(a.Page(), d.written.Get(a.Page())|1<<a.BlockIndex())
+		d.maxWear = max(d.maxWear, min(w, math.MaxUint32))
+	}
+	for a, w := range st.Wear {
+		if w != 1 {
+			a = a.Block()
+			d.countsOf(a.Page())[a.BlockIndex()] = uint32(min(w, math.MaxUint32))
 		}
 	}
 	d.flip.Reset()

@@ -58,7 +58,7 @@ func TestWearSaturatesAndRoundTrips(t *testing.T) {
 		d.WriteBlock(b, bytes.Repeat([]byte{byte(i)}, addr.BlockSize))
 	}
 	d.WriteBlock(a, make([]byte, addr.BlockSize))
-	d.wearPageOf(a.Page()).w[a.BlockIndex()] = math.MaxUint32 - 1
+	d.countsOf(a.Page())[a.BlockIndex()] = math.MaxUint32 - 1
 	for i := 0; i < 3; i++ {
 		d.WriteBlock(a, bytes.Repeat([]byte{byte(i + 1)}, addr.BlockSize))
 	}
